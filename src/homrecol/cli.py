@@ -15,7 +15,7 @@ from . import families, jsonio
 from .errors import InternalError, InvalidInputError
 from .graphs import validate_host
 from .oracle import Answer, hom_graph_bfs
-from .solver import solve, validate_instance, verify_witness
+from .solver import recheck_obstruction, solve, validate_instance, verify_witness
 from .walks import check_walk, reduce_walk
 
 EXIT_YES = 0
@@ -62,6 +62,11 @@ def _cmd_verify(args) -> int:
         result = json.loads(_read(args.result))
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    if isinstance(result, dict) and result.get("answer") == "no":
+        obstruction = jsonio.obstruction_from_dict(result.get("obstruction"))
+        verified = recheck_obstruction(inst, obstruction)
+        _emit({"verified": verified})
+        return EXIT_YES if verified else EXIT_NO
     moves = jsonio.moves_from_dict(result)
     check = verify_witness(inst, moves)
     if check.ok:
@@ -140,9 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-states", type=int, default=10**6)
     p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("verify", help="replay a witness against an instance")
+    p = sub.add_parser("verify", help="check a result's certificate against an instance")
     p.add_argument("instance")
-    p.add_argument("result", help="result JSON file with a move-list witness")
+    p.add_argument("result", help="result JSON file: a move-list witness or an obstruction")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("gen", help="emit an instance from a named family")

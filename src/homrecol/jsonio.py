@@ -114,19 +114,25 @@ def verdict_to_dict(v: Verdict) -> dict:
     return {"answer": "no", "obstruction": _obstruction_to_dict(v.obstruction)}
 
 
+def _int_list(obj: Any) -> bool:
+    return isinstance(obj, list) and all(type(x) is int for x in obj)  # bool is not int
+
+
 def obstruction_from_dict(doc: Any) -> Obstruction:
     _require(isinstance(doc, dict), "obstruction must be an object")
     _require(isinstance(doc.get("type"), str), "obstruction.type must be a string")
-    _require(isinstance(doc.get("cycle"), list), "obstruction.cycle must be a list")
+    _require(_int_list(doc.get("cycle")), "obstruction.cycle must be a list of integers")
+    vertex = doc.get("vertex")
+    _require(vertex is None or type(vertex) is int, "obstruction.vertex must be an integer")
     cores = None
     if "cores" in doc:
-        cores = (tuple(doc["cores"][0]), tuple(doc["cores"][1]))
-    return Obstruction(
-        kind=doc["type"],
-        cycle=tuple(doc["cycle"]),
-        vertex=doc.get("vertex"),
-        cores=cores,
-    )
+        raw = doc["cores"]
+        _require(
+            isinstance(raw, list) and len(raw) == 2 and all(_int_list(c) for c in raw),
+            "obstruction.cores must be two lists of integers",
+        )
+        cores = (tuple(raw[0]), tuple(raw[1]))
+    return Obstruction(kind=doc["type"], cycle=tuple(doc["cycle"]), vertex=vertex, cores=cores)
 
 
 def moves_from_dict(doc: Any) -> list[tuple[int, int]]:

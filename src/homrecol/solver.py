@@ -231,17 +231,24 @@ def verify_witness(inst: Instance, moves: Sequence[Move]) -> WitnessCheck:
 
 def recheck_obstruction(inst: Instance, obstruction: Obstruction) -> bool:
     """Independently re-verify a NO certificate against the instance."""
+    cycle = obstruction.cycle
+    if not cycle or min(cycle) < 0 or max(cycle) >= inst.g.n:
+        return False
     work = inst
     if inst.mode == GIRTH5:
-        if len(obstruction.cycle) == 1:
-            v = obstruction.cycle[0]
-            return shortest_walk(inst.h, inst.phi[v], inst.psi[v]) is None
+        v = cycle[0]
+        if len(cycle) == 1 and not any(u != v for u in inst.g.adj[v]):
+            # preprocess_girth5 walks a looped isolated vertex through the
+            # host and lets a loopless one jump, so only a looped one is stuck
+            return (
+                obstruction.kind == NO_VALID_WALK
+                and v in inst.g.loops
+                and shortest_walk(inst.h, inst.phi[v], inst.psi[v]) is None
+            )
         work, _, early = preprocess_girth5(inst)
         if early is not None:
             return early.kind == obstruction.kind and early.cycle == obstruction.cycle
     g, h, phi, psi = work.g, work.h, work.phi, work.psi
-
-    cycle = obstruction.cycle
     if len(cycle) > 1:
         if cycle[0] != cycle[-1]:
             return False

@@ -3,9 +3,19 @@
 A system assigns each vertex v a reduced walk from phi(v) to psi(v); it is
 valid when every edge of the instance graph is preserved, i.e. prepending the
 phi-image of the edge and appending the reversed psi-image to one endpoint's
-walk reduces to the other endpoint's walk.  Valid systems are generated down
-a BFS spanning tree and checked on the non-tree edges; a failing edge yields
-a closed-walk witness through the tree.
+walk reduces to the other endpoint's walk.  Along a BFS spanning tree this
+rule fixes every walk from the root's; the non-tree edges are then checked,
+and a failing edge yields a closed-walk witness through the tree.
+
+The check runs in the host's universal cover.  In a triangle-free reflexive
+host the reduced walks from one colour form a tree, so a reduced walk is a
+path of that tree and is fixed by its two ends.  phi and psi are lifted into
+the cover along the BFS tree at constant cost per vertex, and an edge whose
+lifts stay adjacent on both sides is preserved without building a walk.
+Walks are built only for the endpoints of the edges left over, and for the
+whole system once it is known to be valid.  A system that fails costs the
+size of its component plus the walks of those few edges, not the total
+length of all its walks, which grows quadratically on a mirrored cycle wrap.
 """
 
 from __future__ import annotations
@@ -64,33 +74,155 @@ def generate_system(
 ) -> WalkSystem | CycleWitness:
     """Build the unique reduced system containing w_root, or a failing cycle.
 
-    Walks propagate down a BFS tree of root's component; every non-tree,
-    non-loop edge is then checked.  The witness for a failing edge uv is the
-    closed walk tree-path(root, u) . uv . tree-path(v, root).
+    Each vertex's walk is the reduction of (phi(v),) + w_parent + (psi(v),)
+    down a BFS tree of root's component, so w_root fixes the system.  To
+    check it, phi and psi are lifted into the host's universal cover from
+    the two ends of w_root; w_v is the cover path between v's two lifts.
+    Every non-tree, non-loop edge is checked, in ascending order of its
+    endpoints, and its two walks are built only when its lifts are not
+    adjacent on both sides.  The witness for a failing edge uv is the closed
+    walk tree-path(root, u) . uv . tree-path(v, root).  On success every walk
+    is built once, from its parent's walk.
     """
     if w_root[0] != phi[root] or w_root[-1] != psi[root]:
         raise InternalError("base walk endpoints do not match the maps")
     if not is_reduced(w_root):
         raise InternalError("base walk must be reduced")
     order, parent = bfs_tree(g, root, tie_break)
-    walks: dict[int, Walk] = {root: w_root}
-    for v in order[1:]:
-        u = parent[v]
-        walks[v] = reduce_walk((phi[v],) + walks[u] + (psi[v],))
+    failing = _failing_edge(g, h, phi, psi, order, parent, w_root)
+    if failing is not None:
+        u, v = failing
+        cycle = tuple(reversed(_chain_to_root(parent, u))) + tuple(_chain_to_root(parent, v))
+        return CycleWitness(cycle=cycle)
+    return WalkSystem(root=root, walks=_carry_walks(phi, psi, order, parent, w_root))
 
-    comp = set(order)
-    for u in sorted(comp):
+
+class _Cover:
+    """The universal cover of a triangle-free reflexive host, grown on demand.
+
+    Its nodes are the reduced walks from one base colour, kept as a trie:
+    node i is a walk ending in colour label[i] whose last step leaves node
+    up[i], depth[i] steps from the base node 0 (its own parent).  The cover
+    is a tree, so the reduced walk between two nodes is their tree path.
+    """
+
+    __slots__ = ("label", "up", "depth", "child", "nh")
+
+    def __init__(self, nh: int, walk: Walk):
+        """The trie of the one reduced walk `walk`; node i is walk[: i + 1]."""
+        m = len(walk)
+        self.nh = nh
+        self.label = list(walk)
+        self.up = [0] + list(range(m - 1))
+        self.depth = list(range(m))
+        self.child = {i * nh + walk[i + 1]: i + 1 for i in range(m - 1)}
+
+    def lift(
+        self, order: list[int], parent: dict[int, int], f: Sequence[int], start: int
+    ) -> dict[int, int]:
+        """Lift f along the BFS tree, sending order[0] to node start.
+
+        A step to colour c stays on a node coloured c, goes up when the
+        parent is coloured c, and otherwise goes down to the child c.
+        """
+        label, up, depth, child, nh = self.label, self.up, self.depth, self.child, self.nh
+        at = {order[0]: start}
+        for v in order[1:]:
+            x = at[parent[v]]
+            c = f[v]
+            if label[x] != c:
+                p = up[x]
+                if label[p] == c:
+                    x = p
+                else:
+                    key = x * nh + c
+                    y = child.get(key)
+                    if y is None:
+                        y = child[key] = len(label)
+                        label.append(c)
+                        up.append(x)
+                        depth.append(depth[x] + 1)
+                    x = y
+            at[v] = x
+        return at
+
+    def walk(self, a: int, b: int) -> Walk:
+        """The reduced walk from node a to node b: up to their meet, then down."""
+        label, up, depth = self.label, self.up, self.depth
+        left, right = [], []
+        while depth[a] > depth[b]:
+            left.append(label[a])
+            a = up[a]
+        while depth[b] > depth[a]:
+            right.append(label[b])
+            b = up[b]
+        while a != b:
+            left.append(label[a])
+            a = up[a]
+            right.append(label[b])
+            b = up[b]
+        left.append(label[a])
+        left.extend(reversed(right))
+        return tuple(left)
+
+
+def _failing_edge(
+    g: Graph,
+    h: Graph,
+    phi: Sequence[int],
+    psi: Sequence[int],
+    order: list[int],
+    parent: dict[int, int],
+    w_root: Walk,
+) -> tuple[int, int] | None:
+    """The first non-tree edge uv (u < v) the system does not preserve, if any."""
+    cover = _Cover(h.n, w_root)
+    lo = cover.lift(order, parent, phi, 0)
+    hi = cover.lift(order, parent, psi, len(w_root) - 1)
+    up = cover.up
+    for u in sorted(order):
+        lo_u, hi_u = lo[u], hi[u]
         for v in g.adj[u]:
             if v <= u:  # each edge once; loops are always preserved
                 continue
-            if parent.get(v) == u or parent.get(u) == v:
+            # The edge lifts to a cover edge (or a node) on both sides, as
+            # every tree edge does, so carrying w_v across it gives back w_u
+            # without building either walk.
+            lo_v, hi_v = lo[v], hi[v]
+            if (lo_v == lo_u or up[lo_v] == lo_u or up[lo_u] == lo_v) and (
+                hi_v == hi_u or up[hi_v] == hi_u or up[hi_u] == hi_v
+            ):
                 continue
-            if not edge_preserved(phi, psi, u, v, walks[u], walks[v]):
-                up_u = _chain_to_root(parent, u)
-                up_v = _chain_to_root(parent, v)
-                cycle = tuple(reversed(up_u)) + tuple(up_v)
-                return CycleWitness(cycle=cycle)
-    return WalkSystem(root=root, walks=walks)
+            w_u = cover.walk(lo_u, hi_u)
+            w_v = cover.walk(lo_v, hi_v)
+            if not edge_preserved(phi, psi, u, v, w_u, w_v):
+                return u, v
+    return None
+
+
+def _carry_walks(
+    phi: Sequence[int],
+    psi: Sequence[int],
+    order: list[int],
+    parent: dict[int, int],
+    w_root: Walk,
+) -> dict[int, Walk]:
+    """Every walk of the system, each the reduction of (phi(v),) + w_parent + (psi(v),).
+
+    The parent's walk is reduced, so the reduction changes at most one
+    vertex at each end: it keeps, drops or adds the end vertex.
+    """
+    walks: dict[int, Walk] = {order[0]: w_root}
+    for v in order[1:]:
+        w = walks[parent[v]]
+        a = phi[v]
+        if w[0] != a:
+            w = w[1:] if len(w) > 1 and w[1] == a else (a,) + w
+        b = psi[v]
+        if w[-1] != b:
+            w = w[:-1] if len(w) > 1 and w[-2] == b else w + (b,)
+        walks[v] = w
+    return walks
 
 
 def _chain_to_root(parent: dict[int, int], x: int) -> list[int]:

@@ -99,49 +99,17 @@ def homotopic(x: Walk, y: Walk) -> bool:
     return reduce_sequence(x) == reduce_sequence(y)
 
 
-def _least_rotation(seq: Sequence[int]) -> int:
-    """Start index of the lexicographically least rotation (Booth)."""
-    doubled = tuple(seq) + tuple(seq)
-    fail = [-1] * len(doubled)
-    k = 0
-    for j in range(1, len(doubled)):
-        sj = doubled[j]
-        i = fail[j - k - 1]
-        while i != -1 and sj != doubled[k + i + 1]:
-            if sj < doubled[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if sj != doubled[k + i + 1]:
-            if sj < doubled[k]:
-                k = j
-            fail[j - k] = -1
-        else:
-            fail[j - k] = i + 1
-    return k
-
-
-def canonical_rotation(seq: Sequence[int]) -> tuple[Walk, int]:
-    """(least rotation, start offset into seq); the empty word canonicalizes to itself."""
-    if not seq:
-        return (), 0
-    k = _least_rotation(seq)
-    s = tuple(seq)
-    return s[k:] + s[:k], k
-
-
 @dataclass(frozen=True)
 class FreeDecomposition:
     """Split of a closed walk into a tail and a cyclically reduced core.
 
     tail runs from the original basepoint to the core's first vertex; core is
     the cyclic word of the free-homotopy class, stored in its as-computed
-    rotation with the canonical (least) rotation alongside, so class equality
-    is a plain comparison of canon fields.
+    rotation (shift_match compares two cores up to rotation).
     """
 
     tail: Walk
     core: Walk
-    canon: Walk
 
     @property
     def contractible(self) -> bool:
@@ -165,16 +133,14 @@ def free_decomposition(c: Walk) -> FreeDecomposition:
         raise InternalError("free decomposition is for closed walks")
     red = reduce_sequence(c)
     if len(red) == 1:
-        return FreeDecomposition(tail=red, core=(), canon=())
+        return FreeDecomposition(tail=red, core=())
     lo, hi = 0, len(red) - 1
     while red[lo + 1] == red[hi - 1]:
         lo += 1
         hi -= 1
     if hi - lo < 4:
         raise InternalError("cyclically reduced closed walk shorter than 4")
-    core = red[lo:hi]
-    canon, _ = canonical_rotation(core)
-    return FreeDecomposition(tail=red[: lo + 1], core=core, canon=canon)
+    return FreeDecomposition(tail=red[: lo + 1], core=red[lo:hi])
 
 
 def _failure_function(seq: Sequence[int]) -> list[int]:

@@ -13,7 +13,9 @@ from homrecol.families import (
     host_catalogue,
     two_squares_shared,
 )
-from homrecol.graphs import Graph
+from homrecol.graphs import Graph, bfs_tree
+from homrecol.systems import CycleWitness, WalkSystem, edge_preserved
+from homrecol.walks import reduce_walk
 
 
 @pytest.fixture
@@ -108,3 +110,23 @@ def tight_vertices(g: Graph, h: Graph, colours) -> set[int]:
         if is_tight(g, h, colours, cyc):
             out.update(cyc)
     return out
+
+
+def brute_generate_system(g, h, phi, psi, root, w_root, tie_break=None):
+    """generate_system the direct way: every walk built down the BFS tree
+    by full reduction, then every non-tree edge checked on the built walks."""
+    order, parent = bfs_tree(g, root, tie_break)
+    walks = {root: w_root}
+    for v in order[1:]:
+        walks[v] = reduce_walk((phi[v],) + walks[parent[v]] + (psi[v],))
+    for u in sorted(order):
+        for v in g.adj[u]:
+            if v <= u or parent.get(v) == u or parent.get(u) == v:
+                continue
+            if not edge_preserved(phi, psi, u, v, walks[u], walks[v]):
+                up_u, up_v = [u], [v]
+                for chain in (up_u, up_v):
+                    while chain[-1] in parent:
+                        chain.append(parent[chain[-1]])
+                return CycleWitness(cycle=tuple(reversed(up_u)) + tuple(up_v))
+    return WalkSystem(root=root, walks=walks)

@@ -1,7 +1,7 @@
 import json
 
 from homrecol.cli import run
-from homrecol.families import make_figure_eight
+from homrecol.families import make_cycle_wrap, make_figure_eight
 from homrecol.jsonio import dumps, instance_to_dict, parse_instance
 
 
@@ -51,6 +51,37 @@ def test_verify_rejects_bad_witness(tmp_path, capsys):
     assert run(["verify", inst, result]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc == {"verified": False, "first_bad_move": 0}
+
+
+def mirrored_wrap(tmp_path, n):
+    """A cycle wrap of C4 with psi[i] = phi[-i mod n]: a free-class-mismatch NO."""
+    doc = instance_to_dict(make_cycle_wrap(n, 4, 0))
+    doc["psi"] = [doc["phi"][(-i) % n] for i in range(n)]
+    return write(tmp_path, "inst.json", doc)
+
+
+def test_verify_accepts_no_result(tmp_path, capsys):
+    inst = mirrored_wrap(tmp_path, 12)
+    assert run(["solve", inst]) == 1
+    out = capsys.readouterr().out
+    assert json.loads(out)["obstruction"]["type"] == "free-class-mismatch"
+    result = write(tmp_path, "result.json", out)
+    assert run(["verify", inst, result]) == 0
+    assert json.loads(capsys.readouterr().out) == {"verified": True}
+
+
+def test_verify_rejects_corrupted_obstruction(tmp_path, capsys):
+    inst = mirrored_wrap(tmp_path, 12)
+    assert run(["solve", inst]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    cycle = doc["obstruction"]["cycle"]
+    cycle[1] = (cycle[1] + 6) % 12  # no longer a walk of G
+    result = write(tmp_path, "result.json", doc)
+    assert run(["verify", inst, result]) == 1
+    assert json.loads(capsys.readouterr().out) == {"verified": False}
+    doc["obstruction"]["cycle"] = [0, "1"]
+    result = write(tmp_path, "result.json", doc)
+    assert run(["verify", inst, result]) == 2
 
 
 def test_invalid_json_line_message(tmp_path, capsys):

@@ -18,6 +18,7 @@ from homrecol.graphs import Graph
 from homrecol.oracle import Answer, hom_graph_bfs, hom_graph_path
 from homrecol.solver import (
     Instance,
+    Obstruction,
     preprocess_girth5,
     recheck_obstruction,
     solve,
@@ -181,6 +182,23 @@ def test_preprocess_isolated_looped_separated_host():
     inst2 = Instance(g=g2, h=h, phi=(0,), psi=(3,), mode="girth5")
     v2 = solve(inst2)
     assert v2.yes and v2.moves == [(0, 3)]
+
+
+def test_recheck_girth5_one_vertex_needs_looped_isolated_vertex():
+    ring = [(i, (i + 1) % 5) for i in range(5)]
+    h = Graph(10, ring + [(u + 5, v + 5) for u, v in ring], reflexive=True)
+    g = Graph(4, [(0, 0), (2, 3)])
+    inst = Instance(g=g, h=h, phi=(0, 0, 0, 1), psi=(5, 5, 0, 1), mode="girth5")
+    v = solve(inst)
+    assert v.obstruction == Obstruction(kind="no-valid-walk", cycle=(0,))
+    assert recheck_obstruction(inst, Obstruction(kind="no-valid-walk", cycle=(0,)))
+    # vertex 1 is loopless, so preprocessing recolours it with one jump
+    assert not recheck_obstruction(inst, Obstruction(kind="no-valid-walk", cycle=(1,)))
+    # a vertex with a neighbour keeps its colour's host component
+    edge = Instance(g=Graph(2, [(0, 1)]), h=h, phi=(0, 1), psi=(5, 6), mode="girth5")
+    v = solve(edge)
+    assert v.obstruction == Obstruction(kind="no-valid-walk", cycle=(0,))
+    assert recheck_obstruction(edge, v.obstruction)
 
 
 def test_preprocess_noop_for_reflexive_no_isolated():

@@ -1,13 +1,16 @@
 import random
+import tracemalloc
 
 import pytest
 
-from conftest import random_walk, small_hosts
+from conftest import brute_generate_system, random_walk, small_hosts
 from homrecol.errors import InternalError
 from homrecol.families import (
     cycle_graph,
+    make_cycle_wrap,
     random_graph,
     random_hom,
+    random_instance,
     random_walk_hom,
     two_squares_shared,
 )
@@ -16,6 +19,7 @@ from homrecol.oracle import Answer, hom_graph_bfs, reduce_via_cover
 from homrecol.systems import (
     CycleWitness,
     WalkSystem,
+    _candidate_family,
     edge_preserved,
     find_valid_base_walk,
     generate_system,
@@ -77,6 +81,60 @@ def test_generate_system_witness_for_incompatible_wraps():
     assert img_phi != reduce_walk(basepoint_change((0,), img_psi))
     # oracle: the two wraps really are in different move-graph components
     assert hom_graph_bfs(C5, h, phi, psi, max_states=20_000) is Answer.NO
+
+
+def _base_walks(rng, g, h, phi, psi, root):
+    """The shortest base walk, the candidates its witness pins down, and two
+    random reduced detours between the same colours."""
+    w0 = shortest_walk(h, phi[root], psi[root])
+    if w0 is None:
+        return []
+    walks = [w0]
+    first = brute_generate_system(g, h, phi, psi, root, w0)
+    if isinstance(first, CycleWitness):
+        candidates, _ = _candidate_family(phi, psi, first.cycle)
+        walks.extend(candidates or [])
+    for _ in range(2):
+        detour = random_walk(rng, h, rng.randrange(0, 15), start=phi[root])
+        walks.append(reduce_walk(detour + shortest_walk(h, detour[-1], psi[root])[1:]))
+    return walks
+
+
+def test_generate_system_matches_reference():
+    # both directions, so that phi as well as psi may be the map that winds
+    rng = random.Random(36)
+    kinds = {WalkSystem: 0, CycleWitness: 0}
+    for i in range(300):
+        inst = random_instance(rng, 2 + i % 30, 4 + i % 9)
+        g, h = inst.g, inst.h
+        root = rng.randrange(g.n)
+        for phi, psi in ((inst.phi, inst.psi), (inst.psi, inst.phi)):
+            for w in _base_walks(rng, g, h, phi, psi, root):
+                order = list(range(g.n))
+                rng.shuffle(order)
+                for tie_break in (None, order):
+                    out = generate_system(g, h, phi, psi, root, w, tie_break)
+                    ref = brute_generate_system(g, h, phi, psi, root, w, tie_break)
+                    assert out == ref, (i, w, tie_break)
+                    kinds[type(out)] += 1
+    assert min(kinds.values()) > 500, kinds
+
+
+def test_generate_system_mirrored_wrap_is_linear():
+    # the mirrored wrap's walks grow by two vertices per BFS level, so
+    # building them all before the edge check needs about 260 MB here
+    n = 8000
+    wrap = make_cycle_wrap(n, 4, 0)
+    psi = tuple(wrap.phi[(-i) % n] for i in range(n))
+    w0 = shortest_walk(wrap.h, wrap.phi[0], psi[0])
+    tracemalloc.start()
+    try:
+        out = generate_system(wrap.g, wrap.h, wrap.phi, psi, 0, w0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(out, CycleWitness)
+    assert peak < 32 * 2**20
 
 
 def _random_valid_instance(rng):

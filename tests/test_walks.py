@@ -18,7 +18,6 @@ from homrecol.oracle import (
 )
 from homrecol.walks import (
     basepoint_change,
-    canonical_rotation,
     concat,
     cyclic_shift,
     free_decomposition,
@@ -221,16 +220,6 @@ def test_shift_match_length_mismatch():
 def test_shift_match_smallest_offset():
     assert shift_match((0, 1) * 3, (0, 1) * 3) == 0
     assert shift_match((0, 1) * 3, (1, 0) * 3) == 1
-
-
-def test_canonical_rotation_is_least():
-    rng = random.Random(3)
-    for _ in range(200):
-        seq = tuple(rng.randrange(5) for _ in range(rng.randrange(1, 12)))
-        canon, k = canonical_rotation(seq)
-        rotations = {seq[i:] + seq[:i] for i in range(len(seq))}
-        assert canon == min(rotations)
-        assert seq[k:] + seq[:k] == canon
 
 
 # --- property tests ----------------------------------------------------------
