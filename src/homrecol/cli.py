@@ -38,7 +38,7 @@ def _emit(doc: dict) -> None:
 
 def _cmd_solve(args) -> int:
     inst = jsonio.parse_instance(_read(args.instance))
-    verdict = solve(inst, threads=args.threads)
+    verdict = solve(inst)
     _emit(jsonio.verdict_to_dict(verdict))
     return EXIT_YES if verdict.yes else EXIT_NO
 
@@ -136,8 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve an instance file")
     p.add_argument("instance", help="instance JSON file, or - for stdin")
-    p.add_argument("--threads", type=int, default=1,
-                   help="solve components in parallel (output is identical)")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("oracle", help="brute-force the answer by BFS")

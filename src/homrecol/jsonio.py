@@ -110,7 +110,8 @@ def _obstruction_to_dict(o: Obstruction) -> dict:
 
 def verdict_to_dict(v: Verdict) -> dict:
     if v.yes:
-        return {"answer": "yes", "witness": {"moves": [list(m) for m in v.moves]}}
+        # json encodes each (vertex, colour) tuple as a two-element array
+        return {"answer": "yes", "witness": {"moves": v.moves}}
     return {"answer": "no", "obstruction": _obstruction_to_dict(v.obstruction)}
 
 
@@ -142,13 +143,13 @@ def moves_from_dict(doc: Any) -> list[tuple[int, int]]:
     moves = witness.get("moves")
     _require(isinstance(moves, list), "witness.moves must be a list")
     out = []
+    emit = out.append
     for i, m in enumerate(moves):
-        _require(
-            isinstance(m, list) and len(m) == 2
-            and all(isinstance(x, int) and not isinstance(x, bool) for x in m),
-            f"witness.moves[{i}] must be a [vertex, colour] pair",
-        )
-        out.append((m[0], m[1]))
+        # type(x) is int also rejects bool
+        if type(m) is list and len(m) == 2 and type(m[0]) is int and type(m[1]) is int:
+            emit((m[0], m[1]))
+        else:
+            raise InvalidInputError(f"witness.moves[{i}] must be a [vertex, colour] pair")
     return out
 
 

@@ -46,54 +46,29 @@ class TightWalkWitness:
     images: Walk  # the colours the cycle was frozen at (aligned with cycle)
 
 
-class ScheduleState:
-    """Per-vertex walk suffixes; the current colours always form a homomorphism."""
+def waits_for(
+    g: Graph, h: Graph, walks: dict[int, Walk], pos: dict[int, int], u: int
+) -> int | None:
+    """The lowest-id vertex u waits for, or None.
 
-    def __init__(self, g: Graph, h: Graph, system: WalkSystem):
-        self.g = g
-        self.h = h
-        self.walks = system.walks
-        self.pos = {v: 0 for v in system.walks}
-        self.moves: list[tuple[int, int]] = []
-
-    def current(self, v: int) -> int:
-        return self.walks[v][self.pos[v]]
-
-    def next_colour(self, v: int) -> int | None:
-        w, p = self.walks[v], self.pos[v]
-        return w[p + 1] if p + 1 < len(w) else None
-
-    def finished(self, v: int) -> bool:
-        return self.pos[v] + 1 == len(self.walks[v])
-
-    def movable(self, u: int) -> bool:
-        nxt = self.next_colour(u)
-        if nxt is None:
-            raise InternalError("movable is for unfinished vertices")
-        hs = self.h.adj_sets
-        # u's own loop appears in its adjacency, covering the move rule
-        return all(nxt in hs[self.current(x)] for x in self.g.adj[u])
-
-    def blocking_arcs(self) -> list[tuple[int, int]]:
-        """Arcs u -> v ("u waits for v"): v's next is u's current and v's
-        current clashes with u's next.  Only unfinished vertices carry arcs."""
-        arcs = []
-        hs = self.h.adj_sets
-        for u in sorted(self.walks):
-            if self.finished(u):
-                continue
-            for v in self.g.adj[u]:
-                if v == u or self.finished(v):
-                    continue
-                if self.walks[v][self.pos[v] + 1] == self.current(u) and self.next_colour(
-                    u
-                ) not in hs[self.current(v)]:
-                    arcs.append((u, v))
-        return arcs
-
-    def move(self, u: int) -> None:
-        self.pos[u] += 1
-        self.moves.append((u, self.current(u)))
+    u waits for v when both are unfinished, v's next colour is u's current
+    colour and v's current colour clashes with u's next: u cannot move
+    before v does.
+    """
+    w = walks[u]
+    p = pos[u]
+    if p + 1 == len(w):
+        return None
+    cur_u, nxt_u = w[p], w[p + 1]
+    hs = h.adj_sets
+    for v in g.adj[u]:
+        if v == u:
+            continue
+        wv = walks[v]
+        pv = pos[v]
+        if pv + 1 != len(wv) and wv[pv + 1] == cur_u and nxt_u not in hs[wv[pv]]:
+            return v
+    return None
 
 
 def schedule(
@@ -102,58 +77,65 @@ def schedule(
     """Run the system to completion or extract a tight-cycle witness.
 
     Vertices are tried from a FIFO work list (seeded in ascending id order,
-    or in the given order); moving a vertex re-queues its unfinished
-    neighbours.  A drained queue with unfinished vertices is a deadlock.
+    or in the given order); moving a vertex re-queues itself and then its
+    unfinished neighbours.  A drained queue with unfinished vertices is a
+    deadlock.  A vertex may move when its next colour is adjacent to the
+    current colour of every neighbour, its own loop included.
     """
-    state = ScheduleState(g, h, system)
-    seed = sorted(system.walks) if order is None else list(order)
-    queue = deque(v for v in seed if not state.finished(v))
+    walks = system.walks
+    adj, hs = g.adj, h.adj_sets
+    pos = {v: 0 for v in walks}
+    moves: list[tuple[int, int]] = []
+    seed = sorted(walks) if order is None else order
+    queue = deque(v for v in seed if len(walks[v]) != 1)
     queued = set(queue)
+    popleft, push, mark, unmark = queue.popleft, queue.append, queued.add, queued.discard
+    emit = moves.append
     while queue:
-        u = queue.popleft()
-        queued.discard(u)
-        if state.finished(u):
-            continue
-        if not state.movable(u):
-            continue  # re-queued when a neighbour moves
-        state.move(u)
-        for x in (u, *g.adj[u]):
-            if x not in queued and not state.finished(x):
-                queue.append(x)
-                queued.add(x)
+        u = popleft()
+        unmark(u)
+        w = walks[u]
+        p = pos[u] + 1
+        if p == len(w):
+            continue  # finished
+        nxt = w[p]
+        for x in adj[u]:
+            if nxt not in hs[walks[x][pos[x]]]:
+                break  # re-queued when a neighbour moves
+        else:
+            pos[u] = p
+            emit((u, nxt))
+            if p + 1 != len(w):
+                push(u)
+                mark(u)
+            for x in adj[u]:
+                if x not in queued and pos[x] + 1 != len(walks[x]):
+                    push(x)
+                    mark(x)
 
-    unfinished = sorted(v for v in system.walks if not state.finished(v))
+    unfinished = [v for v in walks if pos[v] + 1 != len(walks[v])]
     if not unfinished:
-        return state.moves
-    return _extract_tight_cycle(state, unfinished[0])
+        return moves
+    return _extract_tight_cycle(g, h, walks, pos, min(unfinished))
 
 
-def _extract_tight_cycle(state: ScheduleState, start: int) -> TightWalkWitness:
-    """Follow lowest-id blocking arcs until a vertex repeats."""
-    g, hs = state.g, state.h.adj_sets
-
-    def out_arc(u: int) -> int:
-        cur_u = state.current(u)
-        nxt_u = state.next_colour(u)
-        for v in g.adj[u]:
-            if v == u or state.finished(v):
-                continue
-            if state.walks[v][state.pos[v] + 1] == cur_u and nxt_u not in hs[state.current(v)]:
-                return v
-        raise InternalError("deadlocked vertex without a blocking arc (system not staggered)")
-
+def _extract_tight_cycle(
+    g: Graph, h: Graph, walks: dict[int, Walk], pos: dict[int, int], start: int
+) -> TightWalkWitness:
+    """Follow waits_for arcs from start until a vertex repeats."""
     chain = [start]
     seen_at = {start: 0}
     while True:
-        v = out_arc(chain[-1])
+        v = waits_for(g, h, walks, pos, chain[-1])
+        if v is None:
+            raise InternalError("deadlocked vertex without a blocking arc (system not staggered)")
         if v in seen_at:
             cycle = tuple(chain[seen_at[v] :]) + (v,)
             break
         seen_at[v] = len(chain)
         chain.append(v)
 
-    images = tuple(state.current(x) for x in cycle)
-    witness = TightWalkWitness(cycle=cycle, images=images)
-    if not is_tight(state.g, state.h, {x: state.current(x) for x in cycle}, cycle):
+    current = {x: walks[x][pos[x]] for x in cycle}
+    if not is_tight(g, h, current, cycle):
         raise InternalError("deadlock cycle is not tight (system not staggered)")
-    return witness
+    return TightWalkWitness(cycle=cycle, images=tuple(current[x] for x in cycle))

@@ -13,7 +13,6 @@ instance has the same answer.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -172,29 +171,18 @@ def _deadlock_obstruction(
     return None
 
 
-def solve(inst: Instance, threads: int = 1) -> Verdict:
+def solve(inst: Instance) -> Verdict:
     """Decide the instance and return a verified witness or a typed obstruction."""
     validate_instance(inst)
-    prefix: list[Move] = []
+    moves: list[Move] = []
     work = inst
     if inst.mode == GIRTH5:
-        work, prefix, early = preprocess_girth5(inst)
+        work, moves, early = preprocess_girth5(inst)
         if early is not None:
             return Verdict(answer="no", obstruction=early)
 
-    comps = connected_components(work.g)
-
-    def run(comp):
-        return _solve_component(work.g, work.h, work.phi, work.psi, comp)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, comps))
-    else:
-        results = [run(comp) for comp in comps]
-
-    moves = list(prefix)
-    for comp_moves, obstruction in results:
+    for comp in connected_components(work.g):
+        comp_moves, obstruction = _solve_component(work.g, work.h, work.phi, work.psi, comp)
         if obstruction is not None:
             return Verdict(answer="no", obstruction=obstruction)
         moves.extend(comp_moves)
@@ -234,21 +222,22 @@ def recheck_obstruction(inst: Instance, obstruction: Obstruction) -> bool:
     cycle = obstruction.cycle
     if not cycle or min(cycle) < 0 or max(cycle) >= inst.g.n:
         return False
-    work = inst
+    g, h, phi, psi = inst.g, inst.h, inst.phi, inst.psi
     if inst.mode == GIRTH5:
         v = cycle[0]
-        if len(cycle) == 1 and not any(u != v for u in inst.g.adj[v]):
+        if not any(u != v for u in g.adj[v]):
             # preprocess_girth5 walks a looped isolated vertex through the
             # host and lets a loopless one jump, so only a looped one is stuck
             return (
-                obstruction.kind == NO_VALID_WALK
-                and v in inst.g.loops
-                and shortest_walk(inst.h, inst.phi[v], inst.psi[v]) is None
+                len(cycle) == 1
+                and obstruction.kind == NO_VALID_WALK
+                and v in g.loops
+                and shortest_walk(h, phi[v], psi[v]) is None
             )
-        work, _, early = preprocess_girth5(inst)
-        if early is not None:
-            return early.kind == obstruction.kind and early.cycle == obstruction.cycle
-    g, h, phi, psi = work.g, work.h, work.phi, work.psi
+        # Preprocessing recolours only isolated vertices, and a certificate
+        # elsewhere never reads their colours: check it on the loop-added
+        # instance, also when preprocessing stopped at some isolated vertex.
+        g = g.with_all_loops()
     if len(cycle) > 1:
         if cycle[0] != cycle[-1]:
             return False

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 from itertools import combinations
 
 import pytest
 
+from homrecol.errors import InternalError
 from homrecol.families import (
     cycle_graph,
     cycle_with_pendant,
@@ -14,6 +16,7 @@ from homrecol.families import (
     two_squares_shared,
 )
 from homrecol.graphs import Graph, bfs_tree
+from homrecol.scheduling import TightWalkWitness, is_tight
 from homrecol.systems import CycleWitness, WalkSystem, edge_preserved
 from homrecol.walks import reduce_walk
 
@@ -103,8 +106,6 @@ def simple_cycles(g: Graph) -> list[tuple[int, ...]]:
 
 def tight_vertices(g: Graph, h: Graph, colours) -> set[int]:
     """Vertices on a tight simple cycle (the shape deadlock extraction emits)."""
-    from homrecol.scheduling import is_tight
-
     out: set[int] = set()
     for cyc in simple_cycles(g):
         if is_tight(g, h, colours, cyc):
@@ -130,3 +131,89 @@ def brute_generate_system(g, h, phi, psi, root, w_root, tie_break=None):
                         chain.append(parent[chain[-1]])
                 return CycleWitness(cycle=tuple(reversed(up_u)) + tuple(up_v))
     return WalkSystem(root=root, walks=walks)
+
+
+class BruteScheduleState:
+    """Per-vertex walk suffixes behind method calls, as the scheduler once kept them."""
+
+    def __init__(self, g: Graph, h: Graph, system: WalkSystem):
+        self.g = g
+        self.h = h
+        self.walks = system.walks
+        self.pos = {v: 0 for v in system.walks}
+        self.moves: list[tuple[int, int]] = []
+
+    def current(self, v: int) -> int:
+        return self.walks[v][self.pos[v]]
+
+    def next_colour(self, v: int) -> int | None:
+        w, p = self.walks[v], self.pos[v]
+        return w[p + 1] if p + 1 < len(w) else None
+
+    def finished(self, v: int) -> bool:
+        return self.pos[v] + 1 == len(self.walks[v])
+
+    def movable(self, u: int) -> bool:
+        nxt = self.next_colour(u)
+        if nxt is None:
+            raise InternalError("movable is for unfinished vertices")
+        hs = self.h.adj_sets
+        return all(nxt in hs[self.current(x)] for x in self.g.adj[u])
+
+    def move(self, u: int) -> None:
+        self.pos[u] += 1
+        self.moves.append((u, self.current(u)))
+
+
+def brute_schedule(g, h, system, order=None):
+    """schedule through BruteScheduleState: a method call per check and per
+    move, and a closure for the blocking arc of tight-cycle extraction."""
+    state = BruteScheduleState(g, h, system)
+    seed = sorted(system.walks) if order is None else list(order)
+    queue = deque(v for v in seed if not state.finished(v))
+    queued = set(queue)
+    while queue:
+        u = queue.popleft()
+        queued.discard(u)
+        if state.finished(u):
+            continue
+        if not state.movable(u):
+            continue
+        state.move(u)
+        for x in (u, *g.adj[u]):
+            if x not in queued and not state.finished(x):
+                queue.append(x)
+                queued.add(x)
+
+    unfinished = sorted(v for v in system.walks if not state.finished(v))
+    if not unfinished:
+        return state.moves
+    return _brute_tight_cycle(state, unfinished[0])
+
+
+def _brute_tight_cycle(state: BruteScheduleState, start: int) -> TightWalkWitness:
+    g, hs = state.g, state.h.adj_sets
+
+    def out_arc(u: int) -> int:
+        cur_u = state.current(u)
+        nxt_u = state.next_colour(u)
+        for v in g.adj[u]:
+            if v == u or state.finished(v):
+                continue
+            if state.walks[v][state.pos[v] + 1] == cur_u and nxt_u not in hs[state.current(v)]:
+                return v
+        raise InternalError("deadlocked vertex without a blocking arc (system not staggered)")
+
+    chain = [start]
+    seen_at = {start: 0}
+    while True:
+        v = out_arc(chain[-1])
+        if v in seen_at:
+            cycle = tuple(chain[seen_at[v] :]) + (v,)
+            break
+        seen_at[v] = len(chain)
+        chain.append(v)
+
+    if not is_tight(state.g, state.h, {x: state.current(x) for x in cycle}, cycle):
+        raise InternalError("deadlock cycle is not tight (system not staggered)")
+    return TightWalkWitness(cycle=cycle, images=tuple(state.current(x) for x in cycle))

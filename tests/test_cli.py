@@ -53,6 +53,15 @@ def test_verify_rejects_bad_witness(tmp_path, capsys):
     assert doc == {"verified": False, "first_bad_move": 0}
 
 
+def test_verify_rejects_malformed_move(tmp_path, capsys):
+    inst = write(tmp_path, "inst.json", c5_instance([0, 1, 2, 3, 4]))
+    # a bool, a float, three elements, and moves that are not arrays
+    for bad in ([0, True], [0, 1.0], [0, 1, 1], "0,1", {"v": 0, "c": 1}):
+        result = write(tmp_path, "result.json", {"answer": "yes", "witness": {"moves": [[0, 1], [0, 0], bad]}})
+        assert run(["verify", inst, result]) == 2
+        assert "witness.moves[2] must be a [vertex, colour] pair" in capsys.readouterr().err
+
+
 def mirrored_wrap(tmp_path, n):
     """A cycle wrap of C4 with psi[i] = phi[-i mod n]: a free-class-mismatch NO."""
     doc = instance_to_dict(make_cycle_wrap(n, 4, 0))
@@ -114,14 +123,6 @@ def test_oracle_exit_codes(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["answer"] == "no"
     assert run(["oracle", budget, "--max-states", "2"]) == 4
     assert json.loads(capsys.readouterr().out)["answer"] == "budget-exceeded"
-
-
-def test_solve_threads_flag_identical_output(tmp_path, capsys):
-    path = write(tmp_path, "inst.json", c5_instance([1, 2, 3, 4, 0]))
-    assert run(["solve", path]) == 1
-    single = capsys.readouterr().out
-    assert run(["solve", path, "--threads", "4"]) == 1
-    assert capsys.readouterr().out == single
 
 
 def test_gen_is_byte_reproducible(capsys):
@@ -239,7 +240,7 @@ def test_internal_error_exit_three(tmp_path, monkeypatch, capsys):
     import homrecol.cli as cli
     from homrecol.errors import InternalError
 
-    def boom(inst, threads=1):
+    def boom(inst):
         raise InternalError("synthetic")
 
     monkeypatch.setattr(cli, "solve", boom)

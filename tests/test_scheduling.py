@@ -2,19 +2,21 @@ import random
 
 import pytest
 
-from conftest import tight_vertices
+from conftest import brute_schedule, tight_vertices
 from homrecol.errors import InvalidInputError
 from homrecol.families import (
     cycle_graph,
     make_cycle_wrap,
+    make_locked_link,
     path_graph,
     random_graph,
     random_hom,
+    random_instance,
     random_walk_hom,
 )
-from homrecol.graphs import Graph, hom_adjacent, is_homomorphism
+from homrecol.graphs import Graph, connected_components, hom_adjacent, is_homomorphism
 from homrecol.oracle import Answer, hom_graph_bfs
-from homrecol.scheduling import ScheduleState, TightWalkWitness, is_tight, schedule
+from homrecol.scheduling import TightWalkWitness, is_tight, schedule, waits_for
 from homrecol.systems import WalkSystem, find_valid_base_walk, generate_system
 from homrecol.walks import free_decomposition
 
@@ -57,33 +59,46 @@ def test_is_tight_validates_cycle():
         is_tight(C5, C5, ID5, (0, 2, 0))  # not edges
 
 
+def _start_arcs(g, h, system):
+    """Arcs u -> waits_for(u) with every vertex at the start of its walk."""
+    pos = {v: 0 for v in system.walks}
+    arcs = [(u, waits_for(g, h, system.walks, pos, u)) for u in sorted(system.walks)]
+    return [(u, v) for u, v in arcs if v is not None]
+
+
 def test_movable_and_arcs_on_path_host():
     # two looped vertices joined by an edge, walking along a path host
     g = Graph(2, [(0, 1)], reflexive=True)
     h = path_graph(3)
     system = WalkSystem(root=0, walks={0: (0, 1), 1: (1, 2)})
-    state = ScheduleState(g, h, system)
-    assert state.movable(0)
-    assert not state.movable(1)  # 2 is not adjacent to 0's current colour 0
-    assert state.blocking_arcs() == [(1, 0)]
+    # tried first, 1 cannot move: 2 is not adjacent to 0's current colour 0
+    assert schedule(g, h, system, order=[1, 0]) == [(0, 1), (1, 2)]
+    assert _start_arcs(g, h, system) == [(1, 0)]
     out = schedule(g, h, system)
     assert out == [(0, 1), (1, 2)]
+
+
+def test_waits_for_lowest_unfinished_vertex():
+    # 3 must leave colour 1 for 2 while 1 and 2 still have to reach 1 from 0;
+    # 0 sits at 0 too, but it is finished, so 3 does not wait for it
+    g = Graph(4, [(3, 0), (3, 1), (3, 2)], reflexive=True)
+    h = path_graph(3)
+    system = WalkSystem(root=3, walks={0: (0,), 1: (0, 1), 2: (0, 1), 3: (1, 2)})
+    assert _start_arcs(g, h, system) == [(3, 1)]
 
 
 def test_no_arcs_when_all_constant():
     g = Graph(2, [(0, 1)], reflexive=True)
     h = path_graph(3)
     system = WalkSystem(root=0, walks={0: (0,), 1: (1,)})
-    state = ScheduleState(g, h, system)
-    assert state.blocking_arcs() == []
+    assert _start_arcs(g, h, system) == []
     assert schedule(g, h, system) == []
 
 
 def test_rotation_deadlocks_with_tight_pentagon():
     system = generate_system(C5, C5, ID5, ROT5, 0, (0, 1))
     assert isinstance(system, WalkSystem)
-    state = ScheduleState(C5, C5, system)
-    assert state.blocking_arcs() == [(u, (u - 1) % 5) for u in range(5)]
+    assert _start_arcs(C5, C5, system) == [(u, (u - 1) % 5) for u in range(5)]
     out = schedule(C5, C5, system)
     assert isinstance(out, TightWalkWitness)
     assert out.cycle == (0, 4, 3, 2, 1, 0)
@@ -166,3 +181,46 @@ def test_deadlock_tight_under_current_and_original():
             assert set(out.cycle) <= tight_vertices(g, h, phi)
             seen += 1
     assert seen > 5
+
+
+def _assert_same_outcome(g, h, system, order=None):
+    out = schedule(g, h, system, order=order)
+    assert out == brute_schedule(g, h, system, order=order)
+    return out
+
+
+def test_schedule_matches_reference_on_random_instances():
+    rng = random.Random(44)
+    kinds = {"moves": 0, "deadlock": 0}
+    for _ in range(300):
+        inst = random_instance(rng, rng.randrange(2, 9), rng.randrange(4, 9))
+        for comp in connected_components(inst.g):
+            search = find_valid_base_walk(inst.g, inst.h, inst.phi, inst.psi, comp[0])
+            if not search.found:
+                continue
+            out = _assert_same_outcome(inst.g, inst.h, search.system)
+            kinds["moves" if isinstance(out, list) else "deadlock"] += 1
+            order = list(comp)
+            rng.shuffle(order)
+            _assert_same_outcome(inst.g, inst.h, search.system, order=order)
+    assert kinds["moves"] > 100 and kinds["deadlock"] > 0
+
+
+def test_schedule_matches_reference_on_wrap():
+    inst = make_cycle_wrap(2000, 4, 40)
+    search = find_valid_base_walk(inst.g, inst.h, inst.phi, inst.psi, 0)
+    out = _assert_same_outcome(inst.g, inst.h, search.system)
+    assert len(out) == sum(len(w) - 1 for w in search.system.walks.values())
+
+
+def test_schedule_matches_reference_on_deadlocks():
+    system = generate_system(C5, C5, ID5, ROT5, 0, (0, 1))
+    assert isinstance(_assert_same_outcome(C5, C5, system), TightWalkWitness)
+    # both the first system and the constant-walk retry of the locked link deadlock
+    inst = make_locked_link()
+    search = find_valid_base_walk(inst.g, inst.h, inst.phi, inst.psi, 0)
+    out = _assert_same_outcome(inst.g, inst.h, search.system)
+    assert isinstance(out, TightWalkWitness)
+    root = min(out.cycle)
+    retry = generate_system(inst.g, inst.h, inst.phi, inst.psi, root, (inst.phi[root],))
+    assert isinstance(_assert_same_outcome(inst.g, inst.h, retry), TightWalkWitness)

@@ -116,14 +116,6 @@ def test_solve_components_independent():
     assert v2.yes
 
 
-def test_solve_threads_identical():
-    edges = [(i, (i + 1) % 5) for i in range(5)]
-    edges += [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
-    g = Graph(10, edges, reflexive=True)
-    inst = Instance(g=g, h=C5, phi=ID5 + ID5, psi=(2, 2, 2, 2, 2) + ID5)
-    assert solve(inst, threads=1) == solve(inst, threads=4)
-
-
 def test_validate_rejects_triangle_host():
     k3 = Graph(3, [(0, 1), (1, 2), (0, 2)], reflexive=True)
     with pytest.raises(InvalidInputError):
@@ -199,6 +191,22 @@ def test_recheck_girth5_one_vertex_needs_looped_isolated_vertex():
     v = solve(edge)
     assert v.obstruction == Obstruction(kind="no-valid-walk", cycle=(0,))
     assert recheck_obstruction(edge, v.obstruction)
+
+
+def test_recheck_girth5_certificate_beside_stuck_isolated_vertex():
+    # preprocessing stops at isolated vertex 0, but the edge 1-2 is stuck too
+    ring = [(i, (i + 1) % 5) for i in range(5)]
+    h = Graph(10, ring + [(u + 5, v + 5) for u, v in ring], reflexive=True)
+    inst = Instance(g=Graph(3, [(0, 0), (1, 2)]), h=h, phi=(0, 0, 1), psi=(5, 5, 6), mode="girth5")
+    v = solve(inst)
+    assert v.obstruction == Obstruction(kind="no-valid-walk", cycle=(0,))
+    assert recheck_obstruction(inst, v.obstruction)
+    assert recheck_obstruction(inst, Obstruction(kind="no-valid-walk", cycle=(1,)))
+    assert recheck_obstruction(inst, Obstruction(kind="no-valid-walk", cycle=(1, 2, 1)))
+    # the same certificates are still refused where they do not hold
+    assert not recheck_obstruction(inst, Obstruction(kind="frozen-mismatch", cycle=(1,), vertex=1))
+    ok = Instance(g=inst.g, h=h, phi=(0, 0, 1), psi=(5, 1, 0), mode="girth5")
+    assert not recheck_obstruction(ok, Obstruction(kind="no-valid-walk", cycle=(1,)))
 
 
 def test_preprocess_noop_for_reflexive_no_isolated():
