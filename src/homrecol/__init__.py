@@ -5,7 +5,6 @@ moves, emitting a replayable move list or a machine-checkable obstruction.
 """
 
 from .graphs import Graph, HostReport, hom_adjacent, is_homomorphism, validate_host
-from .kernels import BACKEND
 from .oracle import Answer, hom_graph_bfs, reduce_via_cover
 from .solver import (
     Instance,
@@ -20,7 +19,6 @@ from .walks import free_decomposition, reduce_walk
 
 __all__ = [
     "Answer",
-    "BACKEND",
     "Graph",
     "HostReport",
     "Instance",

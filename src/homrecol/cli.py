@@ -1,13 +1,13 @@
 """Command-line interface.
 
 Exit codes: 0 yes / verified / ok, 1 no, 2 invalid input, 3 internal
-contract violation, 4 oracle budget exceeded.
+contract violation or any other failure, 4 oracle budget exceeded,
+130 interrupted.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 
@@ -23,6 +23,7 @@ EXIT_NO = 1
 EXIT_INVALID = 2
 EXIT_INTERNAL = 3
 EXIT_BUDGET = 4
+EXIT_INTERRUPTED = 130
 
 
 def _read(path: str) -> str:
@@ -58,10 +59,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_verify(args) -> int:
     inst = jsonio.parse_instance(_read(args.instance))
     validate_instance(inst)
-    try:
-        result = json.loads(_read(args.result))
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    result = jsonio.loads(_read(args.result))
     if isinstance(result, dict) and result.get("answer") == "no":
         obstruction = jsonio.obstruction_from_dict(result.get("obstruction"))
         verified = recheck_obstruction(inst, obstruction)
@@ -90,14 +88,14 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_reduce_walk(args) -> int:
-    try:
-        doc = json.loads(_read(args.input))
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    doc = jsonio.loads(_read(args.input))
     if not isinstance(doc, dict) or "H" not in doc or "walk" not in doc:
         raise InvalidInputError('reduce-walk input needs keys "H" and "walk"')
     h = jsonio.graph_from_dict(doc["H"], "H")
-    walk = check_walk(h, doc["walk"])
+    raw = doc["walk"]
+    if not isinstance(raw, list) or not all(type(x) is int for x in raw):  # bool is not int
+        raise InvalidInputError("walk must be a list of integers")
+    walk = check_walk(h, raw)
     _emit({"reduced": list(reduce_walk(walk))})
     return EXIT_YES
 
@@ -181,6 +179,11 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_INVALID
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except KeyboardInterrupt:
+        return EXIT_INTERRUPTED
+    except Exception as exc:  # MemoryError, OverflowError, ...: never read as "no"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -74,12 +74,18 @@ def instance_from_dict(doc: Any) -> Instance:
     return Instance(g=g, h=h, phi=phi, psi=psi, mode=mode)
 
 
-def parse_instance(text: str) -> Instance:
+def loads(text: str) -> Any:
+    """json.loads, with malformed or too deeply nested text as invalid input."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return instance_from_dict(doc)
+    except RecursionError as exc:
+        raise InvalidInputError("JSON nested too deeply") from exc
+
+
+def parse_instance(text: str) -> Instance:
+    return instance_from_dict(loads(text))
 
 
 def _graph_to_dict(g: Graph) -> dict:

@@ -1,6 +1,6 @@
 """Brute-force ground truth used to cross-check the solver and walk algebra.
 
-Nothing here routes through the reduction kernel: the cover lift, the raw
+Nothing here routes through walks.reduce_walk: the cover lift, the raw
 move-graph search and random-order rewriting are independent computations,
 deliberately kept at desk scale.
 """
@@ -14,7 +14,6 @@ from typing import Sequence
 
 from .errors import InternalError, InvalidInputError
 from .graphs import Graph, is_homomorphism
-from .kernels import BFS_BUDGET, BFS_FOUND, hom_bfs
 
 
 class Answer(Enum):
@@ -151,14 +150,21 @@ def random_expand(
     return w
 
 
-def hom_graph_bfs(
+def hom_graph_path(
     g: Graph, h: Graph, phi: Sequence[int], psi: Sequence[int], max_states: int = 10**6
-) -> Answer:
-    """Exact reconfiguration answer by BFS over single-vertex moves.
+) -> list[tuple[int, ...]] | Answer:
+    """A shortest move-by-move path from phi to psi, by BFS over single-vertex moves.
 
-    A looped vertex only moves to a neighbour of its current colour (its own
-    adjacency list contains itself, so the same mask logic covers both
-    cases).  Budget exhaustion is reported as such, never coerced to NO.
+    On YES the path lists the colourings from phi to psi, each one move from
+    the last; otherwise the answer is NO, exact, or BUDGET_EXCEEDED, never
+    coerced to NO.  The budget counts visited states, the start included.
+
+    A state packs one colour per vertex into an int, 4 bits each for hosts of
+    at most 16 vertices and 8 bits beyond.  h's closed neighbourhoods become
+    bitmasks, so the legal new colours for vertex v are the AND of its
+    neighbours' masks; a looped vertex lists itself, which encodes the rule
+    "stay adjacent to your own old colour".  Vertices are tried in order and
+    colours in increasing order.
     """
     if not is_homomorphism(g, h, phi) or not is_homomorphism(g, h, psi):
         raise InvalidInputError("endpoints must be homomorphisms")
@@ -168,45 +174,55 @@ def hom_graph_bfs(
     for v in range(h.n):
         for u in h.adj[v]:
             masks[v] |= 1 << u
-    code = hom_bfs(g.adj, masks, tuple(phi), tuple(psi), max_states)
-    if code == BFS_FOUND:
-        return Answer.YES
-    if code == BFS_BUDGET:
-        return Answer.BUDGET_EXCEEDED
-    return Answer.NO
+    g_adj = g.adj
+    n = g.n
+    bits = 4 if h.n <= 16 else 8
+    colour_mask = (1 << bits) - 1
 
+    def unpack(state: int) -> tuple[int, ...]:
+        return tuple((state >> (bits * v)) & colour_mask for v in range(n))
 
-def hom_graph_path(
-    g: Graph, h: Graph, phi: Sequence[int], psi: Sequence[int], max_states: int = 10**6
-) -> list[tuple[int, ...]] | Answer:
-    """Like hom_graph_bfs but returns an explicit move-by-move path on YES."""
-    if not is_homomorphism(g, h, phi) or not is_homomorphism(g, h, psi):
-        raise InvalidInputError("endpoints must be homomorphisms")
-    start, target = tuple(phi), tuple(psi)
-    if start == target:
-        return [start]
-    hs = h.adj_sets
-    prev: dict[tuple[int, ...], tuple[int, ...] | None] = {start: None}
-    queue = deque([start])
+    s0 = t0 = 0
+    for v in range(n - 1, -1, -1):
+        s0 = (s0 << bits) | phi[v]
+        t0 = (t0 << bits) | psi[v]
+    if s0 == t0:
+        return [unpack(s0)]
+
+    full = (1 << h.n) - 1
+    prev: dict[int, int | None] = {s0: None}
+    queue = deque([s0])
     while queue:
         state = queue.popleft()
-        for v in range(g.n):
-            allowed = set(h.adj[state[v]]) if v in g.loops else set(range(h.n))
-            for u in g.adj[v]:
-                if u != v:
-                    allowed &= hs[state[u]]
-            allowed.discard(state[v])
-            for c in sorted(allowed):
-                nxt = state[:v] + (c,) + state[v + 1 :]
+        cols = [(state >> (bits * v)) & colour_mask for v in range(n)]
+        for v in range(n):
+            allowed = full
+            for u in g_adj[v]:
+                allowed &= masks[cols[u]]
+            allowed &= ~(1 << cols[v])
+            base = state & ~(colour_mask << (bits * v))
+            while allowed:
+                c = (allowed & -allowed).bit_length() - 1
+                allowed &= allowed - 1
+                nxt = base | (c << (bits * v))
                 if nxt not in prev:
-                    prev[nxt] = state
-                    if nxt == target:
-                        path = [nxt]
-                        while path[-1] != start:
-                            path.append(prev[path[-1]])  # type: ignore[arg-type]
-                        path.reverse()
-                        return path
+                    if nxt == t0:
+                        chain = [nxt]
+                        back: int | None = state
+                        while back is not None:
+                            chain.append(back)
+                            back = prev[back]
+                        return [unpack(s) for s in reversed(chain)]
                     if len(prev) >= max_states:
                         return Answer.BUDGET_EXCEEDED
+                    prev[nxt] = state
                     queue.append(nxt)
     return Answer.NO
+
+
+def hom_graph_bfs(
+    g: Graph, h: Graph, phi: Sequence[int], psi: Sequence[int], max_states: int = 10**6
+) -> Answer:
+    """Exact reconfiguration answer: hom_graph_path without the path."""
+    path = hom_graph_path(g, h, phi, psi, max_states)
+    return Answer.YES if isinstance(path, list) else path

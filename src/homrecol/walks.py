@@ -14,7 +14,6 @@ from typing import Sequence
 
 from .errors import InternalError, InvalidInputError
 from .graphs import Graph
-from .kernels import reduce_sequence
 
 Walk = tuple[int, ...]
 
@@ -82,21 +81,35 @@ def is_reduced(seq: Sequence[int]) -> bool:
     )
 
 
-def reduce_walk(x: Walk) -> Walk:
-    """The unique shortest walk with the same endpoints in x's homotopy class."""
-    return reduce_sequence(x)
+def reduce_walk(x: Sequence[int]) -> Walk:
+    """The unique shortest walk with the same endpoints in x's homotopy class.
+
+    One stack pass removes immediate repeats (x, x) and backtracks (x, y, x);
+    the stack is reduced after every push, so each input vertex costs O(1)
+    amortized.
+    """
+    out: list[int] = []
+    push = out.append
+    for v in x:
+        push(v)
+        m = len(out)
+        if m >= 2 and out[-2] == v:
+            out.pop()
+        elif m >= 3 and out[-3] == v:
+            del out[-2:]
+    return tuple(out)
 
 
 def is_contractible(c: Walk) -> bool:
     if c[0] != c[-1]:
         raise InternalError("contractibility is for closed walks")
-    return len(reduce_sequence(c)) == 1
+    return len(reduce_walk(c)) == 1
 
 
 def homotopic(x: Walk, y: Walk) -> bool:
     if x[0] != y[0] or x[-1] != y[-1]:
         raise InternalError("homotopy needs matching endpoints")
-    return reduce_sequence(x) == reduce_sequence(y)
+    return reduce_walk(x) == reduce_walk(y)
 
 
 @dataclass(frozen=True)
@@ -131,7 +144,7 @@ def free_decomposition(c: Walk) -> FreeDecomposition:
     """
     if c[0] != c[-1]:
         raise InternalError("free decomposition is for closed walks")
-    red = reduce_sequence(c)
+    red = reduce_walk(c)
     if len(red) == 1:
         return FreeDecomposition(tail=red, core=())
     lo, hi = 0, len(red) - 1

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import os
 import random
 from collections import deque
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import homrecol
 from homrecol.errors import InternalError
 from homrecol.families import (
     cycle_graph,
@@ -16,6 +19,7 @@ from homrecol.families import (
     two_squares_shared,
 )
 from homrecol.graphs import Graph, bfs_tree
+from homrecol.oracle import Answer
 from homrecol.scheduling import TightWalkWitness, is_tight
 from homrecol.systems import CycleWitness, WalkSystem, edge_preserved
 from homrecol.walks import reduce_walk
@@ -34,6 +38,13 @@ def pendant_c5():
 @pytest.fixture
 def figure_eight_host():
     return two_squares_shared()
+
+
+def child_env() -> dict[str, str]:
+    """Environment for a child Python that imports homrecol from this tree."""
+    src = str(Path(homrecol.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
 
 
 def small_hosts(max_n: int = 10) -> list[Graph]:
@@ -217,3 +228,37 @@ def _brute_tight_cycle(state: BruteScheduleState, start: int) -> TightWalkWitnes
     if not is_tight(state.g, state.h, {x: state.current(x) for x in cycle}, cycle):
         raise InternalError("deadlock cycle is not tight (system not staggered)")
     return TightWalkWitness(cycle=cycle, images=tuple(state.current(x) for x in cycle))
+
+
+def brute_hom_graph_path(g, h, phi, psi, max_states=10**6):
+    """hom_graph_path over colour tuples and Python sets, as the oracle once
+    searched.  Its budget inserts a state before checking the cap, so it trips
+    one state earlier than the packed search."""
+    start, target = tuple(phi), tuple(psi)
+    if start == target:
+        return [start]
+    hs = h.adj_sets
+    prev = {start: None}
+    queue = deque([start])
+    while queue:
+        state = queue.popleft()
+        for v in range(g.n):
+            allowed = set(h.adj[state[v]]) if v in g.loops else set(range(h.n))
+            for u in g.adj[v]:
+                if u != v:
+                    allowed &= hs[state[u]]
+            allowed.discard(state[v])
+            for c in sorted(allowed):
+                nxt = state[:v] + (c,) + state[v + 1 :]
+                if nxt not in prev:
+                    prev[nxt] = state
+                    if nxt == target:
+                        path = [nxt]
+                        while path[-1] != start:
+                            path.append(prev[path[-1]])
+                        path.reverse()
+                        return path
+                    if len(prev) >= max_states:
+                        return Answer.BUDGET_EXCEEDED
+                    queue.append(nxt)
+    return Answer.NO

@@ -12,7 +12,7 @@ import subprocess
 import sys
 import time
 
-from conftest import random_walk, tight_vertices
+from conftest import child_env, random_walk, tight_vertices
 from homrecol.families import (
     cycle_graph,
     host_catalogue,
@@ -185,7 +185,11 @@ print(json.dumps({"ok": ok, "seconds": elapsed, "peak_mib": peak_mib,
 @criterion(7, "100k-vertex wrap: verified YES under 5s and 1GiB (fresh process)")
 def test_scale_cycle_wrap():
     out = subprocess.run(
-        [sys.executable, "-c", _SCALE_CHILD], capture_output=True, text=True, check=True
+        [sys.executable, "-c", _SCALE_CHILD],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=child_env(),
     )
     stats = json.loads(out.stdout)
     assert stats["ok"]

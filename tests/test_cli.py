@@ -1,5 +1,10 @@
 import json
+import subprocess
+import sys
 
+import pytest
+
+from conftest import child_env
 from homrecol.cli import run
 from homrecol.families import make_cycle_wrap, make_figure_eight
 from homrecol.jsonio import dumps, instance_to_dict, parse_instance
@@ -160,6 +165,14 @@ def test_reduce_walk_rejects_non_walk(tmp_path):
     assert run(["reduce-walk", path]) == 2
 
 
+@pytest.mark.parametrize("walk", [[0, "a"], [0, True], [0, 1.0], 5, {"0": 1}])
+def test_reduce_walk_rejects_non_integer_walk(tmp_path, capsys, walk):
+    doc = {"H": c5_instance([0, 1, 2, 3, 4])["H"], "walk": walk}
+    path = write(tmp_path, "walk.json", doc)
+    assert run(["reduce-walk", path]) == 2
+    assert capsys.readouterr().err == "error: walk must be a list of integers\n"
+
+
 def test_check_input_reports(tmp_path, capsys):
     good = write(tmp_path, "good.json", c5_instance([0, 1, 2, 3, 4]))
     assert run(["check-input", good]) == 0
@@ -247,3 +260,43 @@ def test_internal_error_exit_three(tmp_path, monkeypatch, capsys):
     path = write(tmp_path, "inst.json", c5_instance([0, 1, 2, 3, 4]))
     assert run(["solve", path]) == 3
     assert "internal error" in capsys.readouterr().err
+
+
+def test_deeply_nested_json_exit_two(tmp_path):
+    # json.loads raises RecursionError here, which must not read as "no"
+    path = write(tmp_path, "deep.json", "[" * 200_000 + "]" * 200_000)
+    out = subprocess.run(
+        [sys.executable, "-m", "homrecol.cli", "solve", path],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert out.returncode == 2, out.stderr
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("exc", [MemoryError, OverflowError])
+def test_unexpected_exception_exit_three(tmp_path, monkeypatch, capsys, exc):
+    import homrecol.cli as cli
+
+    def boom(inst):
+        raise exc("synthetic")
+
+    monkeypatch.setattr(cli, "solve", boom)
+    path = write(tmp_path, "inst.json", c5_instance([0, 1, 2, 3, 4]))
+    assert run(["solve", path]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"internal error: {exc.__name__}: synthetic\n"
+
+
+def test_keyboard_interrupt_exit_130(tmp_path, monkeypatch):
+    import homrecol.cli as cli
+
+    def interrupted(inst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "solve", interrupted)
+    path = write(tmp_path, "inst.json", c5_instance([0, 1, 2, 3, 4]))
+    assert run(["solve", path]) == 130

@@ -1,12 +1,18 @@
 import random
+from itertools import product
 
 import pytest
 
-from conftest import random_walk, small_hosts
-from homrecol import _fallback
+from conftest import brute_hom_graph_path, random_walk, small_hosts
 from homrecol.errors import InvalidInputError
-from homrecol.families import cycle_graph, random_graph, random_hom, two_squares_shared
-from homrecol.kernels import BFS_BUDGET, BFS_EXHAUSTED, BFS_FOUND
+from homrecol.graphs import hom_adjacent, is_homomorphism
+from homrecol.families import (
+    cycle_graph,
+    random_graph,
+    random_hom,
+    random_instance,
+    two_squares_shared,
+)
 from homrecol.oracle import (
     Answer,
     brute_homotopy,
@@ -111,69 +117,76 @@ def test_hom_path_returns_unit_moves():
         assert len(diff) == 1
 
 
-def _mask_inputs(g, h, phi, psi):
-    masks = [0] * h.n
-    for v in range(h.n):
-        for u in h.adj[v]:
-            masks[v] |= 1 << u
-    return g.adj, masks, tuple(phi), tuple(psi)
-
-
-def test_backends_agree_on_random_instances():
-    _speedups = pytest.importorskip("homrecol._speedups")
-
-    rng = random.Random(21)
-    for _ in range(150):
-        h = rng.choice(small_hosts(8))
-        g = random_graph(rng, rng.randrange(1, 6), 0.5)
-        phi, psi = random_hom(rng, g, h), random_hom(rng, g, h)
-        args = _mask_inputs(g, h, phi, psi)
-        cap = rng.choice([3, 20, 10**6])
-        assert _speedups.hom_bfs(*args, cap) == _fallback.hom_bfs(*args, cap)
-
-
-def test_backends_agree_on_wide_hosts():
-    # hosts beyond 16 vertices switch the state packing from nibbles to bytes
-    _speedups = pytest.importorskip("homrecol._speedups")
-
-    rng = random.Random(23)
-    h = cycle_graph(20)
-    for _ in range(60):
-        g = random_graph(rng, rng.randrange(1, 5), 0.6)
-        phi, psi = random_hom(rng, g, h), random_hom(rng, g, h)
-        args = _mask_inputs(g, h, phi, psi)
-        cap = rng.choice([5, 500, 10**6])
-        assert _speedups.hom_bfs(*args, cap) == _fallback.hom_bfs(*args, cap)
-    # a folded square slides all the way around, crossing byte values > 15
-    g = cycle_graph(4)
-    phi = (0, 1, 2, 1)
-    psi = (16, 17, 18, 17)
-    args = _mask_inputs(g, h, phi, psi)
-    assert _speedups.hom_bfs(*args, 10**6) == BFS_FOUND
-    assert _fallback.hom_bfs(*args, 10**6) == BFS_FOUND
-    assert hom_graph_bfs(g, h, phi, psi) is Answer.YES
-
-
-def test_backends_agree_on_reduction():
-    _speedups = pytest.importorskip("homrecol._speedups")
-
-    rng = random.Random(22)
-    for _ in range(300):
-        h = rng.choice(small_hosts())
-        w = random_walk(rng, h, rng.randrange(0, 60))
-        assert _speedups.reduce_sequence(w) == _fallback.reduce_sequence(w)
-
-
 def test_fallback_codes():
-    # exhausted vs found vs budget on a 2-vertex looped edge host
+    # exhausted vs found vs budget on the reflexive 4-cycle
     h = cycle_graph(4)
     g = cycle_graph(4)
-    args = _mask_inputs(g, h, (0, 1, 2, 3), (1, 2, 3, 0))
-    assert _fallback.hom_bfs(*args, 10**6) == BFS_EXHAUSTED
-    args = _mask_inputs(g, h, (0, 1, 2, 3), (0, 1, 2, 3))
-    assert _fallback.hom_bfs(*args, 10**6) == BFS_FOUND
+    assert hom_graph_bfs(g, h, (0, 1, 2, 3), (1, 2, 3, 0)) is Answer.NO
+    assert hom_graph_bfs(g, h, (0, 1, 2, 3), (0, 1, 2, 3)) is Answer.YES
     g13 = cycle_graph(13)
     wrap = tuple(i % 4 if i < 12 else 0 for i in range(13))
     target = tuple(wrap[(i - 1) % 13] for i in range(13))
-    args = _mask_inputs(g13, h, wrap, target)
-    assert _fallback.hom_bfs(*args, 5) == BFS_BUDGET
+    assert hom_graph_bfs(g13, h, wrap, target, max_states=5) is Answer.BUDGET_EXCEEDED
+
+
+def test_budget_counts_visited_states_including_start():
+    # a 5-cycle wrapped once round the reflexive 4-cycle cannot reverse its
+    # winding; count the colourings its moves reach by a separate search over
+    # all homomorphisms C5 -> C4
+    g, h = cycle_graph(5), cycle_graph(4)
+    phi, psi = (0, 1, 2, 3, 0), (0, 3, 2, 1, 0)
+    homs = [f for f in product(range(h.n), repeat=g.n) if is_homomorphism(g, h, f)]
+    reached, frontier = {phi}, [phi]
+    while frontier:
+        f = frontier.pop()
+        for x in homs:
+            one_move = sum(a != b for a, b in zip(f, x)) == 1
+            if x not in reached and one_move and hom_adjacent(g, h, f, x):
+                reached.add(x)
+                frontier.append(x)
+    assert psi not in reached
+    n = len(reached)
+    assert n == 20
+    for search in (hom_graph_bfs, hom_graph_path):
+        assert search(g, h, phi, psi, max_states=n) is Answer.NO
+        assert search(g, h, phi, psi, max_states=n - 1) is Answer.BUDGET_EXCEEDED
+
+
+def test_wide_host_byte_packing():
+    # hosts beyond 16 vertices pack 8 bits per vertex: a folded square slides
+    # all the way round C20, crossing colours above 15
+    h = cycle_graph(20)
+    g = cycle_graph(4)
+    phi = (0, 1, 2, 1)
+    psi = (16, 17, 18, 17)
+    assert hom_graph_bfs(g, h, phi, psi) is Answer.YES
+    path = hom_graph_path(g, h, phi, psi)
+    assert path[0] == phi and path[-1] == psi
+    assert max(c for state in path for c in state) == 19
+    for a, b in zip(path, path[1:]):
+        assert sum(x != y for x, y in zip(a, b)) == 1
+        assert hom_adjacent(g, h, a, b)
+    assert path == brute_hom_graph_path(g, h, phi, psi)
+
+
+def test_search_matches_reference():
+    # the reference's budget trips one state earlier, so cap + 1 there is cap here
+    rng = random.Random(21)
+    hosts = small_hosts(8)
+    wide = cycle_graph(20)
+    for i in range(300):
+        if i < 60:
+            h = wide
+            g = random_graph(rng, rng.randrange(1, 5), 0.6)
+        elif i < 180:
+            h = rng.choice(hosts)
+            g = random_graph(rng, rng.randrange(1, 6), 0.5, reflexive=rng.random() < 0.7)
+        else:
+            inst = random_instance(rng, rng.randrange(2, 7), rng.randrange(4, 7))
+            g, h = inst.g, inst.h
+        phi, psi = random_hom(rng, g, h), random_hom(rng, g, h)
+        cap = rng.choice([1, 3, 20, 500, 10**6])
+        expected = brute_hom_graph_path(g, h, phi, psi, max_states=cap + 1)
+        assert hom_graph_path(g, h, phi, psi, max_states=cap) == expected
+        answer = Answer.YES if isinstance(expected, list) else expected
+        assert hom_graph_bfs(g, h, phi, psi, max_states=cap) is answer
