@@ -7,8 +7,10 @@ holds uniformly for looped and loopless vertices.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InvalidInputError
@@ -16,8 +18,6 @@ from .errors import InvalidInputError
 
 class Graph:
     """Immutable undirected graph with optional loops."""
-
-    __slots__ = ("n", "adj", "adj_sets", "loops")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], reflexive: bool = False):
         if n < 0:
@@ -33,11 +33,19 @@ class Graph:
                 neigh[v].add(v)
         self.n = n
         self.adj = tuple(tuple(sorted(s)) for s in neigh)
-        self.adj_sets = tuple(frozenset(s) for s in neigh)
         self.loops = frozenset(v for v in range(n) if v in neigh[v])
 
+    @cached_property
+    def adj_sets(self) -> tuple[frozenset[int], ...]:
+        """Neighbour sets for constant-time adjacency tests, built on first read."""
+        return tuple(frozenset(a) for a in self.adj)
+
     def adjacent(self, u: int, v: int) -> bool:
-        return v in self.adj_sets[u]
+        # binary search of the sorted row: no set view, and O(log deg) even
+        # for a hostile certificate that steps through one huge row many times
+        a = self.adj[u]
+        i = bisect_left(a, v)
+        return i < len(a) and a[i] == v
 
     def is_reflexive(self) -> bool:
         return len(self.loops) == self.n
@@ -112,9 +120,9 @@ def is_homomorphism(g: Graph, h: Graph, f: Sequence[int]) -> bool:
     for v, c in enumerate(f):
         if not (0 <= c < h.n):
             raise InvalidInputError(f"image {c} of vertex {v} out of range")
+    h_nb = h.adj_sets
     for u in range(g.n):
         fu = f[u]
-        h_nb = h.adj_sets
         for v in g.adj[u]:
             if v < u:
                 continue

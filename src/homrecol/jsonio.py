@@ -22,23 +22,20 @@ def _require(cond: bool, msg: str) -> None:
         raise InvalidInputError(msg)
 
 
-def _parse_graph(obj: Any, name: str) -> Graph:
+def graph_from_dict(obj: Any, name: str = "graph") -> Graph:
     _require(isinstance(obj, dict), f"{name} must be an object")
     _require("num_vertices" in obj, f"{name}.num_vertices is required")
     n = obj["num_vertices"]
-    _require(isinstance(n, int) and not isinstance(n, bool) and n >= 0,
-             f"{name}.num_vertices must be a nonnegative integer")
-    raw_edges = obj.get("edges", [])
-    _require(isinstance(raw_edges, list), f"{name}.edges must be a list")
-    edges = []
-    for i, e in enumerate(raw_edges):
-        _require(
-            isinstance(e, list) and len(e) == 2
-            and all(isinstance(x, int) and not isinstance(x, bool) for x in e),
-            f"{name}.edges[{i}] must be a pair of integers",
-        )
-        _require(0 <= e[0] < n and 0 <= e[1] < n, f"{name}.edges[{i}] out of range")
-        edges.append((e[0], e[1]))
+    # type(x) is int also rejects bool
+    _require(type(n) is int and n >= 0, f"{name}.num_vertices must be a nonnegative integer")
+    edges = obj.get("edges", [])
+    _require(isinstance(edges, list), f"{name}.edges must be a list")
+    # per-element checks build their message only on failure
+    for i, e in enumerate(edges):
+        if not (type(e) is list and len(e) == 2 and type(e[0]) is int and type(e[1]) is int):
+            raise InvalidInputError(f"{name}.edges[{i}] must be a pair of integers")
+        if not (0 <= e[0] < n and 0 <= e[1] < n):
+            raise InvalidInputError(f"{name}.edges[{i}] out of range")
     reflexive = obj.get("reflexive", False)
     _require(isinstance(reflexive, bool), f"{name}.reflexive must be a boolean")
     unknown = set(obj) - {"num_vertices", "edges", "reflexive"}
@@ -50,13 +47,11 @@ def _parse_map(obj: Any, name: str, gn: int, hn: int) -> tuple[int, ...]:
     _require(isinstance(obj, list), f"{name} must be a list")
     _require(len(obj) == gn, f"{name} must have length {gn}")
     for i, c in enumerate(obj):
-        _require(isinstance(c, int) and not isinstance(c, bool), f"{name}[{i}] must be an integer")
-        _require(0 <= c < hn, f"{name}[{i}] out of range")
+        if type(c) is not int:
+            raise InvalidInputError(f"{name}[{i}] must be an integer")
+        if not 0 <= c < hn:
+            raise InvalidInputError(f"{name}[{i}] out of range")
     return tuple(obj)
-
-
-def graph_from_dict(obj: Any, name: str = "graph") -> Graph:
-    return _parse_graph(obj, name)
 
 
 def instance_from_dict(doc: Any) -> Instance:
@@ -65,8 +60,8 @@ def instance_from_dict(doc: Any) -> Instance:
         _require(key in doc, f"missing key {key!r}")
     unknown = set(doc) - {"G", "H", "phi", "psi", "mode"}
     _require(not unknown, f"unknown keys: {sorted(unknown)}")
-    g = _parse_graph(doc["G"], "G")
-    h = _parse_graph(doc["H"], "H")
+    g = graph_from_dict(doc["G"], "G")
+    h = graph_from_dict(doc["H"], "H")
     phi = _parse_map(doc["phi"], "phi", g.n, h.n)
     psi = _parse_map(doc["psi"], "psi", g.n, h.n)
     mode = doc.get("mode", REFLEXIVE)

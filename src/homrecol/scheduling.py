@@ -19,7 +19,7 @@ from .systems import WalkSystem
 from .walks import Walk
 
 
-def is_tight(g: Graph, h: Graph, colours, cycle: Walk) -> bool:
+def is_tight(g: Graph, colours, cycle: Walk) -> bool:
     """True iff the cycle's image under colours is cyclically reduced and nonempty.
 
     colours may be a full map (sequence) or a mapping defined on the cycle.
@@ -29,7 +29,7 @@ def is_tight(g: Graph, h: Graph, colours, cycle: Walk) -> bool:
     if cycle[0] != cycle[-1]:
         raise InvalidInputError("tightness is for closed walks")
     for a, b in zip(cycle, cycle[1:]):
-        if b not in g.adj_sets[a]:
+        if not g.adjacent(a, b):
             raise InvalidInputError(f"cycle step {a} -> {b} is not an edge")
     body = tuple(colours[x] for x in cycle[:-1])
     m = len(body)
@@ -136,6 +136,6 @@ def _extract_tight_cycle(
         chain.append(v)
 
     current = {x: walks[x][pos[x]] for x in cycle}
-    if not is_tight(g, h, current, cycle):
+    if not is_tight(g, current, cycle):
         raise InternalError("deadlock cycle is not tight (system not staggered)")
     return TightWalkWitness(cycle=cycle, images=tuple(current[x] for x in cycle))

@@ -70,8 +70,6 @@ def validate_instance(inst: Instance) -> None:
     """Check the structural hypotheses for the instance's mode."""
     if inst.mode not in (REFLEXIVE, GIRTH5):
         raise InvalidInputError(f"unknown mode {inst.mode!r}")
-    if len(inst.phi) != inst.g.n or len(inst.psi) != inst.g.n:
-        raise InvalidInputError("maps must assign every vertex a colour")
     if not is_homomorphism(inst.g, inst.h, inst.phi):
         raise InvalidInputError("phi is not a homomorphism")
     if not is_homomorphism(inst.g, inst.h, inst.psi):
@@ -129,28 +127,24 @@ def _solve_component(
             return None, Obstruction(kind=CLASS_MISMATCH, cycle=search.cycle, cores=search.cores)
         return None, Obstruction(kind=NO_VALID_WALK, cycle=search.cycle)
 
-    outcome = schedule(g, h, search.system)
-    if isinstance(outcome, list):
-        return outcome, None
-
-    obstruction = _deadlock_obstruction(g, h, phi, psi, outcome)
-    if obstruction is not None:
-        return None, obstruction
-
-    # Every cycle colour agrees, so a realizable system must be constant on the
-    # cycle; the system generated from the constant walk is the only candidate.
-    retry_root = min(outcome.cycle)
-    unrealizable = Obstruction(kind=UNREALIZABLE, cycle=outcome.cycle, vertex=retry_root)
-    retry = generate_system(g, h, phi, psi, retry_root, (phi[retry_root],))
-    if isinstance(retry, CycleWitness):
-        return None, unrealizable
-    outcome2 = schedule(g, h, retry)
-    if isinstance(outcome2, list):
-        return outcome2, None
-    obstruction = _deadlock_obstruction(g, h, phi, psi, outcome2)
-    if obstruction is not None:
-        return None, obstruction
-    return None, unrealizable
+    system, unrealizable = search.system, None
+    while True:
+        outcome = schedule(g, h, system)
+        if isinstance(outcome, list):
+            return outcome, None
+        obstruction = _deadlock_obstruction(g, h, phi, psi, outcome)
+        if obstruction is not None:
+            return None, obstruction
+        if unrealizable is not None:
+            return None, unrealizable  # the retry deadlocked too
+        # Every cycle colour agrees, so a realizable system must be constant on
+        # the cycle; the system generated from the constant walk is the only
+        # candidate.
+        retry_root = min(outcome.cycle)
+        unrealizable = Obstruction(kind=UNREALIZABLE, cycle=outcome.cycle, vertex=retry_root)
+        system = generate_system(g, h, phi, psi, retry_root, (phi[retry_root],))
+        if isinstance(system, CycleWitness):
+            return None, unrealizable
 
 
 def _deadlock_obstruction(
@@ -163,7 +157,7 @@ def _deadlock_obstruction(
     """
     if witness.images != tuple(phi[x] for x in witness.cycle):
         raise InternalError("deadlock images drifted from the starting map")
-    if not is_tight(g, h, phi, witness.cycle):
+    if not is_tight(g, phi, witness.cycle):
         raise InternalError("deadlock cycle not tight under the starting map")
     for v in sorted(set(witness.cycle)):
         if phi[v] != psi[v]:
@@ -242,7 +236,7 @@ def recheck_obstruction(inst: Instance, obstruction: Obstruction) -> bool:
         if cycle[0] != cycle[-1]:
             return False
         for a, b in zip(cycle, cycle[1:]):
-            if b not in g.adj_sets[a]:
+            if not g.adjacent(a, b):
                 return False
 
     if obstruction.kind == CLASS_MISMATCH:
@@ -262,14 +256,14 @@ def recheck_obstruction(inst: Instance, obstruction: Obstruction) -> bool:
             v is not None
             and v in set(cycle)
             and phi[v] != psi[v]
-            and is_tight(g, h, phi, cycle)
+            and is_tight(g, phi, cycle)
         )
 
     if obstruction.kind == UNREALIZABLE:
         v = obstruction.vertex
         if v is None or v not in set(cycle):
             return False
-        if not is_tight(g, h, phi, cycle):
+        if not is_tight(g, phi, cycle):
             return False
         if any(phi[x] != psi[x] for x in cycle):
             return False

@@ -294,36 +294,26 @@ def find_valid_base_walk(
     out = generate_system(g, h, phi, psi, root, w0)
     if isinstance(out, WalkSystem):
         return BaseWalkSearch(walk=w0, system=out)
-    first_cycle = out.cycle
-
-    candidates, cores = _candidate_family(phi, psi, first_cycle)
-    if candidates is None:
-        return BaseWalkSearch(failure="class-mismatch", cycle=first_cycle, cores=cores)
-
+    # At most two witness cycles each pin a candidate family; the second
+    # comes from the first family's zero-power candidate.
+    first_cycle = cycle = out.cycle
     results: dict[Walk, WalkSystem | CycleWitness] = {}
-    for cand in candidates:
-        if cand not in results:
-            results[cand] = generate_system(g, h, phi, psi, root, cand)
-    valid = [
-        (idx, cand, results[cand])
-        for idx, cand in enumerate(candidates)
-        if isinstance(results[cand], WalkSystem)
-    ]
-    if valid:
-        _, cand, system = min(valid, key=lambda t: (len(t[1]), t[0]))
-        return BaseWalkSearch(walk=cand, system=system)
-
-    second = results[candidates[1]]  # the zero-power candidate's witness
-    assert isinstance(second, CycleWitness)
-    more, cores2 = _candidate_family(phi, psi, second.cycle)
-    if more is None:
-        return BaseWalkSearch(failure="class-mismatch", cycle=second.cycle, cores=cores2)
-    for idx, cand in enumerate(more):
-        if cand not in results:
-            results[cand] = generate_system(g, h, phi, psi, root, cand)
-        if isinstance(results[cand], WalkSystem):
-            valid.append((len(candidates) + idx, cand, results[cand]))
-    if valid:
-        _, cand, system = min(valid, key=lambda t: (len(t[1]), t[0]))
-        return BaseWalkSearch(walk=cand, system=system)
+    offset = 0
+    for _ in range(2):
+        candidates, cores = _candidate_family(phi, psi, cycle)
+        if candidates is None:
+            return BaseWalkSearch(failure="class-mismatch", cycle=cycle, cores=cores)
+        valid = []
+        for idx, cand in enumerate(candidates):
+            if cand not in results:
+                results[cand] = generate_system(g, h, phi, psi, root, cand)
+            if isinstance(results[cand], WalkSystem):
+                valid.append((offset + idx, cand, results[cand]))
+        if valid:
+            _, cand, system = min(valid, key=lambda t: (len(t[1]), t[0]))
+            return BaseWalkSearch(walk=cand, system=system)
+        second = results[candidates[1]]
+        if not isinstance(second, CycleWitness):
+            raise InternalError("zero-power candidate left no witness cycle")
+        cycle, offset = second.cycle, len(candidates)
     return BaseWalkSearch(failure="no-candidate", cycle=first_cycle)

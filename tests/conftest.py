@@ -119,7 +119,7 @@ def tight_vertices(g: Graph, h: Graph, colours) -> set[int]:
     """Vertices on a tight simple cycle (the shape deadlock extraction emits)."""
     out: set[int] = set()
     for cyc in simple_cycles(g):
-        if is_tight(g, h, colours, cyc):
+        if is_tight(g, colours, cyc):
             out.update(cyc)
     return out
 
@@ -225,7 +225,7 @@ def _brute_tight_cycle(state: BruteScheduleState, start: int) -> TightWalkWitnes
         seen_at[v] = len(chain)
         chain.append(v)
 
-    if not is_tight(state.g, state.h, {x: state.current(x) for x in cycle}, cycle):
+    if not is_tight(state.g, {x: state.current(x) for x in cycle}, cycle):
         raise InternalError("deadlock cycle is not tight (system not staggered)")
     return TightWalkWitness(cycle=cycle, images=tuple(state.current(x) for x in cycle))
 

@@ -194,22 +194,70 @@ def test_instance_roundtrip():
     assert parse_instance(dumps(instance_to_dict(inst))) == inst
 
 
-def test_parse_rejects_bool_and_float_ids():
-    import pytest
+_DELETE = object()
 
+# (changes to c5_instance as (key path, new value or _DELETE), error text);
+# the texts are the parser's messages, which the CLI prints after "error: ".
+MALFORMED = [
+    ([(("G",), [5])], "G must be an object"),
+    ([(("H",), None)], "H must be an object"),
+    ([(("G", "num_vertices"), _DELETE)], "G.num_vertices is required"),
+    ([(("G", "num_vertices"), True)], "G.num_vertices must be a nonnegative integer"),
+    ([(("G", "num_vertices"), 5.0)], "G.num_vertices must be a nonnegative integer"),
+    ([(("H", "num_vertices"), -1)], "H.num_vertices must be a nonnegative integer"),
+    ([(("G", "edges"), {"0": 1})], "G.edges must be a list"),
+    ([(("G", "edges", 2), [2, 3, 4])], "G.edges[2] must be a pair of integers"),
+    ([(("H", "edges", 1), 7)], "H.edges[1] must be a pair of integers"),
+    ([(("G", "edges", 0), [0, True])], "G.edges[0] must be a pair of integers"),
+    ([(("G", "edges", 4), [4.0, 0])], "G.edges[4] must be a pair of integers"),
+    ([(("G", "edges", 3), [3, "4"])], "G.edges[3] must be a pair of integers"),
+    ([(("H", "edges", 3), [3, 5])], "H.edges[3] out of range"),
+    ([(("G", "edges", 0), [-1, 0])], "G.edges[0] out of range"),
+    ([(("G", "edges", 1), [1, 9]), (("G", "edges", 3), [3, True])], "G.edges[1] out of range"),
+    ([(("G", "reflexive"), 1)], "G.reflexive must be a boolean"),
+    ([(("H", "loops"), [])], "H has unknown keys: ['loops']"),
+    ([(("G", "loops"), []), (("G", "edges", 4), [4])], "G.edges[4] must be a pair of integers"),
+    ([(("phi",), {"0": 0})], "phi must be a list"),
+    ([(("psi",), 7)], "psi must be a list"),
+    ([(("psi",), [0, 1, 2, 3])], "psi must have length 5"),
+    ([(("phi",), [0, 1, 2, 3, 4, 0])], "phi must have length 5"),
+    ([(("phi", 0), False)], "phi[0] must be an integer"),
+    ([(("psi", 0), 2.5)], "psi[0] must be an integer"),
+    ([(("phi", 4), 5)], "phi[4] out of range"),
+    ([(("psi", 1), -1)], "psi[1] out of range"),
+    ([(("psi", 1), -1), (("psi", 3), True)], "psi[1] out of range"),
+    ([(("mode",), "free")], 'mode must be "reflexive" or "girth5"'),
+    ([(("mode",), None)], 'mode must be "reflexive" or "girth5"'),
+    ([(("extra",), 1)], "unknown keys: ['extra']"),
+    ([(("psi",), _DELETE)], "missing key 'psi'"),
+]
+
+
+def _mutated(doc, changes):
+    doc = json.loads(json.dumps(doc))
+    for path, value in changes:
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        if value is _DELETE:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
+    return doc
+
+
+def test_parse_rejects_bool_and_float_ids(tmp_path, capsys):
     from homrecol.errors import InvalidInputError
 
     base = c5_instance([0, 1, 2, 3, 4])
-    for mutate in [
-        lambda d: d["G"].__setitem__("num_vertices", True),
-        lambda d: d["G"]["edges"].append([0, 1.0]),
-        lambda d: d["phi"].__setitem__(0, False),
-        lambda d: d["psi"].__setitem__(0, 2.5),
-    ]:
-        doc = json.loads(json.dumps(base))
-        mutate(doc)
-        with pytest.raises(InvalidInputError):
+    for changes, message in MALFORMED:
+        doc = _mutated(base, changes)
+        with pytest.raises(InvalidInputError) as excinfo:
             parse_instance(json.dumps(doc))
+        assert str(excinfo.value) == message
+        path = write(tmp_path, "inst.json", json.dumps(doc))
+        assert run(["solve", path]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_parse_accepts_duplicate_edges_and_explicit_loops():

@@ -26,7 +26,7 @@ ROT5 = (1, 2, 3, 4, 0)
 
 
 def test_is_tight_identity_pentagon():
-    assert is_tight(C5, C5, ID5, (0, 1, 2, 3, 4, 0))
+    assert is_tight(C5, ID5, (0, 1, 2, 3, 4, 0))
 
 
 def test_is_tight_matches_decomposition_emptiness():
@@ -39,24 +39,24 @@ def test_is_tight_matches_decomposition_emptiness():
         image = tuple(phi[x] for x in cyc)
         d = free_decomposition(image)
         expect = (not d.contractible) and len(d.core) == len(image) - 1
-        assert is_tight(g, h, phi, cyc) == expect
+        assert is_tight(g, phi, cyc) == expect
 
 
 def test_is_tight_slack_wrap():
     inst = make_cycle_wrap(13, 4, 0)
     cyc = tuple(range(13)) + (0,)
-    assert not is_tight(inst.g, inst.h, inst.phi, cyc)
+    assert not is_tight(inst.g, inst.phi, cyc)
 
 
 def test_is_tight_constant_image():
-    assert not is_tight(C5, C5, (0,) * 5, (0, 1, 2, 3, 4, 0))
+    assert not is_tight(C5, (0,) * 5, (0, 1, 2, 3, 4, 0))
 
 
 def test_is_tight_validates_cycle():
     with pytest.raises(InvalidInputError):
-        is_tight(C5, C5, ID5, (0, 1, 2))  # not closed
+        is_tight(C5, ID5, (0, 1, 2))  # not closed
     with pytest.raises(InvalidInputError):
-        is_tight(C5, C5, ID5, (0, 2, 0))  # not edges
+        is_tight(C5, ID5, (0, 2, 0))  # not edges
 
 
 def _start_arcs(g, h, system):
@@ -103,7 +103,7 @@ def test_rotation_deadlocks_with_tight_pentagon():
     assert isinstance(out, TightWalkWitness)
     assert out.cycle == (0, 4, 3, 2, 1, 0)
     assert out.images == tuple(ID5[x] for x in out.cycle)
-    assert is_tight(C5, C5, ID5, out.cycle)
+    assert is_tight(C5, ID5, out.cycle)
     # oracle: the rotation really is unreachable (component has 3125 potential states)
     assert hom_graph_bfs(C5, C5, ID5, ROT5, max_states=5**5) is Answer.NO
 
@@ -177,7 +177,7 @@ def test_deadlock_tight_under_current_and_original():
         out = schedule(g, h, search.system)
         if isinstance(out, TightWalkWitness):
             assert out.images == tuple(phi[x] for x in out.cycle)
-            assert is_tight(g, h, phi, out.cycle)
+            assert is_tight(g, phi, out.cycle)
             assert set(out.cycle) <= tight_vertices(g, h, phi)
             seen += 1
     assert seen > 5

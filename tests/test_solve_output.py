@@ -2,12 +2,15 @@
 
 Each entry is the sha256 of the solve stdout on one instance: `gen`
 families (two cycle wraps, the figure eight, random seeds 0-49 with the
-default sizes) and the five constructions written with `instance_to_dict`.
+default sizes), the five constructions and 20 seeded girth5 instances
+(`random_girth5_instance(Random(seed), 4 + seed % 7)`, seeds 0-19), the
+last two written with `instance_to_dict`.
 A change to the solver that alters any move list or obstruction shows here;
 if the change is intended, recompute the digests and say why in CHANGES.md.
 """
 
 import hashlib
+import random
 
 import pytest
 
@@ -22,6 +25,7 @@ GEN = {
     **{f"random-{s}": ["--family", "random", "--seed", str(s)] for s in range(50)},
 }
 CONSTRUCTED = ("figure_eight", "double_bridge", "locked_link", "twisted_loop", "double_turn")
+GIRTH5_SEEDS = range(20)
 
 DIGESTS = {
     "cycle-wrap-2000-4-40": "6a6af87f226101a650b231f1378e3deff89a6b8f716e26a9b0f8f8db86f3600e",
@@ -82,6 +86,26 @@ DIGESTS = {
     "make_locked_link": "0376ec36183d20f3b8598129ca534fa30702aeef5357ddd82b063aac56013e8c",
     "make_twisted_loop": "9ff75aea81a0c71df4c4570b1c0189fb66d050ce62908fb2a221643353653a99",
     "make_double_turn": "e1a340cfe37c912a05e9cd3aad0d3ce50ee04124af4a2e6ae229a71b7c42121b",
+    "girth5-0": "5a8b090b64f4861bca0d9949e2762f5889fe65125ddae8a0f9e9d745c964c28f",
+    "girth5-1": "3411b5f42bccb86d868dd0968001819abf4ec4f98b502df84b534481a3b160ba",
+    "girth5-2": "16931c841bba423399bd7c7d1720f3923762498c7aeb8b32431a30420ec34627",
+    "girth5-3": "5e450d4753158bd0a7a531ffa14d4bc26b63d47f6692306a7749f65e7adbb9a1",
+    "girth5-4": "82a2d719890a45819ffceb49e5eadbb7a8f0ab2a86fdd27a3d073e3ccdf41593",
+    "girth5-5": "bff5d5396a9d98b982be31a370c8396b1cc15a9dc5142f73bf78dd49ee62dcd8",
+    "girth5-6": "0e2d9afee61f30a7c5bf256b51be7f7b22f4f12977c22a2de349d753d6456f98",
+    "girth5-7": "d5a2077c8673bc69b1d3308f03f96b29fffa8a98133a891f7f66ec13f99ef69b",
+    "girth5-8": "3411b5f42bccb86d868dd0968001819abf4ec4f98b502df84b534481a3b160ba",
+    "girth5-9": "9aa8b9527fb5783017ecd25b06a70649dfad1d978059dc1112b9e9fc0fbb9614",
+    "girth5-10": "9a98282cf33d92bdbc972436d385216246f1325836904ec8bead659bfb815777",
+    "girth5-11": "0b0d795fd48cf969b616943893ea1d3d0892f373622a0be584b14a82796005c4",
+    "girth5-12": "43b5fc89c986067974cdfba0d4e639f873d2ca929ad332d9a48cfcd246982bf4",
+    "girth5-13": "6196c3ee69a04f8dc620ae4ac9a1faeb24accded2d27a824b68195def4cf854e",
+    "girth5-14": "faf05d5b5a7b78a9a9e8e90d212758a05f46356c35066c1e248b47d5f3f29cea",
+    "girth5-15": "784c74b096f95b6fd54c2f755a873a0d2e6d008936691be01c4d783e08f6b8a0",
+    "girth5-16": "938f83035b693b6d7c80226e45491c810d79c15953c9c6558acb63bf72db6de7",
+    "girth5-17": "36f274475dcd130d7bbac2678d4bb0ff999918d0d0df31517448f66d55e034f9",
+    "girth5-18": "6e3cfaf9488af2078f1ec06510df8fea0f67d240da4e7a2ed5a81e96cf5f9a28",
+    "girth5-19": "4e82a2167d8fd33d8192be9d516d0f27eb42ad560405ed01fe3eb3035002b4f0",
 }
 
 
@@ -103,3 +127,10 @@ def test_gen_solve_output_pinned(name, tmp_path, capsys):
 def test_constructed_solve_output_pinned(name, tmp_path, capsys):
     text = dumps(instance_to_dict(getattr(families, "make_" + name)()))
     assert _solve_digest(tmp_path, capsys, text) == DIGESTS["make_" + name]
+
+
+@pytest.mark.parametrize("seed", GIRTH5_SEEDS)
+def test_girth5_solve_output_pinned(seed, tmp_path, capsys):
+    inst = families.random_girth5_instance(random.Random(seed), 4 + seed % 7)
+    text = dumps(instance_to_dict(inst))
+    assert _solve_digest(tmp_path, capsys, text) == DIGESTS[f"girth5-{seed}"]

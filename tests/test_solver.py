@@ -307,3 +307,25 @@ def test_oracle_yes_traces_form_valid_constant_on_tight_system():
         for c in tight_vertices(inst.g, inst.h, inst.phi):
             assert len(set(traces[c])) == 1
         done += 1
+
+
+def test_solver_leaves_instance_set_view_unbuilt():
+    # G's per-vertex frozensets are built only on first read; solving,
+    # checking both certificate kinds and Graph.adjacent read G through its
+    # sorted adj tuples.
+    from homrecol.families import make_cycle_wrap
+
+    yes = make_cycle_wrap(200, 4, 3)
+    verdict = solve(yes)
+    assert verdict.yes and verify_witness(yes, verdict.moves).ok
+    no = Instance(g=cycle_graph(5), h=cycle_graph(5), phi=ID5, psi=(1, 2, 3, 4, 0))
+    verdict = solve(no)
+    assert verdict.obstruction.kind == "frozen-mismatch"
+    assert recheck_obstruction(no, verdict.obstruction)
+    for inst in (yes, no):
+        assert "adj_sets" not in vars(inst.g)
+        assert "adj_sets" in vars(inst.h)
+        for graph in (inst.g, inst.h):
+            assert graph.adjacent(0, 1) and graph.adjacent(1, 0) and graph.adjacent(2, 2)
+            assert not graph.adjacent(0, 2)
+    assert "adj_sets" not in vars(yes.g)
