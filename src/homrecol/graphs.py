@@ -165,29 +165,51 @@ def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(comps)
 
 
-def bfs_tree(
-    g: Graph, root: int, tie_break: Sequence[int] | None = None
-) -> tuple[list[int], dict[int, int]]:
-    """BFS order and parent map of root's component.
+class Scratch:
+    """Vertex-indexed arrays for one solve, allocated once and shared by its components.
 
+    A call uses only the entries of its own component's vertices and leaves
+    parent all -1 and queued all 0, as it found them, so one solve over many
+    small components costs their total size, not n per component.  Calls
+    from outside a solve allocate their own.
+    """
+
+    __slots__ = ("parent", "lo", "hi", "pos", "cur", "left", "queued")
+
+    def __init__(self, n: int):
+        self.parent = [-1] * n  # bfs_tree
+        self.lo = [0] * n  # cover lifts of phi and psi
+        self.hi = [0] * n
+        self.pos = [0] * n  # scheduler: index into the walk,
+        self.cur = [0] * n  # the colour there,
+        self.left = [0] * n  # the steps still to go,
+        self.queued = bytearray(n)  # and membership of the work list
+
+
+def bfs_tree(
+    g: Graph,
+    root: int,
+    tie_break: Sequence[int] | None = None,
+    parent: list[int] | None = None,
+) -> tuple[list[int], list[int]]:
+    """BFS order and parent list of root's component.
+
+    parent[root] == root and parent[v] == -1 outside the component.  When
+    parent is given it must hold -1 for every vertex, and is filled in place.
     Neighbours are visited in ascending id order, or by ascending
     tie_break[v] when given (tests force alternative orders with this).
     """
-    parent: dict[int, int] = {}
+    if parent is None:
+        parent = [-1] * g.n
+    parent[root] = root
     order = [root]
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        nbrs = [v for v in g.adj[u] if v != u]
-        if tie_break is not None:
-            nbrs.sort(key=lambda v: tie_break[v])
+    adj = g.adj
+    for u in order:  # the order list is the queue
+        nbrs = adj[u] if tie_break is None else sorted(adj[u], key=tie_break.__getitem__)
         for v in nbrs:
-            if v not in seen:
-                seen.add(v)
+            if parent[v] < 0:  # u itself (its loop) is already reached
                 parent[v] = u
                 order.append(v)
-                queue.append(v)
     return order, parent
 
 

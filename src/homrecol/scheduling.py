@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .errors import InternalError, InvalidInputError
-from .graphs import Graph
+from .graphs import Graph, Scratch
 from .systems import WalkSystem
 from .walks import Walk
 
@@ -47,13 +47,14 @@ class TightWalkWitness:
 
 
 def waits_for(
-    g: Graph, h: Graph, walks: dict[int, Walk], pos: dict[int, int], u: int
+    g: Graph, h: Graph, walks: dict[int, Walk], pos: Sequence[int] | Mapping[int, int], u: int
 ) -> int | None:
     """The lowest-id vertex u waits for, or None.
 
-    u waits for v when both are unfinished, v's next colour is u's current
-    colour and v's current colour clashes with u's next: u cannot move
-    before v does.
+    pos[v] is v's index into its walk, for u and its neighbours: the
+    scheduler's vertex-indexed list or any mapping.  u waits for v when both
+    are unfinished, v's next colour is u's current colour and v's current
+    colour clashes with u's next: u cannot move before v does.
     """
     w = walks[u]
     p = pos[u]
@@ -72,7 +73,11 @@ def waits_for(
 
 
 def schedule(
-    g: Graph, h: Graph, system: WalkSystem, order: Sequence[int] | None = None
+    g: Graph,
+    h: Graph,
+    system: WalkSystem,
+    order: Sequence[int] | None = None,
+    scratch: Scratch | None = None,
 ) -> list[tuple[int, int]] | TightWalkWitness:
     """Run the system to completion or extract a tight-cycle witness.
 
@@ -80,47 +85,65 @@ def schedule(
     or in the given order); moving a vertex re-queues itself and then its
     unfinished neighbours.  A drained queue with unfinished vertices is a
     deadlock.  A vertex may move when its next colour is adjacent to the
-    current colour of every neighbour, its own loop included.
+    current colour of every neighbour, its own loop included.  scratch
+    holds the per-vertex arrays; a solve passes one for all its calls, and
+    without it this call allocates its own.
     """
     walks = system.walks
     adj, hs = g.adj, h.adj_sets
-    pos = {v: 0 for v in walks}
+    if scratch is None:
+        scratch = Scratch(g.n)
+    pos, cur, left, queued = scratch.pos, scratch.cur, scratch.left, scratch.queued
+    for v, w in walks.items():
+        pos[v] = 0
+        cur[v] = w[0]
+        left[v] = len(w) - 1
     moves: list[tuple[int, int]] = []
     seed = sorted(walks) if order is None else order
-    queue = deque(v for v in seed if len(walks[v]) != 1)
-    queued = set(queue)
-    popleft, push, mark, unmark = queue.popleft, queue.append, queued.add, queued.discard
+    queue = deque(v for v in seed if left[v])
+    for v in queue:
+        queued[v] = 1
+    popleft, push = queue.popleft, queue.append
     emit = moves.append
     while queue:
         u = popleft()
-        unmark(u)
-        w = walks[u]
-        p = pos[u] + 1
-        if p == len(w):
+        queued[u] = 0
+        k = left[u]
+        if not k:
             continue  # finished
-        nxt = w[p]
+        p = pos[u] + 1
+        nxt = walks[u][p]
+        # H is undirected, so "nxt is adjacent to cur[x]" reads nxt's row
+        allowed = hs[nxt]
         for x in adj[u]:
-            if nxt not in hs[walks[x][pos[x]]]:
+            if cur[x] not in allowed:
                 break  # re-queued when a neighbour moves
         else:
             pos[u] = p
+            cur[u] = nxt
+            left[u] = k - 1
             emit((u, nxt))
-            if p + 1 != len(w):
+            if k != 1:
                 push(u)
-                mark(u)
+                queued[u] = 1
             for x in adj[u]:
-                if x not in queued and pos[x] + 1 != len(walks[x]):
+                if not queued[x] and left[x]:
                     push(x)
-                    mark(x)
+                    queued[x] = 1
 
-    unfinished = [v for v in walks if pos[v] + 1 != len(walks[v])]
+    # the drained queue has cleared every queued flag
+    unfinished = [v for v in walks if left[v]]
     if not unfinished:
         return moves
     return _extract_tight_cycle(g, h, walks, pos, min(unfinished))
 
 
 def _extract_tight_cycle(
-    g: Graph, h: Graph, walks: dict[int, Walk], pos: dict[int, int], start: int
+    g: Graph,
+    h: Graph,
+    walks: dict[int, Walk],
+    pos: Sequence[int] | Mapping[int, int],
+    start: int,
 ) -> TightWalkWitness:
     """Follow waits_for arcs from start until a vertex repeats."""
     chain = [start]

@@ -17,7 +17,14 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import InternalError, InvalidInputError
-from .graphs import Graph, connected_components, is_homomorphism, shortest_walk, validate_host
+from .graphs import (
+    Graph,
+    Scratch,
+    connected_components,
+    is_homomorphism,
+    shortest_walk,
+    validate_host,
+)
 from .scheduling import TightWalkWitness, is_tight, schedule
 from .systems import CycleWitness, find_valid_base_walk, generate_system
 from .walks import Walk, free_decomposition, reduce_walk, shift_match
@@ -118,10 +125,15 @@ def preprocess_girth5(inst: Instance) -> tuple[Instance, list[Move], Obstruction
 
 
 def _solve_component(
-    g: Graph, h: Graph, phi: Sequence[int], psi: Sequence[int], comp: Sequence[int]
+    g: Graph,
+    h: Graph,
+    phi: Sequence[int],
+    psi: Sequence[int],
+    comp: Sequence[int],
+    scratch: Scratch,
 ) -> tuple[list[Move] | None, Obstruction | None]:
     root = comp[0]
-    search = find_valid_base_walk(g, h, phi, psi, root)
+    search = find_valid_base_walk(g, h, phi, psi, root, scratch)
     if not search.found:
         if search.failure == "class-mismatch":
             return None, Obstruction(kind=CLASS_MISMATCH, cycle=search.cycle, cores=search.cores)
@@ -129,7 +141,7 @@ def _solve_component(
 
     system, unrealizable = search.system, None
     while True:
-        outcome = schedule(g, h, system)
+        outcome = schedule(g, h, system, scratch=scratch)
         if isinstance(outcome, list):
             return outcome, None
         obstruction = _deadlock_obstruction(g, h, phi, psi, outcome)
@@ -142,7 +154,7 @@ def _solve_component(
         # candidate.
         retry_root = min(outcome.cycle)
         unrealizable = Obstruction(kind=UNREALIZABLE, cycle=outcome.cycle, vertex=retry_root)
-        system = generate_system(g, h, phi, psi, retry_root, (phi[retry_root],))
+        system = generate_system(g, h, phi, psi, retry_root, (phi[retry_root],), scratch=scratch)
         if isinstance(system, CycleWitness):
             return None, unrealizable
 
@@ -175,8 +187,13 @@ def solve(inst: Instance) -> Verdict:
         if early is not None:
             return Verdict(answer="no", obstruction=early)
 
+    # one set of vertex-indexed arrays for every component: allocating them
+    # per component would make many small components quadratic
+    scratch = Scratch(work.g.n)
     for comp in connected_components(work.g):
-        comp_moves, obstruction = _solve_component(work.g, work.h, work.phi, work.psi, comp)
+        comp_moves, obstruction = _solve_component(
+            work.g, work.h, work.phi, work.psi, comp, scratch
+        )
         if obstruction is not None:
             return Verdict(answer="no", obstruction=obstruction)
         moves.extend(comp_moves)
@@ -191,19 +208,20 @@ def verify_witness(inst: Instance, moves: Sequence[Move]) -> WitnessCheck:
     """Replay moves from phi: one vertex per step, loop rule respected,
     homomorphism maintained, psi reached."""
     g, h = inst.g, inst.h
+    gn, hn, adj, hs = g.n, h.n, g.adj, h.adj_sets
     cur = list(inst.phi)
-    hs = h.adj_sets
     for i, move in enumerate(moves):
         if len(move) != 2:
             return WitnessCheck(False, i)
         v, c = move
-        if not (0 <= v < g.n and 0 <= c < h.n) or c == cur[v]:
+        if not (0 <= v < gn and 0 <= c < hn) or c == cur[v]:
             return WitnessCheck(False, i)
-        if v in g.loops and c not in hs[cur[v]]:
-            return WitnessCheck(False, i)
-        # the move keeps a homomorphism iff all of v's edges stay edges
-        for u in g.adj[v]:
-            if u != v and c not in hs[cur[u]]:
+        # The move keeps a homomorphism iff all of v's edges stay edges.  A
+        # loop sits in v's own row, so the same test is the loop rule, read
+        # with H undirected: the old colour must be adjacent to the new one.
+        allowed = hs[c]
+        for u in adj[v]:
+            if cur[u] not in allowed:
                 return WitnessCheck(False, i)
         cur[v] = c
     if tuple(cur) != inst.psi:

@@ -21,10 +21,11 @@ length of all its walks, which grows quadratically on a mirrored cycle wrap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 from .errors import InternalError
-from .graphs import Graph, bfs_tree, shortest_walk
+from .graphs import Graph, Scratch, bfs_tree, shortest_walk
 from .walks import (
     Walk,
     closed_power,
@@ -71,6 +72,7 @@ def generate_system(
     root: int,
     w_root: Walk,
     tie_break: Sequence[int] | None = None,
+    scratch: Scratch | None = None,
 ) -> WalkSystem | CycleWitness:
     """Build the unique reduced system containing w_root, or a failing cycle.
 
@@ -82,19 +84,31 @@ def generate_system(
     endpoints, and its two walks are built only when its lifts are not
     adjacent on both sides.  The witness for a failing edge uv is the closed
     walk tree-path(root, u) . uv . tree-path(v, root).  On success every walk
-    is built once, from its parent's walk.
+    is built once, from its parent's walk.  scratch holds the per-vertex
+    arrays; a solve passes one for all its calls, and without it this call
+    allocates its own.
     """
     if w_root[0] != phi[root] or w_root[-1] != psi[root]:
         raise InternalError("base walk endpoints do not match the maps")
     if not is_reduced(w_root):
         raise InternalError("base walk must be reduced")
-    order, parent = bfs_tree(g, root, tie_break)
-    failing = _failing_edge(g, h, phi, psi, order, parent, w_root)
-    if failing is not None:
+    if scratch is None:
+        scratch = Scratch(g.n)
+    order, parent = bfs_tree(g, root, tie_break, scratch.parent)
+    failing = _failing_edge(g, h, phi, psi, order, parent, w_root, scratch)
+    if failing is None:
+        out = WalkSystem(root=root, walks=_carry_walks(phi, psi, order, parent, w_root))
+    else:
         u, v = failing
         cycle = tuple(reversed(_chain_to_root(parent, u))) + tuple(_chain_to_root(parent, v))
-        return CycleWitness(cycle=cycle)
-    return WalkSystem(root=root, walks=_carry_walks(phi, psi, order, parent, w_root))
+        out = CycleWitness(cycle=cycle)
+    # Hand the scratch back with parent all -1, and drop the lifts: their
+    # cover node ids would otherwise stay allocated through the schedule.
+    lo, hi = scratch.lo, scratch.hi
+    for v in order:
+        parent[v] = -1
+        lo[v] = hi[v] = 0
+    return out
 
 
 class _Cover:
@@ -118,16 +132,17 @@ class _Cover:
         self.child = {i * nh + walk[i + 1]: i + 1 for i in range(m - 1)}
 
     def lift(
-        self, order: list[int], parent: dict[int, int], f: Sequence[int], start: int
-    ) -> dict[int, int]:
-        """Lift f along the BFS tree, sending order[0] to node start.
+        self, order: list[int], parent: list[int], f: Sequence[int], start: int, at: list[int]
+    ) -> list[int]:
+        """Lift f along the BFS tree into at, sending order[0] to node start.
 
         A step to colour c stays on a node coloured c, goes up when the
-        parent is coloured c, and otherwise goes down to the child c.
+        parent is coloured c, and otherwise goes down to the child c.  Only
+        the entries of the tree's vertices are written.
         """
         label, up, depth, child, nh = self.label, self.up, self.depth, self.child, self.nh
-        at = {order[0]: start}
-        for v in order[1:]:
+        at[order[0]] = start
+        for v in islice(order, 1, None):
             x = at[parent[v]]
             c = f[v]
             if label[x] != c:
@@ -172,13 +187,14 @@ def _failing_edge(
     phi: Sequence[int],
     psi: Sequence[int],
     order: list[int],
-    parent: dict[int, int],
+    parent: list[int],
     w_root: Walk,
+    scratch: Scratch,
 ) -> tuple[int, int] | None:
     """The first non-tree edge uv (u < v) the system does not preserve, if any."""
     cover = _Cover(h.n, w_root)
-    lo = cover.lift(order, parent, phi, 0)
-    hi = cover.lift(order, parent, psi, len(w_root) - 1)
+    lo = cover.lift(order, parent, phi, 0, scratch.lo)
+    hi = cover.lift(order, parent, psi, len(w_root) - 1, scratch.hi)
     up = cover.up
     for u in sorted(order):
         lo_u, hi_u = lo[u], hi[u]
@@ -204,7 +220,7 @@ def _carry_walks(
     phi: Sequence[int],
     psi: Sequence[int],
     order: list[int],
-    parent: dict[int, int],
+    parent: list[int],
     w_root: Walk,
 ) -> dict[int, Walk]:
     """Every walk of the system, each the reduction of (phi(v),) + w_parent + (psi(v),).
@@ -213,7 +229,7 @@ def _carry_walks(
     vertex at each end: it keeps, drops or adds the end vertex.
     """
     walks: dict[int, Walk] = {order[0]: w_root}
-    for v in order[1:]:
+    for v in islice(order, 1, None):
         w = walks[parent[v]]
         a = phi[v]
         if w[0] != a:
@@ -225,10 +241,11 @@ def _carry_walks(
     return walks
 
 
-def _chain_to_root(parent: dict[int, int], x: int) -> list[int]:
+def _chain_to_root(parent: list[int], x: int) -> list[int]:
     chain = [x]
-    while chain[-1] in parent:
-        chain.append(parent[chain[-1]])
+    while parent[x] != x:
+        x = parent[x]
+        chain.append(x)
     return chain
 
 
@@ -277,7 +294,12 @@ def _candidate_family(
 
 
 def find_valid_base_walk(
-    g: Graph, h: Graph, phi: Sequence[int], psi: Sequence[int], root: int
+    g: Graph,
+    h: Graph,
+    phi: Sequence[int],
+    psi: Sequence[int],
+    root: int,
+    scratch: Scratch | None = None,
 ) -> BaseWalkSearch:
     """Find a topologically valid (phi(root), psi(root))-walk if one exists.
 
@@ -286,12 +308,15 @@ def find_valid_base_walk(
     candidate family (tail . core-root-power . core-prefix . reversed tail);
     a second witness from the zero-power candidate pins it further.  Every
     candidate is validated by generating its system, so extra candidates can
-    never cost soundness.
+    never cost soundness.  One scratch, passed in or else allocated here,
+    serves every generate_system call.
     """
     w0 = shortest_walk(h, phi[root], psi[root])
     if w0 is None:
         return BaseWalkSearch(failure="separated", cycle=(root,))
-    out = generate_system(g, h, phi, psi, root, w0)
+    if scratch is None:
+        scratch = Scratch(g.n)
+    out = generate_system(g, h, phi, psi, root, w0, scratch=scratch)
     if isinstance(out, WalkSystem):
         return BaseWalkSearch(walk=w0, system=out)
     # At most two witness cycles each pin a candidate family; the second
@@ -306,7 +331,7 @@ def find_valid_base_walk(
         valid = []
         for idx, cand in enumerate(candidates):
             if cand not in results:
-                results[cand] = generate_system(g, h, phi, psi, root, cand)
+                results[cand] = generate_system(g, h, phi, psi, root, cand, scratch=scratch)
             if isinstance(results[cand], WalkSystem):
                 valid.append((offset + idx, cand, results[cand]))
         if valid:

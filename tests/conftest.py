@@ -133,12 +133,12 @@ def brute_generate_system(g, h, phi, psi, root, w_root, tie_break=None):
         walks[v] = reduce_walk((phi[v],) + walks[parent[v]] + (psi[v],))
     for u in sorted(order):
         for v in g.adj[u]:
-            if v <= u or parent.get(v) == u or parent.get(u) == v:
+            if v <= u or parent[v] == u or parent[u] == v:
                 continue
             if not edge_preserved(phi, psi, u, v, walks[u], walks[v]):
                 up_u, up_v = [u], [v]
                 for chain in (up_u, up_v):
-                    while chain[-1] in parent:
+                    while parent[chain[-1]] != chain[-1]:
                         chain.append(parent[chain[-1]])
                 return CycleWitness(cycle=tuple(reversed(up_u)) + tuple(up_v))
     return WalkSystem(root=root, walks=walks)

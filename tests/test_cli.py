@@ -1,3 +1,4 @@
+import gc
 import json
 import subprocess
 import sys
@@ -6,8 +7,9 @@ import pytest
 
 from conftest import child_env
 from homrecol.cli import run
+from homrecol.errors import InvalidInputError
 from homrecol.families import make_cycle_wrap, make_figure_eight
-from homrecol.jsonio import dumps, instance_to_dict, parse_instance
+from homrecol.jsonio import dumps, instance_to_dict, loads, parse_instance
 
 
 def write(tmp_path, name, doc):
@@ -322,6 +324,23 @@ def test_deeply_nested_json_exit_two(tmp_path):
     assert out.returncode == 2, out.stderr
     assert out.stdout == ""
     assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_loads_restores_collector_state(enabled):
+    # loads pauses the cyclic collector while parsing and must hand it back
+    # as it found it, also when the text is malformed or nested too deeply
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert loads('{"moves": [[0, 1], [2, 3]]}') == {"moves": [[0, 1], [2, 3]]}
+        assert gc.isenabled() is enabled
+        for bad, msg in (('{"moves": [[0, 1]', "line 1"), ("[" * 200_000 + "]" * 200_000, "nested")):
+            with pytest.raises(InvalidInputError, match=msg):
+                loads(bad)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 @pytest.mark.parametrize("exc", [MemoryError, OverflowError])

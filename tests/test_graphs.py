@@ -123,21 +123,26 @@ def test_bfs_tree_path():
     g = path_graph(3, reflexive=True)
     order, parent = bfs_tree(g, 0)
     assert order == [0, 1, 2]
-    assert parent == {1: 0, 2: 1}
+    assert parent == [0, 0, 1]
 
 
 def test_bfs_tree_single_vertex():
     g = Graph(1, [], reflexive=True)
-    assert bfs_tree(g, 0) == ([0], {})
+    assert bfs_tree(g, 0) == ([0], [0])
+    # vertices outside the root's component keep parent -1
+    g = Graph(3, [(1, 2)], reflexive=True)
+    assert bfs_tree(g, 1) == ([1, 2], [-1, 1, 1])
 
 
 def test_bfs_tree_square_tie_break():
     g = cycle_graph(4)
     order, parent = bfs_tree(g, 0)
-    assert parent == {1: 0, 3: 0, 2: 1}
+    assert order == [0, 1, 3, 2]
+    assert parent == [0, 0, 1, 0]
     # forcing the opposite preference flips 2's parent
-    _, parent2 = bfs_tree(g, 0, tie_break=[0, 3, 2, 1])
-    assert parent2 == {1: 0, 3: 0, 2: 3}
+    order2, parent2 = bfs_tree(g, 0, tie_break=[0, 3, 2, 1])
+    assert order2 == [0, 3, 1, 2]
+    assert parent2 == [0, 0, 3, 0]
 
 
 def test_shortest_walk_deterministic(c5):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import brute_schedule, tight_vertices
+from conftest import brute_generate_system, brute_schedule, tight_vertices
 from homrecol.errors import InvalidInputError
 from homrecol.families import (
     cycle_graph,
@@ -14,7 +14,14 @@ from homrecol.families import (
     random_instance,
     random_walk_hom,
 )
-from homrecol.graphs import Graph, connected_components, hom_adjacent, is_homomorphism
+from homrecol.graphs import (
+    Graph,
+    Scratch,
+    connected_components,
+    hom_adjacent,
+    is_homomorphism,
+    shortest_walk,
+)
 from homrecol.oracle import Answer, hom_graph_bfs
 from homrecol.scheduling import TightWalkWitness, is_tight, schedule, waits_for
 from homrecol.systems import WalkSystem, find_valid_base_walk, generate_system
@@ -63,6 +70,9 @@ def _start_arcs(g, h, system):
     """Arcs u -> waits_for(u) with every vertex at the start of its walk."""
     pos = {v: 0 for v in system.walks}
     arcs = [(u, waits_for(g, h, system.walks, pos, u)) for u in sorted(system.walks)]
+    # the scheduler's vertex-indexed list reads the same as the mapping
+    listed = [0] * g.n
+    assert arcs == [(u, waits_for(g, h, system.walks, listed, u)) for u in sorted(system.walks)]
     return [(u, v) for u, v in arcs if v is not None]
 
 
@@ -224,3 +234,26 @@ def test_schedule_matches_reference_on_deadlocks():
     root = min(out.cycle)
     retry = generate_system(inst.g, inst.h, inst.phi, inst.psi, root, (inst.phi[root],))
     assert isinstance(_assert_same_outcome(inst.g, inst.h, retry), TightWalkWitness)
+
+
+def test_shared_scratch_matches_reference():
+    # one Scratch through every call, as one solve shares it across its
+    # components and the constant-walk retry: no call may read another's state
+    rng = random.Random(45)
+    scratch = Scratch(8)
+    runs = 0
+    for _ in range(300):
+        inst = random_instance(rng, rng.randrange(2, 9), rng.randrange(4, 9))
+        g, h, phi, psi = inst.g, inst.h, inst.phi, inst.psi
+        for comp in connected_components(g):
+            w0 = shortest_walk(h, phi[comp[0]], psi[comp[0]])
+            if w0 is None:
+                continue
+            system = generate_system(g, h, phi, psi, comp[0], w0, scratch=scratch)
+            assert system == brute_generate_system(g, h, phi, psi, comp[0], w0)
+            if isinstance(system, WalkSystem):
+                # the second run starts on the arrays the first one left behind
+                for _ in range(2):
+                    assert schedule(g, h, system, scratch=scratch) == brute_schedule(g, h, system)
+                    runs += 1
+    assert runs > 200

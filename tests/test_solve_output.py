@@ -3,8 +3,10 @@
 Each entry is the sha256 of the solve stdout on one instance: `gen`
 families (two cycle wraps, the figure eight, random seeds 0-49 with the
 default sizes), the five constructions and 20 seeded girth5 instances
-(`random_girth5_instance(Random(seed), 4 + seed % 7)`, seeds 0-19), the
-last two written with `instance_to_dict`.
+(`random_girth5_instance(Random(seed), 4 + seed % 7)`, seeds 0-19), and
+two disjoint unions (see `disjoint_union`), the last four kinds written
+with `instance_to_dict`.  The unions share one solve across components, so
+state carried over from one component to the next shows here too.
 A change to the solver that alters any move list or obstruction shows here;
 if the change is intended, recompute the digests and say why in CHANGES.md.
 """
@@ -16,7 +18,9 @@ import pytest
 
 from homrecol import families
 from homrecol.cli import run
+from homrecol.graphs import Graph
 from homrecol.jsonio import dumps, instance_to_dict
+from homrecol.solver import REFLEXIVE, Instance
 
 GEN = {
     "cycle-wrap-2000-4-40": ["--family", "cycle-wrap", "--g-len", "2000", "--h-len", "4", "--shift", "40"],
@@ -26,6 +30,7 @@ GEN = {
 }
 CONSTRUCTED = ("figure_eight", "double_bridge", "locked_link", "twisted_loop", "double_turn")
 GIRTH5_SEEDS = range(20)
+UNIONS = ("union-interleaved", "union-then-locked-link")
 
 DIGESTS = {
     "cycle-wrap-2000-4-40": "6a6af87f226101a650b231f1378e3deff89a6b8f716e26a9b0f8f8db86f3600e",
@@ -106,6 +111,8 @@ DIGESTS = {
     "girth5-17": "36f274475dcd130d7bbac2678d4bb0ff999918d0d0df31517448f66d55e034f9",
     "girth5-18": "6e3cfaf9488af2078f1ec06510df8fea0f67d240da4e7a2ed5a81e96cf5f9a28",
     "girth5-19": "4e82a2167d8fd33d8192be9d516d0f27eb42ad560405ed01fe3eb3035002b4f0",
+    "union-interleaved": "12f74f5ee42a0b8439544f9574182c897c4e994ca39a576a996609b80c9660b3",
+    "union-then-locked-link": "5baa70d1b4a9778ba37412a9d6bce60cc2e9cb57183d994899d25ffbe24c3b5e",
 }
 
 
@@ -134,3 +141,56 @@ def test_girth5_solve_output_pinned(seed, tmp_path, capsys):
     inst = families.random_girth5_instance(random.Random(seed), 4 + seed % 7)
     text = dumps(instance_to_dict(inst))
     assert _solve_digest(tmp_path, capsys, text) == DIGESTS[f"girth5-{seed}"]
+
+
+def disjoint_union(parts: list[Instance], interleave: bool) -> Instance:
+    """The instances side by side on the disjoint union of their hosts.
+
+    With interleave, vertex ids are dealt round robin (vertex i of every part
+    before vertex i + 1 of any), so the components' vertex sets interleave;
+    otherwise each part's ids follow the previous part's.
+    """
+    ids: list[list[int]] = [[0] * p.g.n for p in parts]
+    n = 0
+    if interleave:
+        for i in range(max(p.g.n for p in parts)):
+            for k, p in enumerate(parts):
+                if i < p.g.n:
+                    ids[k][i], n = n, n + 1
+    else:
+        for k, p in enumerate(parts):
+            ids[k], n = list(range(n, n + p.g.n)), n + p.g.n
+    g_edges, h_edges, phi, psi, offset = [], [], [0] * n, [0] * n, 0
+    for k, p in enumerate(parts):
+        m = ids[k]
+        g_edges += [(m[u], m[v]) for u, v in p.g.edge_list()]
+        h_edges += [(offset + a, offset + b) for a, b in p.h.edge_list()]
+        for i in range(p.g.n):
+            phi[m[i]], psi[m[i]] = offset + p.phi[i], offset + p.psi[i]
+        offset += p.h.n
+    return Instance(
+        g=Graph(n, g_edges), h=Graph(offset, h_edges), phi=tuple(phi), psi=tuple(psi), mode=REFLEXIVE
+    )
+
+
+def _union(name: str) -> Instance:
+    # a cycle wrap, the double turn (second-witness candidates) and a YES
+    # random instance; then the same union with the locked link appended, whose
+    # constant-walk retry runs after the three YES components
+    union = disjoint_union(
+        [
+            families.make_cycle_wrap(30, 4, 5),
+            families.make_double_turn(),
+            families.random_instance(random.Random(15), 12, 6),
+        ],
+        interleave=True,
+    )
+    if name == "union-interleaved":
+        return union
+    return disjoint_union([union, families.make_locked_link()], interleave=False)
+
+
+@pytest.mark.parametrize("name", UNIONS)
+def test_union_solve_output_pinned(name, tmp_path, capsys):
+    text = dumps(instance_to_dict(_union(name)))
+    assert _solve_digest(tmp_path, capsys, text) == DIGESTS[name]

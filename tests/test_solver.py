@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -17,6 +18,7 @@ from homrecol.families import (
 from homrecol.graphs import Graph
 from homrecol.oracle import Answer, hom_graph_bfs, hom_graph_path
 from homrecol.solver import (
+    GIRTH5,
     Instance,
     Obstruction,
     preprocess_girth5,
@@ -286,6 +288,33 @@ def test_verify_witness_neighbour_violation():
     inst = Instance(g=C5, h=C5, phi=(0, 1, 2, 3, 4), psi=(2, 1, 2, 3, 4))
     check = verify_witness(inst, [(0, 2)])
     assert not check.ok and check.index == 0
+
+
+def test_verify_witness_loop_rule_reads_adjacency():
+    # girth5 instance checked against its original G: edge 0-1, vertex 2
+    # isolated; vertex 2 jumps from colour 0 to the non-adjacent colour 2
+    h = cycle_graph(5)
+    moves = [(1, 0), (2, 2), (1, 1)]
+    loopless = Instance(g=Graph(3, [(0, 1)]), h=h, phi=(0, 1, 0), psi=(0, 1, 2), mode=GIRTH5)
+    assert verify_witness(loopless, moves).ok
+    # with a loop on 2 the jump breaks the loop rule, at the same index
+    looped = Instance(g=Graph(3, [(0, 1), (2, 2)]), h=h, phi=(0, 1, 0), psi=(0, 1, 2), mode=GIRTH5)
+    assert verify_witness(looped, moves) == (False, 1)
+    # while the same recolouring in two steps along the host passes
+    assert verify_witness(looped, [(1, 0), (2, 1), (2, 2), (1, 1)]).ok
+
+
+def test_solve_many_components_linear():
+    # 50,000 disjoint reflexive edges, each moved one step round C4; a solve
+    # that allocated its n-sized arrays per component would take minutes
+    k = 50_000
+    g = Graph(2 * k, [(2 * i, 2 * i + 1) for i in range(k)], reflexive=True)
+    inst = Instance(g=g, h=cycle_graph(4), phi=(0, 1) * k, psi=(1, 2) * k)
+    start = time.process_time()
+    v = solve(inst)
+    elapsed = time.process_time() - start
+    assert v.yes and len(v.moves) == 2 * k
+    assert elapsed < 10.0, f"solve took {elapsed:.1f} s CPU"
 
 
 def test_oracle_yes_traces_form_valid_constant_on_tight_system():
