@@ -8,6 +8,7 @@ contract violation or any other failure, 4 oracle budget exceeded,
 from __future__ import annotations
 
 import argparse
+import gc
 import random
 import sys
 
@@ -27,10 +28,19 @@ EXIT_INTERRUPTED = 130
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The text of an input file, or of stdin for "-"; unreadable input,
+    such as a missing file, a directory or bytes that are not UTF-8, is
+    invalid input."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InvalidInputError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        name = "stdin" if path == "-" else repr(path)
+        raise InvalidInputError(f"{name} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
 
 
 def _emit(doc: dict) -> None:
@@ -167,14 +177,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    The cyclic garbage collector is paused for the command: homrecol builds
+    no reference cycles, only tuples, lists and dicts of ints, so every
+    collection it would trigger while loading, solving or replaying a large
+    witness scans live data and frees nothing.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except InternalError as exc:
@@ -185,6 +201,9 @@ def run(argv: list[str] | None = None) -> int:
     except Exception as exc:  # MemoryError, OverflowError, ...: never read as "no"
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def main() -> None:

@@ -148,21 +148,20 @@ def obstruction_from_dict(doc: Any) -> Obstruction:
     return Obstruction(kind=doc["type"], cycle=tuple(doc["cycle"]), vertex=vertex, cores=cores)
 
 
-def moves_from_dict(doc: Any) -> list[tuple[int, int]]:
+def moves_from_dict(doc: Any) -> list[list[int]]:
+    """The moves of a YES result, checked where they lie in the parsed
+    document: each one stays the two-element list json built."""
     _require(isinstance(doc, dict), "result file must be a JSON object")
+    _require(doc.get("answer") == "yes", 'answer must be "yes" for a move-list witness')
     witness = doc.get("witness")
     _require(isinstance(witness, dict), "result file has no witness")
     moves = witness.get("moves")
     _require(isinstance(moves, list), "witness.moves must be a list")
-    out = []
-    emit = out.append
     for i, m in enumerate(moves):
         # type(x) is int also rejects bool
-        if type(m) is list and len(m) == 2 and type(m[0]) is int and type(m[1]) is int:
-            emit((m[0], m[1]))
-        else:
+        if not (type(m) is list and len(m) == 2 and type(m[0]) is int and type(m[1]) is int):
             raise InvalidInputError(f"witness.moves[{i}] must be a [vertex, colour] pair")
-    return out
+    return moves
 
 
 def dumps(doc: dict) -> str:

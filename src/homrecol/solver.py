@@ -204,9 +204,11 @@ def solve(inst: Instance) -> Verdict:
     return Verdict(answer="yes", moves=moves)
 
 
-def verify_witness(inst: Instance, moves: Sequence[Move]) -> WitnessCheck:
+def verify_witness(inst: Instance, moves: Sequence[Sequence[int]]) -> WitnessCheck:
     """Replay moves from phi: one vertex per step, loop rule respected,
-    homomorphism maintained, psi reached."""
+    homomorphism maintained, psi reached.  A move is a (vertex, colour)
+    tuple as solve emits it, or a [vertex, colour] list as a result file
+    parses to."""
     g, h = inst.g, inst.h
     gn, hn, adj, hs = g.n, h.n, g.adj, h.adj_sets
     cur = list(inst.phi)

@@ -69,6 +69,20 @@ def test_verify_rejects_malformed_move(tmp_path, capsys):
         assert "witness.moves[2] must be a [vertex, colour] pair" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("answer", ["maybe", None, True, "YES"])
+def test_verify_rejects_answer_other_than_yes_or_no(tmp_path, capsys, answer):
+    # a move list proves nothing unless the result claims "yes"
+    inst = write(tmp_path, "inst.json", c5_instance([0, 1, 2, 3, 4]))
+    doc = {"witness": {"moves": []}}
+    if answer is not None:
+        doc["answer"] = answer
+    result = write(tmp_path, "result.json", doc)
+    assert run(["verify", inst, result]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == 'error: answer must be "yes" for a move-list witness\n'
+
+
 def mirrored_wrap(tmp_path, n):
     """A cycle wrap of C4 with psi[i] = phi[-i mod n]: a free-class-mismatch NO."""
     doc = instance_to_dict(make_cycle_wrap(n, 4, 0))
@@ -114,8 +128,67 @@ def test_invalid_mode_hypothesis_exit_two(tmp_path):
     assert run(["solve", path]) == 2
 
 
-def test_missing_file_exit_two(tmp_path):
-    assert run(["solve", str(tmp_path / "nope.json")]) == 2
+def test_missing_file_exit_two(tmp_path, capsys):
+    path = str(tmp_path / "nope.json")
+    assert run(["solve", path]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {path!r}\n"
+
+
+def run_child(argv, stdin=b""):
+    # strict decoding, as under a UTF-8 locale: in the C locale Python reads
+    # stdin with surrogateescape and undecodable bytes reach the JSON parser
+    return subprocess.run(
+        [sys.executable, "-m", "homrecol.cli", *argv],
+        input=stdin,
+        capture_output=True,
+        env={**child_env(), "PYTHONIOENCODING": "utf-8:strict"},
+    )
+
+
+@pytest.mark.parametrize("case", ["directory", "not-utf8-file", "not-utf8-stdin"])
+def test_unreadable_input_exit_two(tmp_path, case):
+    # unreadable input is invalid input: one error line, no traceback
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    argv, stdin = {
+        "directory": (["solve", str(tmp_path)], b""),
+        "not-utf8-file": (["solve", str(bad)], b""),
+        "not-utf8-stdin": (["check-input", "-"], bad.read_bytes()),
+    }[case]
+    out = run_child(argv, stdin)
+    assert out.returncode == 2, out.stderr
+    assert out.stdout == b""
+    err = out.stderr.decode()
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    if case != "directory":
+        assert "is not UTF-8 text" in err
+
+
+def test_unreadable_file_exit_two(tmp_path, monkeypatch, capsys):
+    import homrecol.cli as cli
+
+    def denied(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+
+    # the file mode cannot deny a root reader, so open itself refuses
+    monkeypatch.setattr(cli, "open", denied, raising=False)
+    path = write(tmp_path, "inst.json", c5_instance([0, 1, 2, 3, 4]))
+    assert run(["solve", path]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 13] Permission denied: {path!r}\n"
+
+
+def test_stdout_write_failure_exit_three(tmp_path, monkeypatch, capsys):
+    import homrecol.cli as cli
+
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    path = write(tmp_path, "inst.json", c5_instance([0, 1, 2, 3, 4]))
+    with monkeypatch.context() as patch:  # undone before capsys lets go of stdout
+        patch.setattr(cli.sys, "stdout", ClosedPipe())
+        assert run(["solve", path]) == 3
+    assert capsys.readouterr().err == "internal error: BrokenPipeError: [Errno 32] Broken pipe\n"
 
 
 def test_oracle_exit_codes(tmp_path, capsys):
@@ -341,6 +414,40 @@ def test_loads_restores_collector_state(enabled):
             assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("code", [0, 1, 2, 3, 130])
+def test_run_restores_collector_state(tmp_path, monkeypatch, capsys, enabled, code):
+    # run pauses the cyclic collector for the command and must hand it back
+    # as it found it on every exit path
+    import homrecol.cli as cli
+    from homrecol.errors import InternalError
+
+    real_solve = cli.solve
+    raised = {3: InternalError("synthetic"), 130: KeyboardInterrupt()}.get(code)
+    seen = []
+
+    def probe(inst):
+        seen.append(gc.isenabled())
+        if raised is not None:
+            raise raised
+        return real_solve(inst)
+
+    monkeypatch.setattr(cli, "solve", probe)
+    psi = [1, 2, 3, 4, 0] if code == 1 else [0, 1, 2, 3, 4]
+    path = write(tmp_path, "inst.json", c5_instance(psi))
+    if code == 2:
+        path = str(tmp_path / "nope.json")
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert run(["solve", path]) == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == ([] if code == 2 else [False])
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("exc", [MemoryError, OverflowError])

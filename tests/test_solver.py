@@ -9,6 +9,7 @@ from homrecol.families import (
     cycle_graph,
     make_double_bridge,
     make_figure_eight,
+    make_cycle_wrap,
     make_locked_link,
     make_twisted_loop,
     random_girth5_instance,
@@ -280,6 +281,24 @@ def test_verify_witness_examples():
     # failing to land on psi reports one past the end
     inst2 = Instance(g=C5, h=C5, phi=ID5, psi=(1, 2, 3, 4, 0))
     assert verify_witness(inst2, []) == (False, 0)
+
+
+@pytest.mark.parametrize("bad_at", [None, 0, 7, 23])
+def test_verify_witness_same_on_list_and_tuple_moves(bad_at):
+    # a result file parses each move to a [vertex, colour] list, solve emits
+    # (vertex, colour) tuples: the replay must read both alike, down to the
+    # index of the first bad move
+    inst = make_cycle_wrap(12, 4, 3)
+    moves = solve(inst).moves
+    assert len(moves) > 23
+    if bad_at is not None:
+        moves[bad_at] = (moves[bad_at][0], 4)  # a colour H does not have
+    for witness in (moves, moves[:-1]):
+        check = verify_witness(inst, witness)
+        assert verify_witness(inst, [list(m) for m in witness]) == check
+        expected = (True, None) if witness is moves else (False, len(witness))
+        assert check == (expected if bad_at is None else (False, bad_at))
+    assert verify_witness(inst, [[0, 1, 2]]) == verify_witness(inst, [(0, 1, 2)]) == (False, 0)
 
 
 def test_verify_witness_neighbour_violation():
