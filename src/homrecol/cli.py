@@ -28,14 +28,17 @@ EXIT_INTERRUPTED = 130
 
 
 def _read(path: str) -> str:
-    """The text of an input file, or of stdin for "-"; unreadable input,
-    such as a missing file, a directory or bytes that are not UTF-8, is
-    invalid input."""
+    """The text of an input file, or of stdin for "-": both are read as
+    bytes and decoded as strict UTF-8, whatever the locale.  Unreadable
+    input, such as a missing file, a directory or bytes that are not UTF-8,
+    is invalid input."""
     try:
         if path == "-":
-            return sys.stdin.read()
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        return data.decode("utf-8")
     except OSError as exc:
         raise InvalidInputError(str(exc)) from exc
     except UnicodeDecodeError as exc:

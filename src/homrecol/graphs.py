@@ -146,22 +146,11 @@ def hom_adjacent(g: Graph, h: Graph, f: Sequence[int], k: Sequence[int]) -> bool
 
 def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Components as sorted vertex tuples, ordered by smallest vertex."""
-    seen = [False] * g.n
+    parent = [-1] * g.n  # one list for every tree: a filled entry is reached
     comps: list[tuple[int, ...]] = []
     for r in range(g.n):
-        if seen[r]:
-            continue
-        seen[r] = True
-        comp = [r]
-        queue = deque([r])
-        while queue:
-            u = queue.popleft()
-            for v in g.adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    queue.append(v)
-        comps.append(tuple(sorted(comp)))
+        if parent[r] < 0:
+            comps.append(tuple(sorted(bfs_tree(g, r, parent=parent)[0])))
     return tuple(comps)
 
 
@@ -169,15 +158,14 @@ class Scratch:
     """Vertex-indexed arrays for one solve, allocated once and shared by its components.
 
     A call uses only the entries of its own component's vertices and leaves
-    parent all -1 and queued all 0, as it found them, so one solve over many
-    small components costs their total size, not n per component.  Calls
-    from outside a solve allocate their own.
+    queued all 0, as it found it, so one solve over many small components
+    costs their total size, not n per component.  Calls from outside a solve
+    allocate their own.
     """
 
-    __slots__ = ("parent", "lo", "hi", "pos", "cur", "left", "queued")
+    __slots__ = ("lo", "hi", "pos", "cur", "left", "queued")
 
     def __init__(self, n: int):
-        self.parent = [-1] * n  # bfs_tree
         self.lo = [0] * n  # cover lifts of phi and psi
         self.hi = [0] * n
         self.pos = [0] * n  # scheduler: index into the walk,
@@ -195,7 +183,9 @@ def bfs_tree(
     """BFS order and parent list of root's component.
 
     parent[root] == root and parent[v] == -1 outside the component.  When
-    parent is given it must hold -1 for every vertex, and is filled in place.
+    parent is given it must hold -1 on root's component, and is filled in
+    place; entries outside it are left as they are, so the trees of several
+    components can share one list.
     Neighbours are visited in ascending id order, or by ascending
     tie_break[v] when given (tests force alternative orders with this).
     """

@@ -17,16 +17,15 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import InternalError, InvalidInputError
-from .graphs import (
-    Graph,
-    Scratch,
-    connected_components,
-    is_homomorphism,
-    shortest_walk,
-    validate_host,
-)
+from .graphs import Graph, Scratch, bfs_tree, is_homomorphism, shortest_walk, validate_host
 from .scheduling import TightWalkWitness, is_tight, schedule
-from .systems import CycleWitness, find_valid_base_walk, generate_system
+from .systems import (
+    CycleWitness,
+    _carry_walks,
+    _chain_to_root,
+    find_valid_base_walk,
+    generate_system,
+)
 from .walks import Walk, free_decomposition, reduce_walk, shift_match
 
 Move = tuple[int, int]
@@ -129,11 +128,10 @@ def _solve_component(
     h: Graph,
     phi: Sequence[int],
     psi: Sequence[int],
-    comp: Sequence[int],
+    tree: tuple[list[int], list[int]],
     scratch: Scratch,
 ) -> tuple[list[Move] | None, Obstruction | None]:
-    root = comp[0]
-    search = find_valid_base_walk(g, h, phi, psi, root, scratch)
+    search = find_valid_base_walk(g, h, phi, psi, tree, scratch)
     if not search.found:
         if search.failure == "class-mismatch":
             return None, Obstruction(kind=CLASS_MISMATCH, cycle=search.cycle, cores=search.cores)
@@ -150,11 +148,14 @@ def _solve_component(
         if unrealizable is not None:
             return None, unrealizable  # the retry deadlocked too
         # Every cycle colour agrees, so a realizable system must be constant on
-        # the cycle; the system generated from the constant walk is the only
-        # candidate.
-        retry_root = min(outcome.cycle)
-        unrealizable = Obstruction(kind=UNREALIZABLE, cycle=outcome.cycle, vertex=retry_root)
-        system = generate_system(g, h, phi, psi, retry_root, (phi[retry_root],), scratch=scratch)
+        # the cycle; the system containing the constant walk at r is the only
+        # candidate.  Carrying that walk up the tree to the root gives the
+        # root's walk in the same system, so the one tree serves the retry.
+        r = min(outcome.cycle)
+        unrealizable = Obstruction(kind=UNREALIZABLE, cycle=outcome.cycle, vertex=r)
+        chain = _chain_to_root(tree[1], r)
+        w_root = _carry_walks(phi, psi, chain, dict(zip(chain[1:], chain)), (phi[r],))[chain[-1]]
+        system = generate_system(g, h, phi, psi, tree, w_root, scratch=scratch)
         if isinstance(system, CycleWitness):
             return None, unrealizable
 
@@ -166,11 +167,11 @@ def _deadlock_obstruction(
 
     Tightness pins the cycle's colours across the whole component of the
     homomorphism graph, so the frozen images must equal the original map's.
+    The scheduler checked the cycle tight under those images, so once they
+    equal phi's the cycle is tight under phi.
     """
     if witness.images != tuple(phi[x] for x in witness.cycle):
         raise InternalError("deadlock images drifted from the starting map")
-    if not is_tight(g, phi, witness.cycle):
-        raise InternalError("deadlock cycle not tight under the starting map")
     for v in sorted(set(witness.cycle)):
         if phi[v] != psi[v]:
             return Obstruction(kind=FROZEN_MISMATCH, cycle=witness.cycle, vertex=v)
@@ -189,11 +190,14 @@ def solve(inst: Instance) -> Verdict:
 
     # one set of vertex-indexed arrays for every component: allocating them
     # per component would make many small components quadratic
-    scratch = Scratch(work.g.n)
-    for comp in connected_components(work.g):
-        comp_moves, obstruction = _solve_component(
-            work.g, work.h, work.phi, work.psi, comp, scratch
-        )
+    g = work.g
+    scratch = Scratch(g.n)
+    parent = [-1] * g.n  # every component's tree; a filled entry is solved
+    for r in range(g.n):
+        if parent[r] >= 0:
+            continue
+        tree = bfs_tree(g, r, parent=parent)
+        comp_moves, obstruction = _solve_component(g, work.h, work.phi, work.psi, tree, scratch)
         if obstruction is not None:
             return Verdict(answer="no", obstruction=obstruction)
         moves.extend(comp_moves)
@@ -289,7 +293,7 @@ def recheck_obstruction(inst: Instance, obstruction: Obstruction) -> bool:
             return False
         # v is frozen, so the constant walk is the only admissible base walk;
         # the obstruction claims the system it generates (if any) deadlocks.
-        retry = generate_system(g, h, phi, psi, v, (phi[v],))
+        retry = generate_system(g, h, phi, psi, bfs_tree(g, v), (phi[v],))
         if isinstance(retry, CycleWitness):
             return True
         return isinstance(schedule(g, h, retry), TightWalkWitness)
@@ -297,14 +301,7 @@ def recheck_obstruction(inst: Instance, obstruction: Obstruction) -> bool:
     if obstruction.kind == NO_VALID_WALK:
         if len(cycle) == 1:
             return shortest_walk(h, phi[cycle[0]], psi[cycle[0]]) is None
-        root = min(_component_of(g, cycle[0]))
-        return not find_valid_base_walk(g, h, phi, psi, root).found
+        root = min(bfs_tree(g, cycle[0])[0])
+        return not find_valid_base_walk(g, h, phi, psi, bfs_tree(g, root)).found
 
     return False
-
-
-def _component_of(g: Graph, v: int) -> tuple[int, ...]:
-    for comp in connected_components(g):
-        if v in comp:
-            return comp
-    raise InternalError("vertex outside every component")

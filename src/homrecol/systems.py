@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .errors import InternalError
-from .graphs import Graph, Scratch, bfs_tree, shortest_walk
+from .graphs import Graph, Scratch, shortest_walk
 from .walks import (
     Walk,
     closed_power,
@@ -69,32 +69,35 @@ def generate_system(
     h: Graph,
     phi: Sequence[int],
     psi: Sequence[int],
-    root: int,
+    tree: tuple[list[int], list[int]],
     w_root: Walk,
-    tie_break: Sequence[int] | None = None,
     scratch: Scratch | None = None,
 ) -> WalkSystem | CycleWitness:
     """Build the unique reduced system containing w_root, or a failing cycle.
 
-    Each vertex's walk is the reduction of (phi(v),) + w_parent + (psi(v),)
-    down a BFS tree of root's component, so w_root fixes the system.  To
-    check it, phi and psi are lifted into the host's universal cover from
+    tree is the (order, parent) BFS tree of one component, as bfs_tree
+    returns it, and w_root the walk of its root order[0].  Each vertex's
+    walk is the reduction of (phi(v),) + w_parent + (psi(v),) down the tree,
+    so w_root fixes the system; a valid system is the same along any
+    spanning tree, so one tree serves every system of the component.
+    To check it, phi and psi are lifted into the host's universal cover from
     the two ends of w_root; w_v is the cover path between v's two lifts.
     Every non-tree, non-loop edge is checked, in ascending order of its
     endpoints, and its two walks are built only when its lifts are not
     adjacent on both sides.  The witness for a failing edge uv is the closed
     walk tree-path(root, u) . uv . tree-path(v, root).  On success every walk
-    is built once, from its parent's walk.  scratch holds the per-vertex
-    arrays; a solve passes one for all its calls, and without it this call
-    allocates its own.
+    is built once, from its parent's walk.  scratch holds the lift arrays; a
+    solve passes one for all its calls, and without it this call allocates
+    its own.
     """
+    order, parent = tree
+    root = order[0]
     if w_root[0] != phi[root] or w_root[-1] != psi[root]:
         raise InternalError("base walk endpoints do not match the maps")
     if not is_reduced(w_root):
         raise InternalError("base walk must be reduced")
     if scratch is None:
         scratch = Scratch(g.n)
-    order, parent = bfs_tree(g, root, tie_break, scratch.parent)
     failing = _failing_edge(g, h, phi, psi, order, parent, w_root, scratch)
     if failing is None:
         out = WalkSystem(root=root, walks=_carry_walks(phi, psi, order, parent, w_root))
@@ -102,11 +105,10 @@ def generate_system(
         u, v = failing
         cycle = tuple(reversed(_chain_to_root(parent, u))) + tuple(_chain_to_root(parent, v))
         out = CycleWitness(cycle=cycle)
-    # Hand the scratch back with parent all -1, and drop the lifts: their
-    # cover node ids would otherwise stay allocated through the schedule.
+    # Drop the lifts: their cover node ids would otherwise stay allocated
+    # through the schedule.
     lo, hi = scratch.lo, scratch.hi
     for v in order:
-        parent[v] = -1
         lo[v] = hi[v] = 0
     return out
 
@@ -220,13 +222,15 @@ def _carry_walks(
     phi: Sequence[int],
     psi: Sequence[int],
     order: list[int],
-    parent: list[int],
+    parent: Sequence[int] | Mapping[int, int],
     w_root: Walk,
 ) -> dict[int, Walk]:
     """Every walk of the system, each the reduction of (phi(v),) + w_parent + (psi(v),).
 
-    The parent's walk is reduced, so the reduction changes at most one
-    vertex at each end: it keeps, drops or adds the end vertex.
+    order is any sequence of vertices in which each one after the first is
+    adjacent to its parent, which comes earlier.  The parent's walk is
+    reduced, so the reduction changes at most one vertex at each end: it
+    keeps, drops or adds the end vertex.
     """
     walks: dict[int, Walk] = {order[0]: w_root}
     for v in islice(order, 1, None):
@@ -298,25 +302,27 @@ def find_valid_base_walk(
     h: Graph,
     phi: Sequence[int],
     psi: Sequence[int],
-    root: int,
+    tree: tuple[list[int], list[int]],
     scratch: Scratch | None = None,
 ) -> BaseWalkSearch:
     """Find a topologically valid (phi(root), psi(root))-walk if one exists.
 
-    Stage 1 tries the shortest walk between the endpoint colours.  On
-    failure, the witness cycle pins every preserving walk to a finite
-    candidate family (tail . core-root-power . core-prefix . reversed tail);
-    a second witness from the zero-power candidate pins it further.  Every
-    candidate is validated by generating its system, so extra candidates can
-    never cost soundness.  One scratch, passed in or else allocated here,
-    serves every generate_system call.
+    tree is the BFS tree of the component, rooted at root = order[0]; every
+    candidate system is generated along it.  Stage 1 tries the shortest walk
+    between the endpoint colours.  On failure, the witness cycle pins every
+    preserving walk to a finite candidate family (tail . core-root-power .
+    core-prefix . reversed tail); a second witness from the zero-power
+    candidate pins it further.  Every candidate is validated by generating
+    its system, so extra candidates can never cost soundness.  One scratch,
+    passed in or else allocated here, serves every generate_system call.
     """
+    root = tree[0][0]
     w0 = shortest_walk(h, phi[root], psi[root])
     if w0 is None:
         return BaseWalkSearch(failure="separated", cycle=(root,))
     if scratch is None:
         scratch = Scratch(g.n)
-    out = generate_system(g, h, phi, psi, root, w0, scratch=scratch)
+    out = generate_system(g, h, phi, psi, tree, w0, scratch=scratch)
     if isinstance(out, WalkSystem):
         return BaseWalkSearch(walk=w0, system=out)
     # At most two witness cycles each pin a candidate family; the second
@@ -331,7 +337,7 @@ def find_valid_base_walk(
         valid = []
         for idx, cand in enumerate(candidates):
             if cand not in results:
-                results[cand] = generate_system(g, h, phi, psi, root, cand, scratch=scratch)
+                results[cand] = generate_system(g, h, phi, psi, tree, cand, scratch=scratch)
             if isinstance(results[cand], WalkSystem):
                 valid.append((offset + idx, cand, results[cand]))
         if valid:

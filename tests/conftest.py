@@ -21,6 +21,7 @@ from homrecol.families import (
 from homrecol.graphs import Graph, bfs_tree
 from homrecol.oracle import Answer
 from homrecol.scheduling import TightWalkWitness, is_tight
+from homrecol.solver import REFLEXIVE, Instance
 from homrecol.systems import CycleWitness, WalkSystem, edge_preserved
 from homrecol.walks import reduce_walk
 
@@ -262,3 +263,33 @@ def brute_hom_graph_path(g, h, phi, psi, max_states=10**6):
                         return Answer.BUDGET_EXCEEDED
                     queue.append(nxt)
     return Answer.NO
+
+
+def disjoint_union(parts: list[Instance], interleave: bool) -> Instance:
+    """The instances side by side on the disjoint union of their hosts.
+
+    With interleave, vertex ids are dealt round robin (vertex i of every part
+    before vertex i + 1 of any), so the components' vertex sets interleave;
+    otherwise each part's ids follow the previous part's.
+    """
+    ids: list[list[int]] = [[0] * p.g.n for p in parts]
+    n = 0
+    if interleave:
+        for i in range(max(p.g.n for p in parts)):
+            for k, p in enumerate(parts):
+                if i < p.g.n:
+                    ids[k][i], n = n, n + 1
+    else:
+        for k, p in enumerate(parts):
+            ids[k], n = list(range(n, n + p.g.n)), n + p.g.n
+    g_edges, h_edges, phi, psi, offset = [], [], [0] * n, [0] * n, 0
+    for k, p in enumerate(parts):
+        m = ids[k]
+        g_edges += [(m[u], m[v]) for u, v in p.g.edge_list()]
+        h_edges += [(offset + a, offset + b) for a, b in p.h.edge_list()]
+        for i in range(p.g.n):
+            phi[m[i]], psi[m[i]] = offset + p.phi[i], offset + p.psi[i]
+        offset += p.h.n
+    return Instance(
+        g=Graph(n, g_edges), h=Graph(offset, h_edges), phi=tuple(phi), psi=tuple(psi), mode=REFLEXIVE
+    )

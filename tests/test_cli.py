@@ -134,14 +134,12 @@ def test_missing_file_exit_two(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {path!r}\n"
 
 
-def run_child(argv, stdin=b""):
-    # strict decoding, as under a UTF-8 locale: in the C locale Python reads
-    # stdin with surrogateescape and undecodable bytes reach the JSON parser
+def run_child(argv, stdin=b"", env=None):
     return subprocess.run(
         [sys.executable, "-m", "homrecol.cli", *argv],
         input=stdin,
         capture_output=True,
-        env={**child_env(), "PYTHONIOENCODING": "utf-8:strict"},
+        env={**child_env(), **(env or {})},
     )
 
 
@@ -162,6 +160,25 @@ def test_unreadable_input_exit_two(tmp_path, case):
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
     if case != "directory":
         assert "is not UTF-8 text" in err
+
+
+@pytest.mark.parametrize("locale", ["C", "C.UTF-8"])
+def test_stdin_read_as_files_are(tmp_path, locale):
+    # both are read as bytes and decoded as strict UTF-8: in the C locale
+    # Python's own stdin decodes with surrogateescape, so undecodable bytes
+    # would reach the JSON parser, and a file opened as text turns a lone CR
+    # into a newline, which moves a parse error's line
+    path = tmp_path / "in.json"
+    cases = (
+        (b"\xff\xfe{}", "{name} is not UTF-8 text: invalid start byte at byte 0"),
+        (b'{"x":\r\r1,}', "line 1, column 10: Expecting property name enclosed in double quotes"),
+    )
+    for data, message in cases:
+        path.write_bytes(data)
+        for name, arg, stdin in (("stdin", "-", data), (repr(str(path)), str(path), b"")):
+            out = run_child(["check-input", arg], stdin, {"LC_ALL": locale})
+            assert out.returncode == 2
+            assert out.stderr.decode() == "error: " + message.format(name=name) + "\n"
 
 
 def test_unreadable_file_exit_two(tmp_path, monkeypatch, capsys):

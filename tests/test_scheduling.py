@@ -17,6 +17,7 @@ from homrecol.families import (
 from homrecol.graphs import (
     Graph,
     Scratch,
+    bfs_tree,
     connected_components,
     hom_adjacent,
     is_homomorphism,
@@ -106,7 +107,7 @@ def test_no_arcs_when_all_constant():
 
 
 def test_rotation_deadlocks_with_tight_pentagon():
-    system = generate_system(C5, C5, ID5, ROT5, 0, (0, 1))
+    system = generate_system(C5, C5, ID5, ROT5, bfs_tree(C5, 0), (0, 1))
     assert isinstance(system, WalkSystem)
     assert _start_arcs(C5, C5, system) == [(u, (u - 1) % 5) for u in range(5)]
     out = schedule(C5, C5, system)
@@ -130,7 +131,7 @@ def _replay(g, h, phi, psi, moves):
 
 def test_cycle_wrap_schedule_replays():
     inst = make_cycle_wrap(13, 4, 1)
-    search = find_valid_base_walk(inst.g, inst.h, inst.phi, inst.psi, 0)
+    search = find_valid_base_walk(inst.g, inst.h, inst.phi, inst.psi, bfs_tree(inst.g, 0))
     assert search.found
     out = schedule(inst.g, inst.h, search.system)
     assert isinstance(out, list)
@@ -146,7 +147,7 @@ def test_schedule_order_independent():
         g = random_graph(rng, rng.randrange(2, 7), 0.5)
         phi = random_hom(rng, g, h)
         psi = random_walk_hom(rng, g, h, phi, rng.randrange(0, 10))
-        search = find_valid_base_walk(g, h, phi, psi, 0)
+        search = find_valid_base_walk(g, h, phi, psi, bfs_tree(g, 0))
         if not search.found:
             continue
         base = schedule(g, h, search.system)
@@ -181,7 +182,7 @@ def test_deadlock_tight_under_current_and_original():
         phi = tuple(i % k if i < wraps else 0 for i in range(g.n))
         shift = rng.randrange(g.n)
         psi = tuple(phi[(i - shift) % g.n] for i in range(g.n))
-        search = find_valid_base_walk(g, h, phi, psi, 0)
+        search = find_valid_base_walk(g, h, phi, psi, bfs_tree(g, 0))
         if not search.found:
             continue
         out = schedule(g, h, search.system)
@@ -205,7 +206,9 @@ def test_schedule_matches_reference_on_random_instances():
     for _ in range(300):
         inst = random_instance(rng, rng.randrange(2, 9), rng.randrange(4, 9))
         for comp in connected_components(inst.g):
-            search = find_valid_base_walk(inst.g, inst.h, inst.phi, inst.psi, comp[0])
+            search = find_valid_base_walk(
+                inst.g, inst.h, inst.phi, inst.psi, bfs_tree(inst.g, comp[0])
+            )
             if not search.found:
                 continue
             out = _assert_same_outcome(inst.g, inst.h, search.system)
@@ -218,21 +221,23 @@ def test_schedule_matches_reference_on_random_instances():
 
 def test_schedule_matches_reference_on_wrap():
     inst = make_cycle_wrap(2000, 4, 40)
-    search = find_valid_base_walk(inst.g, inst.h, inst.phi, inst.psi, 0)
+    search = find_valid_base_walk(inst.g, inst.h, inst.phi, inst.psi, bfs_tree(inst.g, 0))
     out = _assert_same_outcome(inst.g, inst.h, search.system)
     assert len(out) == sum(len(w) - 1 for w in search.system.walks.values())
 
 
 def test_schedule_matches_reference_on_deadlocks():
-    system = generate_system(C5, C5, ID5, ROT5, 0, (0, 1))
+    system = generate_system(C5, C5, ID5, ROT5, bfs_tree(C5, 0), (0, 1))
     assert isinstance(_assert_same_outcome(C5, C5, system), TightWalkWitness)
     # both the first system and the constant-walk retry of the locked link deadlock
     inst = make_locked_link()
-    search = find_valid_base_walk(inst.g, inst.h, inst.phi, inst.psi, 0)
+    search = find_valid_base_walk(inst.g, inst.h, inst.phi, inst.psi, bfs_tree(inst.g, 0))
     out = _assert_same_outcome(inst.g, inst.h, search.system)
     assert isinstance(out, TightWalkWitness)
     root = min(out.cycle)
-    retry = generate_system(inst.g, inst.h, inst.phi, inst.psi, root, (inst.phi[root],))
+    retry = generate_system(
+        inst.g, inst.h, inst.phi, inst.psi, bfs_tree(inst.g, root), (inst.phi[root],)
+    )
     assert isinstance(_assert_same_outcome(inst.g, inst.h, retry), TightWalkWitness)
 
 
@@ -249,7 +254,7 @@ def test_shared_scratch_matches_reference():
             w0 = shortest_walk(h, phi[comp[0]], psi[comp[0]])
             if w0 is None:
                 continue
-            system = generate_system(g, h, phi, psi, comp[0], w0, scratch=scratch)
+            system = generate_system(g, h, phi, psi, bfs_tree(g, comp[0]), w0, scratch=scratch)
             assert system == brute_generate_system(g, h, phi, psi, comp[0], w0)
             if isinstance(system, WalkSystem):
                 # the second run starts on the arrays the first one left behind

@@ -4,9 +4,10 @@ Each entry is the sha256 of the solve stdout on one instance: `gen`
 families (two cycle wraps, the figure eight, random seeds 0-49 with the
 default sizes), the five constructions and 20 seeded girth5 instances
 (`random_girth5_instance(Random(seed), 4 + seed % 7)`, seeds 0-19), and
-two disjoint unions (see `disjoint_union`), the last four kinds written
-with `instance_to_dict`.  The unions share one solve across components, so
-state carried over from one component to the next shows here too.
+two disjoint unions (see `conftest.disjoint_union`), the last four kinds
+written with `instance_to_dict`.  The unions share one solve across
+components, so state carried over from one component to the next shows here
+too.
 A change to the solver that alters any move list or obstruction shows here;
 if the change is intended, recompute the digests and say why in CHANGES.md.
 """
@@ -16,11 +17,11 @@ import random
 
 import pytest
 
+from conftest import disjoint_union
 from homrecol import families
 from homrecol.cli import run
-from homrecol.graphs import Graph
 from homrecol.jsonio import dumps, instance_to_dict
-from homrecol.solver import REFLEXIVE, Instance
+from homrecol.solver import Instance
 
 GEN = {
     "cycle-wrap-2000-4-40": ["--family", "cycle-wrap", "--g-len", "2000", "--h-len", "4", "--shift", "40"],
@@ -141,36 +142,6 @@ def test_girth5_solve_output_pinned(seed, tmp_path, capsys):
     inst = families.random_girth5_instance(random.Random(seed), 4 + seed % 7)
     text = dumps(instance_to_dict(inst))
     assert _solve_digest(tmp_path, capsys, text) == DIGESTS[f"girth5-{seed}"]
-
-
-def disjoint_union(parts: list[Instance], interleave: bool) -> Instance:
-    """The instances side by side on the disjoint union of their hosts.
-
-    With interleave, vertex ids are dealt round robin (vertex i of every part
-    before vertex i + 1 of any), so the components' vertex sets interleave;
-    otherwise each part's ids follow the previous part's.
-    """
-    ids: list[list[int]] = [[0] * p.g.n for p in parts]
-    n = 0
-    if interleave:
-        for i in range(max(p.g.n for p in parts)):
-            for k, p in enumerate(parts):
-                if i < p.g.n:
-                    ids[k][i], n = n, n + 1
-    else:
-        for k, p in enumerate(parts):
-            ids[k], n = list(range(n, n + p.g.n)), n + p.g.n
-    g_edges, h_edges, phi, psi, offset = [], [], [0] * n, [0] * n, 0
-    for k, p in enumerate(parts):
-        m = ids[k]
-        g_edges += [(m[u], m[v]) for u, v in p.g.edge_list()]
-        h_edges += [(offset + a, offset + b) for a, b in p.h.edge_list()]
-        for i in range(p.g.n):
-            phi[m[i]], psi[m[i]] = offset + p.phi[i], offset + p.psi[i]
-        offset += p.h.n
-    return Instance(
-        g=Graph(n, g_edges), h=Graph(offset, h_edges), phi=tuple(phi), psi=tuple(psi), mode=REFLEXIVE
-    )
 
 
 def _union(name: str) -> Instance:

@@ -3,21 +3,23 @@ import time
 
 import pytest
 
-from conftest import tight_vertices
+from conftest import disjoint_union, tight_vertices
 from homrecol.errors import InvalidInputError
 from homrecol.families import (
     cycle_graph,
     make_double_bridge,
     make_figure_eight,
     make_cycle_wrap,
+    make_double_turn,
     make_locked_link,
     make_twisted_loop,
     random_girth5_instance,
     random_hom,
     random_instance,
 )
-from homrecol.graphs import Graph
+from homrecol.graphs import Graph, bfs_tree
 from homrecol.oracle import Answer, hom_graph_bfs, hom_graph_path
+from homrecol import solver
 from homrecol.solver import (
     GIRTH5,
     Instance,
@@ -334,6 +336,49 @@ def test_solve_many_components_linear():
     elapsed = time.process_time() - start
     assert v.yes and len(v.moves) == 2 * k
     assert elapsed < 10.0, f"solve took {elapsed:.1f} s CPU"
+
+
+def test_solve_builds_one_tree_per_component(monkeypatch):
+    # every system of a component, the second-witness candidates of the
+    # double turn and the locked link's constant-walk retry from a vertex
+    # that is not the root included, is generated along one BFS tree
+    inst = disjoint_union(
+        [make_cycle_wrap(30, 4, 5), make_double_turn(), make_locked_link()], interleave=False
+    )
+    calls = []
+
+    def counted(g, root, *args, **kwargs):
+        calls.append(root)
+        return bfs_tree(g, root, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "bfs_tree", counted)
+    v = solve(inst)
+    link = 30 + 41  # the locked link's first vertex
+    assert v.obstruction == Obstruction(
+        kind="unrealizable", cycle=tuple(link + x for x in (5, 6, 7, 8, 5)), vertex=link + 5
+    )
+    assert calls == [0, 30, link]
+
+
+def test_constant_walk_retry_from_a_cycle_vertex_succeeds():
+    # a tight hexagon, fixed by both maps, hangs off a path whose far end is
+    # the root 0; the root's shortest walk is constant, which turns the
+    # frozen vertex 3 once round the hexagon, so the first system deadlocks,
+    # and the retry from the constant walk at 3 (the root turning the other
+    # way) is realizable
+    g = Graph(9, [(0, 1), (1, 2), (2, 3)] + [(3 + i, 3 + (i + 1) % 6) for i in range(6)])
+    inst = Instance(
+        g=g.with_all_loops(),
+        h=cycle_graph(6),
+        phi=(3, 2, 1, 0, 1, 2, 3, 4, 5),
+        psi=(3, 4, 5, 0, 1, 2, 3, 4, 5),
+    )
+    v = solve(inst)
+    assert v.moves == [
+        (0, 2), (1, 1), (2, 0), (0, 1), (1, 0), (2, 5),
+        (0, 0), (1, 5), (0, 5), (1, 4), (0, 4), (0, 3),
+    ]
+    assert hom_graph_bfs(inst.g, inst.h, inst.phi, inst.psi, max_states=200_000) is Answer.YES
 
 
 def test_oracle_yes_traces_form_valid_constant_on_tight_system():

@@ -1,5 +1,7 @@
+import importlib.util
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,8 @@ from homrecol.systems import (
     CycleWitness,
     WalkSystem,
     _candidate_family,
+    _carry_walks,
+    _chain_to_root,
     edge_preserved,
     find_valid_base_walk,
     generate_system,
@@ -52,27 +56,27 @@ def test_edge_preserved_detects_mismatch():
 
 
 def test_generate_system_identity():
-    out = generate_system(C5, C5, ID5, ID5, 0, (0,))
+    out = generate_system(C5, C5, ID5, ID5, bfs_tree(C5, 0), (0,))
     assert isinstance(out, WalkSystem)
     assert all(w == (v,) for v, w in out.walks.items())
 
 
 def test_generate_system_rotation():
-    out = generate_system(C5, C5, ID5, ROT5, 0, (0, 1))
+    out = generate_system(C5, C5, ID5, ROT5, bfs_tree(C5, 0), (0, 1))
     assert isinstance(out, WalkSystem)
     assert out.walks == {v: (v, (v + 1) % 5) for v in range(5)}
 
 
 def test_generate_system_requires_reduced_base():
     with pytest.raises(InternalError):
-        generate_system(C5, C5, ID5, ID5, 0, (0, 1, 0))
+        generate_system(C5, C5, ID5, ID5, bfs_tree(C5, 0), (0, 1, 0))
 
 
 def test_generate_system_witness_for_incompatible_wraps():
     h = two_squares_shared()
     phi = (0, 1, 2, 3, 0)
     psi = (0, 4, 5, 6, 0)
-    out = generate_system(C5, h, phi, psi, 0, (0,))
+    out = generate_system(C5, h, phi, psi, bfs_tree(C5, 0), (0,))
     assert isinstance(out, CycleWitness)
     assert out.cycle == (0, 1, 2, 3, 4, 0)
     # the witness genuinely fails: its image classes differ under conjugation
@@ -113,7 +117,7 @@ def test_generate_system_matches_reference():
                 order = list(range(g.n))
                 rng.shuffle(order)
                 for tie_break in (None, order):
-                    out = generate_system(g, h, phi, psi, root, w, tie_break)
+                    out = generate_system(g, h, phi, psi, bfs_tree(g, root, tie_break), w)
                     ref = brute_generate_system(g, h, phi, psi, root, w, tie_break)
                     assert out == ref, (i, w, tie_break)
                     kinds[type(out)] += 1
@@ -129,12 +133,54 @@ def test_generate_system_mirrored_wrap_is_linear():
     w0 = shortest_walk(wrap.h, wrap.phi[0], psi[0])
     tracemalloc.start()
     try:
-        out = generate_system(wrap.g, wrap.h, wrap.phi, psi, 0, w0)
+        out = generate_system(wrap.g, wrap.h, wrap.phi, psi, bfs_tree(wrap.g, 0), w0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert isinstance(out, CycleWitness)
     assert peak < 32 * 2**20
+
+
+def _benchmark_workloads():
+    """recolbench's instance generators, for their random triangle-free hosts."""
+    path = Path(__file__).resolve().parents[1] / "recolbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("recolbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_walk_carried_to_the_root_generates_the_same_system():
+    # a valid system is fixed by any one vertex's walk, so v's shortest walk
+    # carried up to the component root gives the system generated from v
+    # along v's own tree, or both fail; this is what lets the constant-walk
+    # retry reuse the component's tree
+    random_tf_instance = _benchmark_workloads().random_tf_instance
+    rng = random.Random(37)
+    kinds = {WalkSystem: 0, CycleWitness: 0}
+    for i in range(300):
+        make = random_instance if i % 2 else random_tf_instance
+        inst = make(rng, 2 + i % 14, 4 + i % 9)
+        g, h, phi, psi = inst.g, inst.h, inst.phi, inst.psi
+        for v in range(g.n):
+            w = shortest_walk(h, phi[v], psi[v])
+            if w is None:
+                continue
+            own_tree = bfs_tree(g, v)
+            own = generate_system(g, h, phi, psi, own_tree, w)
+            tree = bfs_tree(g, min(own_tree[0]))
+            chain = _chain_to_root(tree[1], v)
+            w_root = _carry_walks(phi, psi, chain, dict(zip(chain[1:], chain)), w)[chain[-1]]
+            ref = w
+            for x in chain[1:]:
+                ref = reduce_walk((phi[x],) + ref + (psi[x],))
+            assert w_root == ref
+            carried = generate_system(g, h, phi, psi, tree, w_root)
+            assert type(carried) is type(own), (i, v)
+            if isinstance(own, WalkSystem):
+                assert carried.walks == own.walks, (i, v)
+            kinds[type(own)] += 1
+    assert min(kinds.values()) > 300, kinds
 
 
 def _random_valid_instance(rng):
@@ -153,12 +199,12 @@ def test_system_uniqueness_under_tie_breaks():
         comp0 = sorted(bfs_tree(g, 0)[0])
         if len(comp0) < 2:
             continue
-        search = find_valid_base_walk(g, h, phi, psi, 0)
+        search = find_valid_base_walk(g, h, phi, psi, bfs_tree(g, 0))
         if not search.found:
             continue
         order = list(range(g.n))
         rng.shuffle(order)
-        alt = generate_system(g, h, phi, psi, 0, search.walk, tie_break=order)
+        alt = generate_system(g, h, phi, psi, bfs_tree(g, 0, order), search.walk)
         assert isinstance(alt, WalkSystem)
         assert alt.walks == search.system.walks
         found += 1
@@ -169,7 +215,7 @@ def test_system_soundness_on_random_closed_walks():
     rng = random.Random(32)
     for _ in range(15):
         g, h, phi, psi = _random_valid_instance(rng)
-        search = find_valid_base_walk(g, h, phi, psi, 0)
+        search = find_valid_base_walk(g, h, phi, psi, bfs_tree(g, 0))
         if not search.found:
             continue
         walks = search.system.walks
@@ -204,7 +250,7 @@ def test_system_staggering():
     checked = 0
     for _ in range(60):
         g, h, phi, psi = _random_valid_instance(rng)
-        search = find_valid_base_walk(g, h, phi, psi, 0)
+        search = find_valid_base_walk(g, h, phi, psi, bfs_tree(g, 0))
         if not search.found:
             continue
         walks = search.system.walks
@@ -218,18 +264,18 @@ def test_system_staggering():
 
 
 def test_find_base_walk_trivial():
-    search = find_valid_base_walk(C5, C5, ID5, ID5, 0)
+    search = find_valid_base_walk(C5, C5, ID5, ID5, bfs_tree(C5, 0))
     assert search.walk == (0,)
 
 
 def test_find_base_walk_rotation():
-    search = find_valid_base_walk(C5, C5, ID5, ROT5, 0)
+    search = find_valid_base_walk(C5, C5, ID5, ROT5, bfs_tree(C5, 0))
     assert search.walk == (0, 1)
 
 
 def test_find_base_walk_class_mismatch():
     h = two_squares_shared()
-    search = find_valid_base_walk(C5, h, (0, 1, 2, 3, 0), (0, 4, 5, 6, 0), 0)
+    search = find_valid_base_walk(C5, h, (0, 1, 2, 3, 0), (0, 4, 5, 6, 0), bfs_tree(C5, 0))
     assert not search.found
     assert search.failure == "class-mismatch"
     assert search.cores == ((0, 1, 2, 3), (0, 4, 5, 6))
@@ -240,7 +286,7 @@ def test_find_base_walk_separated_endpoints():
 
     h = Graph(4, [(0, 1), (2, 3)], reflexive=True)
     g = Graph(1, [], reflexive=True)
-    search = find_valid_base_walk(g, h, (0,), (3,), 0)
+    search = find_valid_base_walk(g, h, (0,), (3,), bfs_tree(g, 0))
     assert not search.found and search.failure == "separated"
 
 
@@ -252,11 +298,12 @@ def test_find_base_walk_second_witness_family():
 
     inst = make_double_turn()
     target = (0, 1, 2, 3, 0, 1, 2, 3, 0, 6, 5, 4, 0)
-    first = generate_system(inst.g, inst.h, inst.phi, inst.psi, 0, shortest_walk(inst.h, 0, 0))
+    tree = bfs_tree(inst.g, 0)
+    first = generate_system(inst.g, inst.h, inst.phi, inst.psi, tree, shortest_walk(inst.h, 0, 0))
     assert isinstance(first, CycleWitness)
     cands, _ = _candidate_family(inst.phi, inst.psi, first.cycle)
     assert target not in cands
-    search = find_valid_base_walk(inst.g, inst.h, inst.phi, inst.psi, 0)
+    search = find_valid_base_walk(inst.g, inst.h, inst.phi, inst.psi, tree)
     assert search.walk == target
 
 
@@ -275,7 +322,7 @@ def test_find_base_walk_complete_vs_oracle():
             sub_psi[v] = psi[v]  # stay inside vertex 0's component
         sub_psi = tuple(sub_psi)
         if hom_graph_bfs(g, h, phi, sub_psi, max_states=300_000) is Answer.YES:
-            assert find_valid_base_walk(g, h, phi, sub_psi, 0).found
+            assert find_valid_base_walk(g, h, phi, sub_psi, bfs_tree(g, 0)).found
             agree += 1
     assert agree > 40
 
@@ -285,7 +332,7 @@ def test_walk_length_bound():
     rng = random.Random(35)
     for _ in range(80):
         g, h, phi, psi = _random_valid_instance(rng)
-        search = find_valid_base_walk(g, h, phi, psi, 0)
+        search = find_valid_base_walk(g, h, phi, psi, bfs_tree(g, 0))
         if not search.found:
             continue
         bound = max(4 * g.n, (h.n - 1) + 2 * (g.n - 1))
