@@ -4,8 +4,8 @@ Decides whether one homomorphism can be walked into another by single-vertex
 moves, emitting a replayable move list or a machine-checkable obstruction.
 """
 
-from .graphs import Graph, HostReport, hom_adjacent, is_homomorphism, validate_host
-from .oracle import Answer, hom_graph_bfs, reduce_via_cover
+from .graphs import Graph, HostReport, is_homomorphism, validate_host
+from .oracle import Answer, hom_graph_bfs
 from .solver import (
     Instance,
     Obstruction,
@@ -25,12 +25,10 @@ __all__ = [
     "Obstruction",
     "Verdict",
     "free_decomposition",
-    "hom_adjacent",
     "hom_graph_bfs",
     "is_homomorphism",
     "preprocess_girth5",
     "recheck_obstruction",
-    "reduce_via_cover",
     "reduce_walk",
     "solve",
     "validate_host",

@@ -14,7 +14,7 @@ import sys
 
 from . import families, jsonio
 from .errors import InternalError, InvalidInputError
-from .graphs import validate_host
+from .graphs import connected_components, validate_host
 from .oracle import Answer, hom_graph_bfs
 from .solver import recheck_obstruction, solve, validate_instance, verify_witness
 from .walks import check_walk, reduce_walk
@@ -58,6 +58,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.max_states < 1:  # the start alone is one visited state
+        raise InvalidInputError(f"--max-states must be at least 1, got {args.max_states}")
     inst = jsonio.parse_instance(_read(args.instance))
     validate_instance(inst)
     answer = hom_graph_bfs(inst.g, inst.h, inst.phi, inst.psi, max_states=args.max_states)
@@ -93,6 +95,9 @@ def _cmd_gen(args) -> int:
     elif args.family == "figure-eight":
         inst = families.make_figure_eight()
     elif args.family == "random":
+        for flag, value in (("--gv", args.gv), ("--hv", args.hv)):
+            if value < 1:
+                raise InvalidInputError(f"{flag} must be at least 1, got {value}")
         inst = families.random_instance(random.Random(args.seed), args.gv, args.hv)
     else:
         raise InvalidInputError(f"unknown family {args.family!r}")
@@ -121,7 +126,7 @@ def _cmd_check_input(args) -> int:
             "reflexive": report.is_reflexive,
             "triangle_free": report.is_triangle_free,
             "girth_at_least_5": report.girth_at_least_5,
-            "components": len(report.components),
+            "components": len(connected_components(inst.h)),
         },
         "mode": inst.mode,
     }

@@ -73,7 +73,6 @@ class HostReport:
     is_reflexive: bool
     is_triangle_free: bool
     girth_at_least_5: bool
-    components: tuple[tuple[int, ...], ...]
 
 
 def _has_triangle(g: Graph) -> bool:
@@ -109,7 +108,6 @@ def validate_host(h: Graph) -> HostReport:
         is_reflexive=h.is_reflexive(),
         is_triangle_free=tri_free,
         girth_at_least_5=tri_free and not _has_square(h),
-        components=connected_components(h),
     )
 
 
@@ -127,19 +125,6 @@ def is_homomorphism(g: Graph, h: Graph, f: Sequence[int]) -> bool:
             if v < u:
                 continue
             if f[v] not in h_nb[fu]:
-                return False
-    return True
-
-
-def hom_adjacent(g: Graph, h: Graph, f: Sequence[int], k: Sequence[int]) -> bool:
-    """Adjacency in the homomorphism graph: f(u)k(v) is an edge for every edge uv."""
-    h_nb = h.adj_sets
-    for u in range(g.n):
-        fu, ku = f[u], k[u]
-        for v in g.adj[u]:
-            if v < u:
-                continue
-            if k[v] not in h_nb[fu] or f[v] not in h_nb[ku]:
                 return False
     return True
 
@@ -174,20 +159,14 @@ class Scratch:
         self.queued = bytearray(n)  # and membership of the work list
 
 
-def bfs_tree(
-    g: Graph,
-    root: int,
-    tie_break: Sequence[int] | None = None,
-    parent: list[int] | None = None,
-) -> tuple[list[int], list[int]]:
+def bfs_tree(g: Graph, root: int, parent: list[int] | None = None) -> tuple[list[int], list[int]]:
     """BFS order and parent list of root's component.
 
     parent[root] == root and parent[v] == -1 outside the component.  When
     parent is given it must hold -1 on root's component, and is filled in
     place; entries outside it are left as they are, so the trees of several
-    components can share one list.
-    Neighbours are visited in ascending id order, or by ascending
-    tie_break[v] when given (tests force alternative orders with this).
+    components can share one list.  Neighbours are visited in ascending
+    id order.
     """
     if parent is None:
         parent = [-1] * g.n
@@ -195,8 +174,7 @@ def bfs_tree(
     order = [root]
     adj = g.adj
     for u in order:  # the order list is the queue
-        nbrs = adj[u] if tie_break is None else sorted(adj[u], key=tie_break.__getitem__)
-        for v in nbrs:
+        for v in adj[u]:
             if parent[v] < 0:  # u itself (its loop) is already reached
                 parent[v] = u
                 order.append(v)

@@ -41,15 +41,6 @@ def reverse(x: Walk) -> Walk:
     return x[::-1]
 
 
-def basepoint_change(w: Walk, c: Walk) -> Walk:
-    """Conjugate the closed walk c by w: the closed walk w . c . reverse(w)."""
-    if c[0] != c[-1]:
-        raise InternalError("basepoint change needs a closed walk")
-    if w[-1] != c[0]:
-        raise InternalError("walk must end at the basepoint of the closed walk")
-    return w + c[1:] + w[-2::-1]
-
-
 def closed_power(c: Walk, d: int) -> Walk:
     """The closed walk traversed d times (negative d reverses); d=0 is the point."""
     if c[0] != c[-1]:
@@ -61,18 +52,6 @@ def closed_power(c: Walk, d: int) -> Walk:
     for _ in range(d):
         out = out + c[1:]
     return out
-
-
-def cyclic_shift(c: Walk, k: int) -> Walk:
-    """Rotate the closed walk c so it starts k steps along."""
-    if c[0] != c[-1]:
-        raise InternalError("cyclic shift of a non-closed walk")
-    body = c[:-1]
-    if not body:  # the identity walk rotates to itself
-        return c
-    k %= len(body)
-    body = body[k:] + body[:k]
-    return body + (body[0],)
 
 
 def is_reduced(seq: Sequence[int]) -> bool:
@@ -100,18 +79,6 @@ def reduce_walk(x: Sequence[int]) -> Walk:
     return tuple(out)
 
 
-def is_contractible(c: Walk) -> bool:
-    if c[0] != c[-1]:
-        raise InternalError("contractibility is for closed walks")
-    return len(reduce_walk(c)) == 1
-
-
-def homotopic(x: Walk, y: Walk) -> bool:
-    if x[0] != y[0] or x[-1] != y[-1]:
-        raise InternalError("homotopy needs matching endpoints")
-    return reduce_walk(x) == reduce_walk(y)
-
-
 @dataclass(frozen=True)
 class FreeDecomposition:
     """Split of a closed walk into a tail and a cyclically reduced core.
@@ -127,12 +94,6 @@ class FreeDecomposition:
     @property
     def contractible(self) -> bool:
         return not self.core
-
-    def core_walk(self) -> Walk:
-        """The core as a closed walk based at the tail's endpoint."""
-        if not self.core:
-            return (self.tail[-1],)
-        return self.core + (self.core[0],)
 
 
 def free_decomposition(c: Walk) -> FreeDecomposition:

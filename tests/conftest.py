@@ -24,6 +24,7 @@ from homrecol.scheduling import TightWalkWitness, is_tight
 from homrecol.solver import REFLEXIVE, Instance
 from homrecol.systems import CycleWitness, WalkSystem, edge_preserved
 from homrecol.walks import reduce_walk
+from reference import bfs_tree_by
 
 
 @pytest.fixture
@@ -125,10 +126,11 @@ def tight_vertices(g: Graph, h: Graph, colours) -> set[int]:
     return out
 
 
-def brute_generate_system(g, h, phi, psi, root, w_root, tie_break=None):
+def brute_generate_system(g, h, phi, psi, root, w_root, key=None):
     """generate_system the direct way: every walk built down the BFS tree
+    (neighbours by ascending key[v] when given, as reference.bfs_tree_by)
     by full reduction, then every non-tree edge checked on the built walks."""
-    order, parent = bfs_tree(g, root, tie_break)
+    order, parent = bfs_tree(g, root) if key is None else bfs_tree_by(g, root, key)
     walks = {root: w_root}
     for v in order[1:]:
         walks[v] = reduce_walk((phi[v],) + walks[parent[v]] + (psi[v],))

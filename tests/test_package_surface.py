@@ -1,0 +1,131 @@
+"""The package holds only what its entry points run.
+
+Every function defined under src/homrecol must run while `cli.run` handles
+its commands: `solve` and `verify` on every answer kind, `check-input` on a
+valid and an invalid instance, `oracle`, each `gen` family and
+`reduce-walk`.  Exempt are families.py (the tests and the benchmark import
+its generators), dunder methods and `cli.main` (it only wraps `run` in
+`sys.exit`).  A function that shows up here as never run is either dead or
+serves only the tests, whose helpers live in tests/.  README's Library
+section lists the exports, exactly `homrecol.__all__`.
+"""
+
+from __future__ import annotations
+
+import ast
+import json
+import os
+import random
+import re
+import sys
+from pathlib import Path
+
+import homrecol
+from homrecol import families
+from homrecol.cli import run
+from homrecol.jsonio import dumps, instance_to_dict
+
+PACKAGE = Path(homrecol.__file__).resolve().parent
+EXEMPT_FILES = {"families.py"}
+EXEMPT_NAMES = {"cli.main"}
+ANSWERS = {"yes", "free-class-mismatch", "frozen-mismatch", "no-valid-walk", "unrealizable"}
+
+
+def _defined_functions() -> dict[tuple[str, int], str]:
+    """(file, first line of the code object) -> dotted name, for every def.
+
+    A decorated function's code object starts at its first decorator."""
+    out: dict[tuple[str, int], str] = {}
+
+    def visit(node, path: str, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + child.name
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                if not (child.name.startswith("__") and child.name.endswith("__")):
+                    out[(path, first)] = name
+                visit(child, path, name + ".")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, path, prefix + child.name + ".")
+            else:
+                visit(child, path, prefix)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in EXEMPT_FILES:
+            continue
+        visit(ast.parse(path.read_text(encoding="utf-8")), str(path), path.stem + ".")
+    return {key: name for key, name in out.items() if name not in EXEMPT_NAMES}
+
+
+def _instances():
+    yield families.make_cycle_wrap(13, 4, 1)
+    for name in ("figure_eight", "double_bridge", "locked_link", "twisted_loop", "double_turn"):
+        yield getattr(families, f"make_{name}")()
+    for seed in range(200):
+        rng = random.Random(seed)
+        yield families.random_instance(rng, rng.randrange(1, 9), rng.randrange(4, 7))
+    for seed in range(100):
+        yield families.random_girth5_instance(random.Random(seed), 4 + seed % 7)
+
+
+def _commands(tmp_path, capsys) -> set[str]:
+    """Run every command through cli.run; return the answer kinds seen."""
+
+    def call(argv: list[str], *codes: int) -> str:
+        assert run(argv) in codes, argv
+        return capsys.readouterr().out
+
+    def write(name: str, text: str) -> str:
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    answers = set()
+    for i, inst in enumerate(_instances()):
+        path = write(f"inst{i}.json", dumps(instance_to_dict(inst)))
+        out = call(["solve", path], 0, 1)
+        doc = json.loads(out)
+        answers.add(doc["obstruction"]["type"] if doc["answer"] == "no" else "yes")
+        assert json.loads(call(["verify", path, write(f"res{i}.json", out)], 0)) == {"verified": True}
+
+    wrap = write("wrap.json", call(["gen", "--family", "cycle-wrap"], 0))
+    call(["gen", "--family", "figure-eight"], 0)
+    call(["gen", "--family", "random", "--seed", "3"], 0)
+    assert json.loads(call(["check-input", wrap], 0))["valid"]
+    assert json.loads(call(["oracle", wrap], 0))["answer"] == "yes"
+    bad = json.loads(dumps(instance_to_dict(families.make_figure_eight())))
+    bad["H"] = {"num_vertices": 3, "edges": [[0, 1], [1, 2], [0, 2]], "reflexive": True}
+    bad["phi"] = bad["psi"] = [0] * bad["G"]["num_vertices"]
+    call(["check-input", write("bad.json", json.dumps(bad))], 2)
+    walk = {"H": bad["H"] | {"edges": [[0, 1], [1, 2]]}, "walk": [0, 1, 1, 2, 1]}
+    assert json.loads(call(["reduce-walk", write("walk.json", json.dumps(walk))], 0)) == {"reduced": [0, 1]}
+    return answers
+
+
+def test_every_package_function_runs_under_the_cli(tmp_path, capsys):
+    defined = _defined_functions()
+    ran: set = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            ran.add(frame.f_code)
+
+    sys.setprofile(hook)
+    try:
+        answers = _commands(tmp_path, capsys)
+    finally:
+        sys.setprofile(None)
+    assert answers == ANSWERS
+    seen = {(os.path.realpath(c.co_filename), c.co_firstlineno) for c in ran}
+    never = sorted(name for key, name in defined.items() if key not in seen)
+    assert never == [], f"defined in src/homrecol but never run by the CLI: {never}"
+
+
+def test_readme_library_lists_exactly_the_exports():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    listed = set()
+    for line in section.splitlines():
+        if line.startswith("- "):  # "- `name`, `name`: what they are"
+            listed.update(re.findall(r"`(\w+)`", line.split(":", 1)[0]))
+    assert listed == set(homrecol.__all__)

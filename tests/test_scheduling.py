@@ -19,7 +19,6 @@ from homrecol.graphs import (
     Scratch,
     bfs_tree,
     connected_components,
-    hom_adjacent,
     is_homomorphism,
     shortest_walk,
 )
@@ -27,6 +26,7 @@ from homrecol.oracle import Answer, hom_graph_bfs
 from homrecol.scheduling import TightWalkWitness, is_tight, schedule, waits_for
 from homrecol.systems import WalkSystem, find_valid_base_walk, generate_system
 from homrecol.walks import free_decomposition
+from reference import hom_adjacent
 
 C5 = cycle_graph(5)
 ID5 = (0, 1, 2, 3, 4)

@@ -17,7 +17,7 @@ from homrecol.families import (
     two_squares_shared,
 )
 from homrecol.graphs import bfs_tree, shortest_walk
-from homrecol.oracle import Answer, hom_graph_bfs, reduce_via_cover
+from homrecol.oracle import Answer, hom_graph_bfs
 from homrecol.systems import (
     CycleWitness,
     WalkSystem,
@@ -28,7 +28,8 @@ from homrecol.systems import (
     find_valid_base_walk,
     generate_system,
 )
-from homrecol.walks import basepoint_change, reduce_walk, reverse
+from homrecol.walks import reduce_walk, reverse
+from reference import basepoint_change, bfs_tree_by, reduce_via_cover
 
 C5 = cycle_graph(5)
 ID5 = (0, 1, 2, 3, 4)
@@ -116,10 +117,11 @@ def test_generate_system_matches_reference():
             for w in _base_walks(rng, g, h, phi, psi, root):
                 order = list(range(g.n))
                 rng.shuffle(order)
-                for tie_break in (None, order):
-                    out = generate_system(g, h, phi, psi, bfs_tree(g, root, tie_break), w)
-                    ref = brute_generate_system(g, h, phi, psi, root, w, tie_break)
-                    assert out == ref, (i, w, tie_break)
+                for key in (None, order):
+                    tree = bfs_tree(g, root) if key is None else bfs_tree_by(g, root, key)
+                    out = generate_system(g, h, phi, psi, tree, w)
+                    ref = brute_generate_system(g, h, phi, psi, root, w, key)
+                    assert out == ref, (i, w, key)
                     kinds[type(out)] += 1
     assert min(kinds.values()) > 500, kinds
 
@@ -204,7 +206,7 @@ def test_system_uniqueness_under_tie_breaks():
             continue
         order = list(range(g.n))
         rng.shuffle(order)
-        alt = generate_system(g, h, phi, psi, bfs_tree(g, 0, order), search.walk)
+        alt = generate_system(g, h, phi, psi, bfs_tree_by(g, 0, order), search.walk)
         assert isinstance(alt, WalkSystem)
         assert alt.walks == search.system.walks
         found += 1
