@@ -203,8 +203,8 @@ def random_hom(rng: random.Random, g: Graph, h: Graph, tries: int = 50) -> tuple
             if is_homomorphism(g, h, f):
                 return f
     c = rng.randrange(h.n)
-    if h.n and c not in h.loops:  # constant maps need a looped colour
-        c = min(h.loops)
+    if h.n and not h.adjacent(c, c):  # constant maps need a looped colour
+        c = min(x for x in range(h.n) if h.adjacent(x, x))
     return tuple([c] * g.n)
 
 
@@ -217,7 +217,7 @@ def random_walk_hom(
     for _ in range(steps):
         candidates = []
         for v in range(g.n):
-            allowed = set(h.adj[cur[v]]) if v in g.loops else set(range(h.n))
+            allowed = set(h.adj[cur[v]]) if g.adjacent(v, v) else set(range(h.n))
             for u in g.adj[v]:
                 if u != v:
                     allowed &= hs[cur[u]]

@@ -1,8 +1,8 @@
 """Graph and homomorphism primitives.
 
-Vertices are dense ids 0..n-1.  A loop is stored both in the loop set and in
-the vertex's own adjacency list, so "every constraint is a neighbour check"
-holds uniformly for looped and loopless vertices.
+Vertices are dense ids 0..n-1.  A loop is stored once, as the vertex in its
+own adjacency row: `adjacent(v, v)` tests it, and "every constraint is a
+neighbour check" holds uniformly for looped and loopless vertices.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ class Graph:
                 neigh[v].add(v)
         self.n = n
         self.adj = tuple(tuple(sorted(s)) for s in neigh)
-        self.loops = frozenset(v for v in range(n) if v in neigh[v])
+        self._reflexive = reflexive or all(v in neigh[v] for v in range(n))
 
     @cached_property
     def adj_sets(self) -> tuple[frozenset[int], ...]:
@@ -48,7 +48,7 @@ class Graph:
         return i < len(a) and a[i] == v
 
     def is_reflexive(self) -> bool:
-        return len(self.loops) == self.n
+        return self._reflexive
 
     def edge_list(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u <= v; loops appear as (v, v)."""
@@ -64,8 +64,9 @@ class Graph:
         return hash((self.n, self.adj))
 
     def __repr__(self) -> str:
-        m = sum(len(a) for a in self.adj) - len(self.loops)
-        return f"Graph(n={self.n}, edges={m // 2 + len(self.loops)})"
+        loops = sum(self.adjacent(v, v) for v in range(self.n))
+        m = sum(len(a) for a in self.adj) - loops
+        return f"Graph(n={self.n}, edges={m // 2 + loops})"
 
 
 @dataclass(frozen=True)
@@ -88,16 +89,20 @@ def _has_triangle(g: Graph) -> bool:
 
 
 def _has_square(g: Graph) -> bool:
-    # a 4-cycle exists iff two distinct vertices share two distinct neighbours
-    seen: set[tuple[int, int]] = set()
+    # a 4-cycle exists iff some u reaches a third vertex w by two different
+    # 2-paths u-v-w; mark[w] == u records the first one, in O(n) memory
+    adj = g.adj
+    mark = [-1] * g.n
     for u in range(g.n):
-        nb = [v for v in g.adj[u] if v != u]
-        for i in range(len(nb)):
-            for j in range(i + 1, len(nb)):
-                pair = (nb[i], nb[j])
-                if pair in seen:
+        for v in adj[u]:
+            if v == u:
+                continue
+            for w in adj[v]:
+                if w == u or w == v:
+                    continue
+                if mark[w] == u:
                     return True
-                seen.add(pair)
+                mark[w] = u
     return False
 
 

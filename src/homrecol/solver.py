@@ -20,23 +20,22 @@ from .errors import InternalError, InvalidInputError
 from .graphs import Graph, Scratch, bfs_tree, is_homomorphism, shortest_walk, validate_host
 from .scheduling import TightWalkWitness, is_tight, schedule
 from .systems import (
+    CLASS_MISMATCH,
+    FROZEN_MISMATCH,
+    NO_VALID_WALK,
+    UNREALIZABLE,
     CycleWitness,
-    _carry_walks,
+    Obstruction,
     _chain_to_root,
     find_valid_base_walk,
     generate_system,
 )
-from .walks import Walk, free_decomposition, reduce_walk, shift_match
+from .walks import free_decomposition, reduce_walk, shift_match
 
 Move = tuple[int, int]
 
 REFLEXIVE = "reflexive"
 GIRTH5 = "girth5"
-
-NO_VALID_WALK = "no-valid-walk"
-CLASS_MISMATCH = "free-class-mismatch"
-FROZEN_MISMATCH = "frozen-mismatch"
-UNREALIZABLE = "unrealizable"
 
 
 @dataclass(frozen=True)
@@ -46,14 +45,6 @@ class Instance:
     phi: tuple[int, ...]
     psi: tuple[int, ...]
     mode: str = REFLEXIVE
-
-
-@dataclass(frozen=True)
-class Obstruction:
-    kind: str
-    cycle: Walk
-    vertex: int | None = None
-    cores: tuple[Walk, Walk] | None = None
 
 
 @dataclass(frozen=True)
@@ -109,7 +100,7 @@ def preprocess_girth5(inst: Instance) -> tuple[Instance, list[Move], Obstruction
             continue  # not isolated
         if phi[v] == inst.psi[v]:
             continue
-        if v in inst.g.loops:
+        if inst.g.adjacent(v, v):
             walk = shortest_walk(inst.h, phi[v], inst.psi[v])
             if walk is None:
                 return inst, [], Obstruction(kind=NO_VALID_WALK, cycle=(v,))
@@ -130,34 +121,32 @@ def _solve_component(
     psi: Sequence[int],
     tree: tuple[list[int], list[int]],
     scratch: Scratch,
-) -> tuple[list[Move] | None, Obstruction | None]:
-    search = find_valid_base_walk(g, h, phi, psi, tree, scratch)
-    if not search.found:
-        if search.failure == "class-mismatch":
-            return None, Obstruction(kind=CLASS_MISMATCH, cycle=search.cycle, cores=search.cores)
-        return None, Obstruction(kind=NO_VALID_WALK, cycle=search.cycle)
-
-    system, unrealizable = search.system, None
+) -> list[Move] | Obstruction:
+    system = find_valid_base_walk(g, h, phi, psi, tree, scratch)
+    if isinstance(system, Obstruction):
+        return system
+    unrealizable = None
     while True:
         outcome = schedule(g, h, system, scratch=scratch)
         if isinstance(outcome, list):
-            return outcome, None
+            return outcome
         obstruction = _deadlock_obstruction(g, h, phi, psi, outcome)
         if obstruction is not None:
-            return None, obstruction
+            return obstruction
         if unrealizable is not None:
-            return None, unrealizable  # the retry deadlocked too
+            return unrealizable  # the retry deadlocked too
         # Every cycle colour agrees, so a realizable system must be constant on
         # the cycle; the system containing the constant walk at r is the only
-        # candidate.  Carrying that walk up the tree to the root gives the
-        # root's walk in the same system, so the one tree serves the retry.
+        # candidate.  Carried up the tree to the root, that walk reduces
+        # phi(root .. r) . psi(r .. root) (phi(r) == psi(r) joins the halves),
+        # so the one tree serves the retry.
         r = min(outcome.cycle)
         unrealizable = Obstruction(kind=UNREALIZABLE, cycle=outcome.cycle, vertex=r)
         chain = _chain_to_root(tree[1], r)
-        w_root = _carry_walks(phi, psi, chain, dict(zip(chain[1:], chain)), (phi[r],))[chain[-1]]
+        w_root = reduce_walk(tuple(phi[x] for x in reversed(chain)) + tuple(psi[x] for x in chain))
         system = generate_system(g, h, phi, psi, tree, w_root, scratch=scratch)
         if isinstance(system, CycleWitness):
-            return None, unrealizable
+            return unrealizable
 
 
 def _deadlock_obstruction(
@@ -197,10 +186,10 @@ def solve(inst: Instance) -> Verdict:
         if parent[r] >= 0:
             continue
         tree = bfs_tree(g, r, parent=parent)
-        comp_moves, obstruction = _solve_component(g, work.h, work.phi, work.psi, tree, scratch)
-        if obstruction is not None:
-            return Verdict(answer="no", obstruction=obstruction)
-        moves.extend(comp_moves)
+        outcome = _solve_component(g, work.h, work.phi, work.psi, tree, scratch)
+        if isinstance(outcome, Obstruction):
+            return Verdict(answer="no", obstruction=outcome)
+        moves.extend(outcome)
 
     check = verify_witness(inst, moves)
     if not check.ok:
@@ -249,7 +238,7 @@ def recheck_obstruction(inst: Instance, obstruction: Obstruction) -> bool:
             return (
                 len(cycle) == 1
                 and obstruction.kind == NO_VALID_WALK
-                and v in g.loops
+                and g.adjacent(v, v)
                 and shortest_walk(h, phi[v], psi[v]) is None
             )
         # Preprocessing recolours only isolated vertices, and a certificate
@@ -302,6 +291,6 @@ def recheck_obstruction(inst: Instance, obstruction: Obstruction) -> bool:
         if len(cycle) == 1:
             return shortest_walk(h, phi[cycle[0]], psi[cycle[0]]) is None
         root = min(bfs_tree(g, cycle[0])[0])
-        return not find_valid_base_walk(g, h, phi, psi, bfs_tree(g, root)).found
+        return isinstance(find_valid_base_walk(g, h, phi, psi, bfs_tree(g, root)), Obstruction)
 
     return False

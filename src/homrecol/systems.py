@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import InternalError
 from .graphs import Graph, Scratch, shortest_walk
@@ -39,9 +39,24 @@ from .walks import (
 )
 
 
+NO_VALID_WALK = "no-valid-walk"
+CLASS_MISMATCH = "free-class-mismatch"
+FROZEN_MISMATCH = "frozen-mismatch"
+UNREALIZABLE = "unrealizable"
+
+
+@dataclass(frozen=True)
+class Obstruction:
+    """A NO certificate: one of the four kinds above, on a closed walk of G."""
+
+    kind: str
+    cycle: Walk
+    vertex: int | None = None
+    cores: tuple[Walk, Walk] | None = None
+
+
 @dataclass(frozen=True)
 class WalkSystem:
-    root: int
     walks: dict[int, Walk]
 
 
@@ -100,7 +115,7 @@ def generate_system(
         scratch = Scratch(g.n)
     failing = _failing_edge(g, h, phi, psi, order, parent, w_root, scratch)
     if failing is None:
-        out = WalkSystem(root=root, walks=_carry_walks(phi, psi, order, parent, w_root))
+        out = WalkSystem(walks=_carry_walks(phi, psi, order, parent, w_root))
     else:
         u, v = failing
         cycle = tuple(reversed(_chain_to_root(parent, u))) + tuple(_chain_to_root(parent, v))
@@ -222,7 +237,7 @@ def _carry_walks(
     phi: Sequence[int],
     psi: Sequence[int],
     order: list[int],
-    parent: Sequence[int] | Mapping[int, int],
+    parent: list[int],
     w_root: Walk,
 ) -> dict[int, Walk]:
     """Every walk of the system, each the reduction of (phi(v),) + w_parent + (psi(v),).
@@ -251,21 +266,6 @@ def _chain_to_root(parent: list[int], x: int) -> list[int]:
         x = parent[x]
         chain.append(x)
     return chain
-
-
-@dataclass(frozen=True)
-class BaseWalkSearch:
-    """Outcome of the staged search for a topologically valid base walk."""
-
-    walk: Walk | None = None
-    system: WalkSystem | None = None
-    failure: str | None = None  # "separated" | "class-mismatch" | "no-candidate"
-    cycle: Walk | None = None
-    cores: tuple[Walk, Walk] | None = None
-
-    @property
-    def found(self) -> bool:
-        return self.walk is not None
 
 
 def _candidate_family(
@@ -304,8 +304,8 @@ def find_valid_base_walk(
     psi: Sequence[int],
     tree: tuple[list[int], list[int]],
     scratch: Scratch | None = None,
-) -> BaseWalkSearch:
-    """Find a topologically valid (phi(root), psi(root))-walk if one exists.
+) -> WalkSystem | Obstruction:
+    """The system of a topologically valid (phi(root), psi(root))-walk, or why none exists.
 
     tree is the BFS tree of the component, rooted at root = order[0]; every
     candidate system is generated along it.  Stage 1 tries the shortest walk
@@ -313,38 +313,41 @@ def find_valid_base_walk(
     preserving walk to a finite candidate family (tail . core-root-power .
     core-prefix . reversed tail); a second witness from the zero-power
     candidate pins it further.  Every candidate is validated by generating
-    its system, so extra candidates can never cost soundness.  One scratch,
-    passed in or else allocated here, serves every generate_system call.
+    its system, so extra candidates can never cost soundness.  Among a
+    family's valid candidates the shortest wins, then the first.  One
+    scratch, passed in or else allocated here, serves every generate_system
+    call.
+
+    The obstruction is no-valid-walk on (root,) when the endpoint colours
+    lie in different components of H, free-class-mismatch on a witness
+    cycle whose images are not freely homotopic, and no-valid-walk on the
+    first witness cycle when neither family holds a valid walk.
     """
     root = tree[0][0]
     w0 = shortest_walk(h, phi[root], psi[root])
     if w0 is None:
-        return BaseWalkSearch(failure="separated", cycle=(root,))
+        return Obstruction(kind=NO_VALID_WALK, cycle=(root,))
     if scratch is None:
         scratch = Scratch(g.n)
     out = generate_system(g, h, phi, psi, tree, w0, scratch=scratch)
     if isinstance(out, WalkSystem):
-        return BaseWalkSearch(walk=w0, system=out)
+        return out
     # At most two witness cycles each pin a candidate family; the second
     # comes from the first family's zero-power candidate.
     first_cycle = cycle = out.cycle
     results: dict[Walk, WalkSystem | CycleWitness] = {}
-    offset = 0
     for _ in range(2):
         candidates, cores = _candidate_family(phi, psi, cycle)
         if candidates is None:
-            return BaseWalkSearch(failure="class-mismatch", cycle=cycle, cores=cores)
-        valid = []
-        for idx, cand in enumerate(candidates):
+            return Obstruction(kind=CLASS_MISMATCH, cycle=cycle, cores=cores)
+        for cand in candidates:
             if cand not in results:
                 results[cand] = generate_system(g, h, phi, psi, tree, cand, scratch=scratch)
-            if isinstance(results[cand], WalkSystem):
-                valid.append((offset + idx, cand, results[cand]))
+        valid = [c for c in candidates if isinstance(results[c], WalkSystem)]
         if valid:
-            _, cand, system = min(valid, key=lambda t: (len(t[1]), t[0]))
-            return BaseWalkSearch(walk=cand, system=system)
+            return results[min(valid, key=len)]
         second = results[candidates[1]]
         if not isinstance(second, CycleWitness):
             raise InternalError("zero-power candidate left no witness cycle")
-        cycle, offset = second.cycle, len(candidates)
-    return BaseWalkSearch(failure="no-candidate", cycle=first_cycle)
+        cycle = second.cycle
+    return Obstruction(kind=NO_VALID_WALK, cycle=first_cycle)

@@ -144,7 +144,7 @@ def brute_generate_system(g, h, phi, psi, root, w_root, key=None):
                     while parent[chain[-1]] != chain[-1]:
                         chain.append(parent[chain[-1]])
                 return CycleWitness(cycle=tuple(reversed(up_u)) + tuple(up_v))
-    return WalkSystem(root=root, walks=walks)
+    return WalkSystem(walks=walks)
 
 
 class BruteScheduleState:
@@ -246,7 +246,7 @@ def brute_hom_graph_path(g, h, phi, psi, max_states=10**6):
     while queue:
         state = queue.popleft()
         for v in range(g.n):
-            allowed = set(h.adj[state[v]]) if v in g.loops else set(range(h.n))
+            allowed = set(h.adj[state[v]]) if g.adjacent(v, v) else set(range(h.n))
             for u in g.adj[v]:
                 if u != v:
                     allowed &= hs[state[u]]

@@ -46,7 +46,7 @@ def move_neighbours(h: Graph, w: tuple[int, ...], max_vertices: int):
     n = len(w)
     if n < max_vertices:  # insert a repeat anywhere (needs a loop there)
         for i in range(n):
-            if w[i] in h.loops:
+            if h.adjacent(w[i], w[i]):
                 yield w[: i + 1] + (w[i],) + w[i + 1 :]
     for i in range(n - 1):  # delete one of an equal pair
         if w[i] == w[i + 1]:
@@ -55,7 +55,7 @@ def move_neighbours(h: Graph, w: tuple[int, ...], max_vertices: int):
         if w[i - 1] == w[i + 1]:
             z = w[i - 1]
             if w[i] != z:
-                if z in h.loops:
+                if h.adjacent(z, z):
                     yield w[:i] + (z,) + w[i + 1 :]
             else:
                 for c in h.adj[z]:

@@ -2,6 +2,7 @@ import gc
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -112,6 +113,20 @@ def test_verify_rejects_corrupted_obstruction(tmp_path, capsys):
     doc["obstruction"]["cycle"] = [0, "1"]
     result = write(tmp_path, "result.json", doc)
     assert run(["verify", inst, result]) == 2
+
+
+def test_parsed_wrap_holds_each_loop_once():
+    # what stays live is G's adjacency rows, where each loop is stored once,
+    # H, phi and psi; a second copy of G's 100k loops would take 7 MB more
+    text = dumps(instance_to_dict(make_cycle_wrap(100_000, 4, 40)))
+    tracemalloc.start()
+    try:
+        inst = parse_instance(text)
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert inst.g.n == 100_000 and inst.g.is_reflexive()
+    assert live <= 20 * 2**20
 
 
 def test_invalid_json_line_message(tmp_path, capsys):

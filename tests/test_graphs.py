@@ -1,10 +1,11 @@
 import random
+import tracemalloc
 
 import pytest
 
 from conftest import brute_has_square, brute_has_triangle, small_hosts
 from homrecol.errors import InvalidInputError
-from homrecol.families import cycle_graph, path_graph, random_graph, random_hom
+from homrecol.families import cycle_graph, path_graph, random_graph, random_hom, star_graph
 from homrecol.graphs import (
     Graph,
     bfs_tree,
@@ -18,14 +19,15 @@ from reference import bfs_tree_by, hom_adjacent
 
 def test_loops_live_in_adjacency():
     g = Graph(3, [(0, 1), (1, 1)])
-    assert g.loops == frozenset({1})
+    assert [v for v in range(3) if g.adjacent(v, v)] == [1]
+    assert not g.is_reflexive()
     assert g.adjacent(1, 1) and not g.adjacent(0, 0)
     assert g.adj[1] == (0, 1)
 
 
 def test_reflexive_flag_adds_all_loops():
     g = Graph(4, [(0, 1)], reflexive=True)
-    assert g.loops == frozenset(range(4))
+    assert all(g.adjacent(v, v) for v in range(4))
     assert g.is_reflexive()
 
 
@@ -57,6 +59,20 @@ def test_validate_host_matches_brute_force():
         tri = brute_has_triangle(g)
         assert report.is_triangle_free == (not tri)
         assert report.girth_at_least_5 == (not tri and not brute_has_square(g))
+
+
+def test_validate_host_memory_linear_in_a_star():
+    # the square search needs memory linear in n, not quadratic in the
+    # largest degree: the centre's 1000 leaves make half a million pairs
+    star = star_graph(1000)
+    tracemalloc.start()
+    try:
+        report = validate_host(star)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.girth_at_least_5
+    assert peak < 2**20
 
 
 def test_is_homomorphism_identity_and_constant(c5):

@@ -6,8 +6,9 @@ valid and an invalid instance, `oracle`, each `gen` family and
 `reduce-walk`.  Exempt are families.py (the tests and the benchmark import
 its generators), dunder methods and `cli.main` (it only wraps `run` in
 `sys.exit`).  A function that shows up here as never run is either dead or
-serves only the tests, whose helpers live in tests/.  README's Library
-section lists the exports, exactly `homrecol.__all__`.
+serves only the tests, whose helpers live in tests/.  Every field a class
+there declares is read somewhere in the package.  README's Library section
+lists the exports, exactly `homrecol.__all__`.
 """
 
 from __future__ import annotations
@@ -129,3 +130,40 @@ def test_readme_library_lists_exactly_the_exports():
         if line.startswith("- "):  # "- `name`, `name`: what they are"
             listed.update(re.findall(r"`(\w+)`", line.split(":", 1)[0]))
     assert listed == set(homrecol.__all__)
+
+
+def _declared_fields() -> set[str]:
+    """Class.field for each field declared under src/homrecol: an annotated
+    class attribute, or an attribute of self assigned in __init__."""
+    out = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in EXEMPT_FILES:
+            continue
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    out.add(f"{cls.name}.{node.target.id}")
+                elif isinstance(node, ast.FunctionDef) and node.name == "__init__":
+                    out.update(
+                        f"{cls.name}.{sub.attr}"
+                        for sub in ast.walk(node)
+                        if isinstance(sub, ast.Attribute)
+                        and isinstance(sub.ctx, ast.Store)
+                        and isinstance(sub.value, ast.Name)
+                        and sub.value.id == "self"
+                    )
+    return out
+
+
+def test_every_declared_field_is_read():
+    # a field stored but never read as `.name` anywhere in the package is a
+    # second copy of some fact, or no fact at all
+    read = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = sorted(f for f in _declared_fields() if f.split(".", 1)[1] not in read)
+    assert unread == [], f"fields declared in src/homrecol but never read: {unread}"

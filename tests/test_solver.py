@@ -29,7 +29,7 @@ from homrecol.solver import (
     solve,
     verify_witness,
 )
-from homrecol.systems import edge_preserved
+from homrecol.systems import _chain_to_root, edge_preserved
 from homrecol.walks import reduce_walk
 
 C5 = cycle_graph(5)
@@ -219,7 +219,7 @@ def test_preprocess_noop_for_reflexive_no_isolated():
     inst = Instance(g=g, h=C5, phi=(0,) * 6, psi=(1,) * 6, mode="girth5")
     work, prefix, early = preprocess_girth5(inst)
     assert prefix == [] and early is None
-    assert work.g.loops == frozenset(range(6))
+    assert all(work.g.adjacent(v, v) for v in range(6))
 
 
 def test_loop_addition_preserves_answer():
@@ -360,25 +360,76 @@ def test_solve_builds_one_tree_per_component(monkeypatch):
     assert calls == [0, 30, link]
 
 
-def test_constant_walk_retry_from_a_cycle_vertex_succeeds():
+def _hexagon_off_a_path():
     # a tight hexagon, fixed by both maps, hangs off a path whose far end is
     # the root 0; the root's shortest walk is constant, which turns the
     # frozen vertex 3 once round the hexagon, so the first system deadlocks,
     # and the retry from the constant walk at 3 (the root turning the other
     # way) is realizable
     g = Graph(9, [(0, 1), (1, 2), (2, 3)] + [(3 + i, 3 + (i + 1) % 6) for i in range(6)])
-    inst = Instance(
+    return Instance(
         g=g.with_all_loops(),
         h=cycle_graph(6),
         phi=(3, 2, 1, 0, 1, 2, 3, 4, 5),
         psi=(3, 4, 5, 0, 1, 2, 3, 4, 5),
     )
+
+
+def test_constant_walk_retry_from_a_cycle_vertex_succeeds():
+    inst = _hexagon_off_a_path()
     v = solve(inst)
     assert v.moves == [
         (0, 2), (1, 1), (2, 0), (0, 1), (1, 0), (2, 5),
         (0, 0), (1, 5), (0, 5), (1, 4), (0, 4), (0, 3),
     ]
     assert hom_graph_bfs(inst.g, inst.h, inst.phi, inst.psi, max_states=200_000) is Answer.YES
+
+
+def _relabel(inst, label):
+    """inst with G's vertex v renamed label[v]."""
+    edges = [(label[u], label[v]) for u, v in inst.g.edge_list()]
+    phi, psi = [0] * inst.g.n, [0] * inst.g.n
+    for v, x in enumerate(label):
+        phi[x], psi[x] = inst.phi[v], inst.psi[v]
+    return Instance(g=Graph(inst.g.n, edges), h=inst.h, phi=tuple(phi), psi=tuple(psi))
+
+
+@pytest.mark.parametrize(
+    "make, answer",
+    [(_hexagon_off_a_path, "yes"), (make_locked_link, "unrealizable"), (make_twisted_loop, "unrealizable")],
+)
+def test_constant_walk_retry_under_relabelling(monkeypatch, make, answer):
+    # renaming G's vertices moves the root, the retry vertex r = min(cycle)
+    # and the tree chain from r to the root, from which the retry computes
+    # its root walk; each time the answer stays, a YES witness replays and a
+    # NO certificate rechecks
+    base = make()
+    chains = []
+
+    def recorded(parent, x):
+        chains.append(_chain_to_root(parent, x))
+        return chains[-1]
+
+    monkeypatch.setattr(solver, "_chain_to_root", recorded)  # called by the retry alone
+    rng = random.Random(61)
+    seen = set()
+    for _ in range(50):
+        label = list(range(base.g.n))
+        rng.shuffle(label)
+        inst = _relabel(base, label)
+        chains.clear()
+        v = solve(inst)
+        assert len(chains) <= 1
+        if chains:
+            old = {x: u for u, x in enumerate(label)}
+            seen.add(tuple(old[x] for x in chains[0]))
+        if answer == "yes":
+            assert v.yes and verify_witness(inst, v.moves).ok
+        else:
+            assert v.obstruction.kind == answer
+            assert recheck_obstruction(inst, v.obstruction)
+    # distinct chains, in the original names: r and the root vary with them
+    assert len(seen) >= 5, seen
 
 
 def test_oracle_yes_traces_form_valid_constant_on_tight_system():

@@ -19,10 +19,12 @@ from homrecol.families import (
 from homrecol.graphs import bfs_tree, shortest_walk
 from homrecol.oracle import Answer, hom_graph_bfs
 from homrecol.systems import (
+    CLASS_MISMATCH,
+    NO_VALID_WALK,
     CycleWitness,
+    Obstruction,
     WalkSystem,
     _candidate_family,
-    _carry_walks,
     _chain_to_root,
     edge_preserved,
     find_valid_base_walk,
@@ -171,10 +173,11 @@ def test_walk_carried_to_the_root_generates_the_same_system():
             own_tree = bfs_tree(g, v)
             own = generate_system(g, h, phi, psi, own_tree, w)
             tree = bfs_tree(g, min(own_tree[0]))
-            chain = _chain_to_root(tree[1], v)
-            w_root = _carry_walks(phi, psi, chain, dict(zip(chain[1:], chain)), w)[chain[-1]]
+            up = _chain_to_root(tree[1], v)[1:]
+            # one reduction of the whole detour, as the retry computes it
+            w_root = reduce_walk(tuple(phi[x] for x in reversed(up)) + w + tuple(psi[x] for x in up))
             ref = w
-            for x in chain[1:]:
+            for x in up:
                 ref = reduce_walk((phi[x],) + ref + (psi[x],))
             assert w_root == ref
             carried = generate_system(g, h, phi, psi, tree, w_root)
@@ -202,13 +205,13 @@ def test_system_uniqueness_under_tie_breaks():
         if len(comp0) < 2:
             continue
         search = find_valid_base_walk(g, h, phi, psi, bfs_tree(g, 0))
-        if not search.found:
+        if not isinstance(search, WalkSystem):
             continue
         order = list(range(g.n))
         rng.shuffle(order)
-        alt = generate_system(g, h, phi, psi, bfs_tree_by(g, 0, order), search.walk)
+        alt = generate_system(g, h, phi, psi, bfs_tree_by(g, 0, order), search.walks[0])
         assert isinstance(alt, WalkSystem)
-        assert alt.walks == search.system.walks
+        assert alt.walks == search.walks
         found += 1
     assert found > 20
 
@@ -218,9 +221,9 @@ def test_system_soundness_on_random_closed_walks():
     for _ in range(15):
         g, h, phi, psi = _random_valid_instance(rng)
         search = find_valid_base_walk(g, h, phi, psi, bfs_tree(g, 0))
-        if not search.found:
+        if not isinstance(search, WalkSystem):
             continue
-        walks = search.system.walks
+        walks = search.walks
         comp = sorted(walks)
         for _ in range(200):
             w = random_walk(rng, g, rng.randrange(0, 12), start=comp[rng.randrange(len(comp))])
@@ -253,9 +256,9 @@ def test_system_staggering():
     for _ in range(60):
         g, h, phi, psi = _random_valid_instance(rng)
         search = find_valid_base_walk(g, h, phi, psi, bfs_tree(g, 0))
-        if not search.found:
+        if not isinstance(search, WalkSystem):
             continue
-        walks = search.system.walks
+        walks = search.walks
         for u in walks:
             for v in g.adj[u]:
                 if v <= u or v not in walks:
@@ -267,19 +270,19 @@ def test_system_staggering():
 
 def test_find_base_walk_trivial():
     search = find_valid_base_walk(C5, C5, ID5, ID5, bfs_tree(C5, 0))
-    assert search.walk == (0,)
+    assert search.walks[0] == (0,)
 
 
 def test_find_base_walk_rotation():
     search = find_valid_base_walk(C5, C5, ID5, ROT5, bfs_tree(C5, 0))
-    assert search.walk == (0, 1)
+    assert search.walks[0] == (0, 1)
 
 
 def test_find_base_walk_class_mismatch():
     h = two_squares_shared()
     search = find_valid_base_walk(C5, h, (0, 1, 2, 3, 0), (0, 4, 5, 6, 0), bfs_tree(C5, 0))
-    assert not search.found
-    assert search.failure == "class-mismatch"
+    assert isinstance(search, Obstruction)
+    assert search.kind == CLASS_MISMATCH
     assert search.cores == ((0, 1, 2, 3), (0, 4, 5, 6))
 
 
@@ -289,7 +292,7 @@ def test_find_base_walk_separated_endpoints():
     h = Graph(4, [(0, 1), (2, 3)], reflexive=True)
     g = Graph(1, [], reflexive=True)
     search = find_valid_base_walk(g, h, (0,), (3,), bfs_tree(g, 0))
-    assert not search.found and search.failure == "separated"
+    assert search == Obstruction(kind=NO_VALID_WALK, cycle=(0,))
 
 
 def test_find_base_walk_second_witness_family():
@@ -306,7 +309,7 @@ def test_find_base_walk_second_witness_family():
     cands, _ = _candidate_family(inst.phi, inst.psi, first.cycle)
     assert target not in cands
     search = find_valid_base_walk(inst.g, inst.h, inst.phi, inst.psi, tree)
-    assert search.walk == target
+    assert search.walks[0] == target
 
 
 def test_find_base_walk_complete_vs_oracle():
@@ -324,7 +327,8 @@ def test_find_base_walk_complete_vs_oracle():
             sub_psi[v] = psi[v]  # stay inside vertex 0's component
         sub_psi = tuple(sub_psi)
         if hom_graph_bfs(g, h, phi, sub_psi, max_states=300_000) is Answer.YES:
-            assert find_valid_base_walk(g, h, phi, sub_psi, bfs_tree(g, 0)).found
+            search = find_valid_base_walk(g, h, phi, sub_psi, bfs_tree(g, 0))
+            assert isinstance(search, WalkSystem)
             agree += 1
     assert agree > 40
 
@@ -335,7 +339,7 @@ def test_walk_length_bound():
     for _ in range(80):
         g, h, phi, psi = _random_valid_instance(rng)
         search = find_valid_base_walk(g, h, phi, psi, bfs_tree(g, 0))
-        if not search.found:
+        if not isinstance(search, WalkSystem):
             continue
         bound = max(4 * g.n, (h.n - 1) + 2 * (g.n - 1))
-        assert all(len(w) - 1 <= bound for w in search.system.walks.values())
+        assert all(len(w) - 1 <= bound for w in search.walks.values())
