@@ -11,7 +11,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidInputError
 
@@ -150,17 +150,19 @@ class Scratch:
     A call uses only the entries of its own component's vertices and leaves
     queued all 0, as it found it, so one solve over many small components
     costs their total size, not n per component.  Calls from outside a solve
-    allocate their own.
+    allocate their own.  The scheduler's one progress counter is left[v],
+    the steps v has still to go: its colour is walks[v][-left[v] - 1] and
+    its next colour walks[v][-left[v]].  cur[v] caches the colour, because
+    the hot loop reads it for every neighbour it checks.
     """
 
-    __slots__ = ("lo", "hi", "pos", "cur", "left", "queued")
+    __slots__ = ("lo", "hi", "left", "cur", "queued")
 
     def __init__(self, n: int):
         self.lo = [0] * n  # cover lifts of phi and psi
         self.hi = [0] * n
-        self.pos = [0] * n  # scheduler: index into the walk,
-        self.cur = [0] * n  # the colour there,
-        self.left = [0] * n  # the steps still to go,
+        self.left = [0] * n  # scheduler: the steps still to go,
+        self.cur = [0] * n  # the colour now,
         self.queued = bytearray(n)  # and membership of the work list
 
 
@@ -186,11 +188,20 @@ def bfs_tree(g: Graph, root: int, parent: list[int] | None = None) -> tuple[list
     return order, parent
 
 
+def tree_path(parent: Sequence[int] | Mapping[int, int], x: int) -> list[int]:
+    """x, its parent, and so on up to the root (the vertex that is its own parent)."""
+    path = [x]
+    while parent[x] != x:
+        x = parent[x]
+        path.append(x)
+    return path
+
+
 def shortest_walk(h: Graph, a: int, b: int) -> tuple[int, ...] | None:
     """Shortest (a, b)-walk by BFS with ascending tie-break; None if separated."""
     if a == b:
         return (a,)
-    prev = {a: -1}
+    prev = {a: a}
     queue = deque([a])
     while queue:
         u = queue.popleft()
@@ -198,10 +209,6 @@ def shortest_walk(h: Graph, a: int, b: int) -> tuple[int, ...] | None:
             if v not in prev:
                 prev[v] = u
                 if v == b:
-                    path = [b]
-                    while path[-1] != a:
-                        path.append(prev[path[-1]])
-                    path.reverse()
-                    return tuple(path)
+                    return tuple(reversed(tree_path(prev, b)))
                 queue.append(v)
     return None

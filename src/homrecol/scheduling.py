@@ -3,8 +3,9 @@
 Each vertex walks along its assigned walk; a vertex may advance when its next
 colour is adjacent to every neighbour's current colour.  If no unfinished
 vertex can advance, following "waits for" arcs from any unfinished vertex
-closes a cycle whose current images form a cyclically reduced closed walk —
-the tight-cycle certificate that the system is unrealizable.
+closes a cycle whose images form a cyclically reduced closed walk — the
+tight-cycle certificate that the system is unrealizable.  A tight cycle is
+frozen, so none of its vertices has left its starting colour.
 """
 
 from __future__ import annotations
@@ -42,33 +43,35 @@ def is_tight(g: Graph, colours, cycle: Walk) -> bool:
 
 @dataclass(frozen=True)
 class TightWalkWitness:
-    cycle: Walk  # closed vertex sequence in the instance graph
-    images: Walk  # the colours the cycle was frozen at (aligned with cycle)
+    cycle: Walk  # closed vertex sequence in the instance graph, frozen at its start colours
 
 
 def waits_for(
-    g: Graph, h: Graph, walks: dict[int, Walk], pos: Sequence[int] | Mapping[int, int], u: int
+    g: Graph, h: Graph, walks: dict[int, Walk], left: Sequence[int] | Mapping[int, int], u: int
 ) -> int | None:
     """The lowest-id vertex u waits for, or None.
 
-    pos[v] is v's index into its walk, for u and its neighbours: the
-    scheduler's vertex-indexed list or any mapping.  u waits for v when both
-    are unfinished, v's next colour is u's current colour and v's current
-    colour clashes with u's next: u cannot move before v does.
+    left[v] is the number of steps v has still to go, for u and its
+    neighbours: the scheduler's vertex-indexed list or any mapping.  With
+    k = left[v], v's colour is walks[v][-k - 1], its next colour walks[v][-k],
+    and v is unfinished while k is nonzero.  u waits for v when both are
+    unfinished, v's next colour is u's colour and v's colour clashes with
+    u's next: u cannot move before v does.
     """
-    w = walks[u]
-    p = pos[u]
-    if p + 1 == len(w):
+    k = left[u]
+    if not k:
         return None
-    cur_u, nxt_u = w[p], w[p + 1]
+    w = walks[u]
+    cur_u, nxt_u = w[-k - 1], w[-k]
     hs = h.adj_sets
     for v in g.adj[u]:
         if v == u:
             continue
-        wv = walks[v]
-        pv = pos[v]
-        if pv + 1 != len(wv) and wv[pv + 1] == cur_u and nxt_u not in hs[wv[pv]]:
-            return v
+        kv = left[v]
+        if kv:
+            wv = walks[v]
+            if wv[-kv] == cur_u and nxt_u not in hs[wv[-kv - 1]]:
+                return v
     return None
 
 
@@ -93,11 +96,10 @@ def schedule(
     adj, hs = g.adj, h.adj_sets
     if scratch is None:
         scratch = Scratch(g.n)
-    pos, cur, left, queued = scratch.pos, scratch.cur, scratch.left, scratch.queued
+    left, cur, queued = scratch.left, scratch.cur, scratch.queued
     for v, w in walks.items():
-        pos[v] = 0
-        cur[v] = w[0]
         left[v] = len(w) - 1
+        cur[v] = w[0]
     moves: list[tuple[int, int]] = []
     seed = sorted(walks) if order is None else order
     queue = deque(v for v in seed if left[v])
@@ -111,15 +113,13 @@ def schedule(
         k = left[u]
         if not k:
             continue  # finished
-        p = pos[u] + 1
-        nxt = walks[u][p]
+        nxt = walks[u][-k]
         # H is undirected, so "nxt is adjacent to cur[x]" reads nxt's row
         allowed = hs[nxt]
         for x in adj[u]:
             if cur[x] not in allowed:
                 break  # re-queued when a neighbour moves
         else:
-            pos[u] = p
             cur[u] = nxt
             left[u] = k - 1
             emit((u, nxt))
@@ -135,21 +135,27 @@ def schedule(
     unfinished = [v for v in walks if left[v]]
     if not unfinished:
         return moves
-    return _extract_tight_cycle(g, h, walks, pos, min(unfinished))
+    return _extract_tight_cycle(g, h, walks, left, min(unfinished))
 
 
 def _extract_tight_cycle(
     g: Graph,
     h: Graph,
     walks: dict[int, Walk],
-    pos: Sequence[int] | Mapping[int, int],
+    left: Sequence[int] | Mapping[int, int],
     start: int,
 ) -> TightWalkWitness:
-    """Follow waits_for arcs from start until a vertex repeats."""
+    """Follow waits_for arcs from start until a vertex repeats.
+
+    left is read as in waits_for.  The cycle closed must be tight, so frozen:
+    each of its vertices must still be at the start of its walk, and the
+    cycle is tight under those start colours.  Either failing means the
+    system was not staggered, and raises InternalError.
+    """
     chain = [start]
     seen_at = {start: 0}
     while True:
-        v = waits_for(g, h, walks, pos, chain[-1])
+        v = waits_for(g, h, walks, left, chain[-1])
         if v is None:
             raise InternalError("deadlocked vertex without a blocking arc (system not staggered)")
         if v in seen_at:
@@ -158,7 +164,9 @@ def _extract_tight_cycle(
         seen_at[v] = len(chain)
         chain.append(v)
 
-    current = {x: walks[x][pos[x]] for x in cycle}
-    if not is_tight(g, current, cycle):
+    for x in cycle:
+        if left[x] != len(walks[x]) - 1:
+            raise InternalError(f"deadlock cycle vertex {x} has moved (system not staggered)")
+    if not is_tight(g, {x: walks[x][0] for x in cycle}, cycle):
         raise InternalError("deadlock cycle is not tight (system not staggered)")
-    return TightWalkWitness(cycle=cycle, images=tuple(current[x] for x in cycle))
+    return TightWalkWitness(cycle=cycle)

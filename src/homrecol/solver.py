@@ -17,7 +17,15 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import InternalError, InvalidInputError
-from .graphs import Graph, Scratch, bfs_tree, is_homomorphism, shortest_walk, validate_host
+from .graphs import (
+    Graph,
+    Scratch,
+    bfs_tree,
+    is_homomorphism,
+    shortest_walk,
+    tree_path,
+    validate_host,
+)
 from .scheduling import TightWalkWitness, is_tight, schedule
 from .systems import (
     CLASS_MISMATCH,
@@ -26,7 +34,6 @@ from .systems import (
     UNREALIZABLE,
     CycleWitness,
     Obstruction,
-    _chain_to_root,
     find_valid_base_walk,
     generate_system,
 )
@@ -130,9 +137,11 @@ def _solve_component(
         outcome = schedule(g, h, system, scratch=scratch)
         if isinstance(outcome, list):
             return outcome
-        obstruction = _deadlock_obstruction(g, h, phi, psi, outcome)
-        if obstruction is not None:
-            return obstruction
+        # The tight cycle is frozen at phi (the scheduler checked that none
+        # of its vertices moved), so a vertex where psi differs is stuck.
+        stuck = [v for v in outcome.cycle if phi[v] != psi[v]]
+        if stuck:
+            return Obstruction(kind=FROZEN_MISMATCH, cycle=outcome.cycle, vertex=min(stuck))
         if unrealizable is not None:
             return unrealizable  # the retry deadlocked too
         # Every cycle colour agrees, so a realizable system must be constant on
@@ -142,29 +151,11 @@ def _solve_component(
         # so the one tree serves the retry.
         r = min(outcome.cycle)
         unrealizable = Obstruction(kind=UNREALIZABLE, cycle=outcome.cycle, vertex=r)
-        chain = _chain_to_root(tree[1], r)
+        chain = tree_path(tree[1], r)
         w_root = reduce_walk(tuple(phi[x] for x in reversed(chain)) + tuple(psi[x] for x in chain))
         system = generate_system(g, h, phi, psi, tree, w_root, scratch=scratch)
         if isinstance(system, CycleWitness):
             return unrealizable
-
-
-def _deadlock_obstruction(
-    g: Graph, h: Graph, phi: Sequence[int], psi: Sequence[int], witness: TightWalkWitness
-) -> Obstruction | None:
-    """Frozen-vertex obstruction from a deadlock, or None if the maps agree.
-
-    Tightness pins the cycle's colours across the whole component of the
-    homomorphism graph, so the frozen images must equal the original map's.
-    The scheduler checked the cycle tight under those images, so once they
-    equal phi's the cycle is tight under phi.
-    """
-    if witness.images != tuple(phi[x] for x in witness.cycle):
-        raise InternalError("deadlock images drifted from the starting map")
-    for v in sorted(set(witness.cycle)):
-        if phi[v] != psi[v]:
-            return Obstruction(kind=FROZEN_MISMATCH, cycle=witness.cycle, vertex=v)
-    return None
 
 
 def solve(inst: Instance) -> Verdict:
@@ -219,7 +210,7 @@ def verify_witness(inst: Instance, moves: Sequence[Sequence[int]]) -> WitnessChe
             if cur[u] not in allowed:
                 return WitnessCheck(False, i)
         cur[v] = c
-    if tuple(cur) != inst.psi:
+    if tuple(cur) != tuple(inst.psi):
         return WitnessCheck(False, len(moves))
     return WitnessCheck(True, None)
 

@@ -25,7 +25,7 @@ from itertools import islice
 from typing import Sequence
 
 from .errors import InternalError
-from .graphs import Graph, Scratch, shortest_walk
+from .graphs import Graph, Scratch, shortest_walk, tree_path
 from .walks import (
     Walk,
     closed_power,
@@ -118,7 +118,7 @@ def generate_system(
         out = WalkSystem(walks=_carry_walks(phi, psi, order, parent, w_root))
     else:
         u, v = failing
-        cycle = tuple(reversed(_chain_to_root(parent, u))) + tuple(_chain_to_root(parent, v))
+        cycle = tuple(reversed(tree_path(parent, u))) + tuple(tree_path(parent, v))
         out = CycleWitness(cycle=cycle)
     # Drop the lifts: their cover node ids would otherwise stay allocated
     # through the schedule.
@@ -258,14 +258,6 @@ def _carry_walks(
             w = w[:-1] if len(w) > 1 and w[-2] == b else w + (b,)
         walks[v] = w
     return walks
-
-
-def _chain_to_root(parent: list[int], x: int) -> list[int]:
-    chain = [x]
-    while parent[x] != x:
-        x = parent[x]
-        chain.append(x)
-    return chain
 
 
 def _candidate_family(

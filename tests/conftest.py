@@ -228,9 +228,11 @@ def _brute_tight_cycle(state: BruteScheduleState, start: int) -> TightWalkWitnes
         seen_at[v] = len(chain)
         chain.append(v)
 
+    if any(state.pos[x] for x in cycle):
+        raise InternalError("deadlock cycle vertex has moved (system not staggered)")
     if not is_tight(state.g, {x: state.current(x) for x in cycle}, cycle):
         raise InternalError("deadlock cycle is not tight (system not staggered)")
-    return TightWalkWitness(cycle=cycle, images=tuple(state.current(x) for x in cycle))
+    return TightWalkWitness(cycle=cycle)
 
 
 def brute_hom_graph_path(g, h, phi, psi, max_states=10**6):
@@ -265,6 +267,29 @@ def brute_hom_graph_path(g, h, phi, psi, max_states=10**6):
                         return Answer.BUDGET_EXCEEDED
                     queue.append(nxt)
     return Answer.NO
+
+
+def relabel(inst: Instance, label) -> Instance:
+    """inst with G's vertex v renamed label[v]."""
+    edges = [(label[u], label[v]) for u, v in inst.g.edge_list()]
+    phi, psi = [0] * inst.g.n, [0] * inst.g.n
+    for v, x in enumerate(label):
+        phi[x], psi[x] = inst.phi[v], inst.psi[v]
+    return Instance(
+        g=Graph(inst.g.n, edges), h=inst.h, phi=tuple(phi), psi=tuple(psi), mode=inst.mode
+    )
+
+
+def relabel_host(inst: Instance, label) -> Instance:
+    """inst with H's vertex c renamed label[c]."""
+    edges = [(label[a], label[b]) for a, b in inst.h.edge_list()]
+    return Instance(
+        g=inst.g,
+        h=Graph(inst.h.n, edges),
+        phi=tuple(label[c] for c in inst.phi),
+        psi=tuple(label[c] for c in inst.psi),
+        mode=inst.mode,
+    )
 
 
 def disjoint_union(parts: list[Instance], interleave: bool) -> Instance:

@@ -1,0 +1,112 @@
+"""Metamorphic relations of solve on seeded random instances.
+
+Each relation changes an instance in a way that cannot change its answer:
+swapping the two maps, renaming the vertices of G or of H, setting a YES
+instance beside a NO one, and adding every loop to a girth-5 instance whose
+G has no isolated vertex.  solve must agree, and every certificate, the
+renamed original included, must still check.
+"""
+
+import random
+from collections import Counter
+
+from conftest import disjoint_union, relabel, relabel_host
+from homrecol import families
+from homrecol.families import make_cycle_wrap, random_girth5_instance, random_instance
+from homrecol.solver import (
+    GIRTH5,
+    REFLEXIVE,
+    Instance,
+    Obstruction,
+    Verdict,
+    recheck_obstruction,
+    solve,
+    verify_witness,
+)
+
+WRAP = make_cycle_wrap(13, 4, 1)  # a YES: the 13-cycle wraps C4 with slack
+
+
+def _instances(rng: random.Random, count: int):
+    """The named constructions, which reach every obstruction kind, then
+    count random ones: two in three reflexive-mode, every third girth-5."""
+    for name in ("figure_eight", "double_bridge", "locked_link", "twisted_loop", "double_turn"):
+        yield getattr(families, f"make_{name}")()
+    for i in range(count):
+        if i % 3 == 2:
+            yield random_girth5_instance(rng, rng.randrange(2, 30))
+        else:
+            yield random_instance(rng, rng.randrange(2, 30), rng.randrange(4, 10))
+
+
+def _certified(inst, verdict) -> bool:
+    if verdict.yes:
+        return verify_witness(inst, verdict.moves).ok
+    return recheck_obstruction(inst, verdict.obstruction)
+
+
+def _renamed(verdict, g_label=None, h_label=None) -> Verdict:
+    """verdict with G's vertex v named g_label[v] and H's colour c named
+    h_label[c] in its certificate."""
+    g_name = (lambda v: v) if g_label is None else g_label.__getitem__
+    h_name = (lambda c: c) if h_label is None else h_label.__getitem__
+    if verdict.yes:
+        return Verdict(answer="yes", moves=[(g_name(v), h_name(c)) for v, c in verdict.moves])
+    o = verdict.obstruction
+    return Verdict(
+        answer="no",
+        obstruction=Obstruction(
+            kind=o.kind,
+            cycle=tuple(map(g_name, o.cycle)),
+            vertex=None if o.vertex is None else g_name(o.vertex),
+            cores=None if o.cores is None else tuple(tuple(map(h_name, c)) for c in o.cores),
+        ),
+    )
+
+
+def _shuffled(rng: random.Random, n: int) -> list[int]:
+    label = list(range(n))
+    rng.shuffle(label)
+    return label
+
+
+def test_metamorphic_relations_on_seeded_instances():
+    rng = random.Random(1307)
+    seen = Counter()
+    for i, inst in enumerate(_instances(rng, 600)):
+        verdict = solve(inst)
+        assert _certified(inst, verdict), i
+        seen["yes" if verdict.yes else verdict.obstruction.kind] += 1
+
+        swapped = Instance(g=inst.g, h=inst.h, phi=inst.psi, psi=inst.phi, mode=inst.mode)
+        other = solve(swapped)
+        assert other.answer == verdict.answer, i
+        assert _certified(swapped, other), i
+
+        g_label = _shuffled(rng, inst.g.n)
+        h_label = _shuffled(rng, inst.h.n)
+        for renamed, kwargs in (
+            (relabel(inst, g_label), {"g_label": g_label}),
+            (relabel_host(inst, h_label), {"h_label": h_label}),
+        ):
+            other = solve(renamed)
+            assert other.answer == verdict.answer, (i, kwargs)
+            assert _certified(renamed, other), (i, kwargs)
+            assert _certified(renamed, _renamed(verdict, **kwargs)), (i, kwargs)
+
+        if inst.mode == REFLEXIVE and not verdict.yes:
+            for parts in ([inst, WRAP], [WRAP, inst]):
+                for interleave in (False, True):
+                    joined = disjoint_union(parts, interleave=interleave)
+                    other = solve(joined)
+                    assert other.obstruction.kind == verdict.obstruction.kind, (i, interleave)
+                    assert recheck_obstruction(joined, other.obstruction), (i, interleave)
+
+        g = inst.g
+        if inst.mode == GIRTH5 and all(any(u != v for u in g.adj[v]) for v in range(g.n)):
+            looped = Instance(g=g.with_all_loops(), h=inst.h, phi=inst.phi, psi=inst.psi)
+            assert solve(looped).answer == verdict.answer, i
+            seen["girth5"] += 1
+    assert seen["yes"] > 300 and seen["girth5"] > 100, seen
+    assert seen["free-class-mismatch"] > 50 and seen["frozen-mismatch"] > 5, seen
+    assert seen["no-valid-walk"] and seen["unrealizable"] > 1, seen

@@ -7,8 +7,9 @@ valid and an invalid instance, `oracle`, each `gen` family and
 its generators), dunder methods and `cli.main` (it only wraps `run` in
 `sys.exit`).  A function that shows up here as never run is either dead or
 serves only the tests, whose helpers live in tests/.  Every field a class
-there declares is read somewhere in the package.  README's Library section
-lists the exports, exactly `homrecol.__all__`.
+there declares is read somewhere in the package, and no module there
+imports a sibling's underscore name.  README's Library section lists the
+exports, exactly `homrecol.__all__`.
 """
 
 from __future__ import annotations
@@ -167,3 +168,18 @@ def test_every_declared_field_is_read():
                 read.add(node.attr)
     unread = sorted(f for f in _declared_fields() if f.split(".", 1)[1] not in read)
     assert unread == [], f"fields declared in src/homrecol but never read: {unread}"
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    # an underscore name is private to its module: a sibling that needs it
+    # wants it public, in the module it belongs to
+    private = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                private += [
+                    f"{path.stem} <- {node.module}.{alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert private == [], f"private names imported across src/homrecol: {private}"

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import brute_generate_system, brute_schedule, tight_vertices
-from homrecol.errors import InvalidInputError
+from homrecol.errors import InternalError, InvalidInputError
 from homrecol.families import (
     cycle_graph,
     make_cycle_wrap,
@@ -23,7 +23,13 @@ from homrecol.graphs import (
     shortest_walk,
 )
 from homrecol.oracle import Answer, hom_graph_bfs
-from homrecol.scheduling import TightWalkWitness, is_tight, schedule, waits_for
+from homrecol.scheduling import (
+    TightWalkWitness,
+    _extract_tight_cycle,
+    is_tight,
+    schedule,
+    waits_for,
+)
 from homrecol.systems import WalkSystem, find_valid_base_walk, generate_system
 from homrecol.walks import free_decomposition
 from reference import hom_adjacent
@@ -69,10 +75,10 @@ def test_is_tight_validates_cycle():
 
 def _start_arcs(g, h, system):
     """Arcs u -> waits_for(u) with every vertex at the start of its walk."""
-    pos = {v: 0 for v in system.walks}
-    arcs = [(u, waits_for(g, h, system.walks, pos, u)) for u in sorted(system.walks)]
+    left = {v: len(w) - 1 for v, w in system.walks.items()}
+    arcs = [(u, waits_for(g, h, system.walks, left, u)) for u in sorted(system.walks)]
     # the scheduler's vertex-indexed list reads the same as the mapping
-    listed = [0] * g.n
+    listed = [left.get(v, 0) for v in range(g.n)]
     assert arcs == [(u, waits_for(g, h, system.walks, listed, u)) for u in sorted(system.walks)]
     return [(u, v) for u, v in arcs if v is not None]
 
@@ -113,10 +119,22 @@ def test_rotation_deadlocks_with_tight_pentagon():
     out = schedule(C5, C5, system)
     assert isinstance(out, TightWalkWitness)
     assert out.cycle == (0, 4, 3, 2, 1, 0)
-    assert out.images == tuple(ID5[x] for x in out.cycle)
     assert is_tight(C5, ID5, out.cycle)
     # oracle: the rotation really is unreachable (component has 3125 potential states)
     assert hom_graph_bfs(C5, C5, ID5, ROT5, max_states=5**5) is Answer.NO
+
+
+def test_extract_tight_cycle_rejects_a_moved_vertex():
+    # every vertex one step from the end of its walk, all waiting round the
+    # pentagon; vertex 2 has taken one step of (1, 2, 3), so the cycle is
+    # tight under the colours now but not frozen, and extraction refuses it
+    walks = {0: (0, 1), 1: (1, 2), 2: (1, 2, 3), 3: (3, 4), 4: (4, 0)}
+    with pytest.raises(InternalError, match="vertex 2 has moved"):
+        _extract_tight_cycle(C5, C5, walks, [1] * 5, 0)
+    walks[2] = (2, 3)
+    assert _extract_tight_cycle(C5, C5, walks, [1] * 5, 0) == TightWalkWitness(
+        cycle=(0, 4, 3, 2, 1, 0)
+    )
 
 
 def _replay(g, h, phi, psi, moves):
@@ -187,7 +205,6 @@ def test_deadlock_tight_under_current_and_original():
             continue
         out = schedule(g, h, search)
         if isinstance(out, TightWalkWitness):
-            assert out.images == tuple(phi[x] for x in out.cycle)
             assert is_tight(g, phi, out.cycle)
             assert set(out.cycle) <= tight_vertices(g, h, phi)
             seen += 1

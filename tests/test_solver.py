@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from conftest import disjoint_union, tight_vertices
+from conftest import disjoint_union, relabel, tight_vertices
 from homrecol.errors import InvalidInputError
 from homrecol.families import (
     cycle_graph,
@@ -17,7 +17,7 @@ from homrecol.families import (
     random_hom,
     random_instance,
 )
-from homrecol.graphs import Graph, bfs_tree
+from homrecol.graphs import Graph, bfs_tree, tree_path
 from homrecol.oracle import Answer, hom_graph_bfs, hom_graph_path
 from homrecol import solver
 from homrecol.solver import (
@@ -29,7 +29,7 @@ from homrecol.solver import (
     solve,
     verify_witness,
 )
-from homrecol.systems import _chain_to_root, edge_preserved
+from homrecol.systems import edge_preserved
 from homrecol.walks import reduce_walk
 
 C5 = cycle_graph(5)
@@ -285,6 +285,21 @@ def test_verify_witness_examples():
     assert verify_witness(inst2, []) == (False, 0)
 
 
+def test_list_maps_in_a_library_instance():
+    # Instance documents tuples, but a library caller may pass lists: the
+    # answer, the witness replay and the final comparison with psi must not
+    # depend on it
+    from homrecol.families import path_graph
+
+    g, h = path_graph(3), cycle_graph(4)
+    listed = solve(Instance(g=g, h=h, phi=[0, 1, 2], psi=[1, 2, 3]))
+    tupled = solve(Instance(g=g, h=h, phi=(0, 1, 2), psi=(1, 2, 3)))
+    assert listed.yes and listed.moves == tupled.moves and len(listed.moves) == 3
+    assert verify_witness(Instance(g=g, h=h, phi=[0, 1, 2], psi=[1, 2, 3]), listed.moves).ok
+    assert verify_witness(Instance(g=g, h=h, phi=(0, 1, 2), psi=[0, 1, 2]), []).ok
+    assert verify_witness(Instance(g=g, h=h, phi=(0, 1, 2), psi=[0, 1, 3]), []) == (False, 0)
+
+
 @pytest.mark.parametrize("bad_at", [None, 0, 7, 23])
 def test_verify_witness_same_on_list_and_tuple_moves(bad_at):
     # a result file parses each move to a [vertex, colour] list, solve emits
@@ -385,15 +400,6 @@ def test_constant_walk_retry_from_a_cycle_vertex_succeeds():
     assert hom_graph_bfs(inst.g, inst.h, inst.phi, inst.psi, max_states=200_000) is Answer.YES
 
 
-def _relabel(inst, label):
-    """inst with G's vertex v renamed label[v]."""
-    edges = [(label[u], label[v]) for u, v in inst.g.edge_list()]
-    phi, psi = [0] * inst.g.n, [0] * inst.g.n
-    for v, x in enumerate(label):
-        phi[x], psi[x] = inst.phi[v], inst.psi[v]
-    return Instance(g=Graph(inst.g.n, edges), h=inst.h, phi=tuple(phi), psi=tuple(psi))
-
-
 @pytest.mark.parametrize(
     "make, answer",
     [(_hexagon_off_a_path, "yes"), (make_locked_link, "unrealizable"), (make_twisted_loop, "unrealizable")],
@@ -407,16 +413,16 @@ def test_constant_walk_retry_under_relabelling(monkeypatch, make, answer):
     chains = []
 
     def recorded(parent, x):
-        chains.append(_chain_to_root(parent, x))
+        chains.append(tree_path(parent, x))
         return chains[-1]
 
-    monkeypatch.setattr(solver, "_chain_to_root", recorded)  # called by the retry alone
+    monkeypatch.setattr(solver, "tree_path", recorded)  # called by the retry alone
     rng = random.Random(61)
     seen = set()
     for _ in range(50):
         label = list(range(base.g.n))
         rng.shuffle(label)
-        inst = _relabel(base, label)
+        inst = relabel(base, label)
         chains.clear()
         v = solve(inst)
         assert len(chains) <= 1

@@ -16,7 +16,7 @@ from homrecol.families import (
     random_walk_hom,
     two_squares_shared,
 )
-from homrecol.graphs import bfs_tree, shortest_walk
+from homrecol.graphs import bfs_tree, shortest_walk, tree_path
 from homrecol.oracle import Answer, hom_graph_bfs
 from homrecol.systems import (
     CLASS_MISMATCH,
@@ -25,7 +25,6 @@ from homrecol.systems import (
     Obstruction,
     WalkSystem,
     _candidate_family,
-    _chain_to_root,
     edge_preserved,
     find_valid_base_walk,
     generate_system,
@@ -173,7 +172,7 @@ def test_walk_carried_to_the_root_generates_the_same_system():
             own_tree = bfs_tree(g, v)
             own = generate_system(g, h, phi, psi, own_tree, w)
             tree = bfs_tree(g, min(own_tree[0]))
-            up = _chain_to_root(tree[1], v)[1:]
+            up = tree_path(tree[1], v)[1:]
             # one reduction of the whole detour, as the retry computes it
             w_root = reduce_walk(tuple(phi[x] for x in reversed(up)) + w + tuple(psi[x] for x in up))
             ref = w
