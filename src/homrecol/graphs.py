@@ -1,8 +1,11 @@
 """Graph and homomorphism primitives.
 
-Vertices are dense ids 0..n-1.  A loop is stored once, as the vertex in its
-own adjacency row: `adjacent(v, v)` tests it, and "every constraint is a
-neighbour check" holds uniformly for looped and loopless vertices.
+Vertices are dense ids 0..n-1.  A graph's adjacency rows are sorted tuples
+without repeats, and every row of one graph holds the same int object for
+the same vertex id: n ints in all, however many edges there are.  A loop is
+stored once, as the vertex in its own row: `adjacent(v, v)` tests it, and
+"every constraint is a neighbour check" holds uniformly for looped and
+loopless vertices.
 """
 
 from __future__ import annotations
@@ -22,18 +25,41 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], reflexive: bool = False):
         if n < 0:
             raise InvalidInputError("vertex count must be nonnegative")
-        neigh: list[set[int]] = [set() for _ in range(n)]
+        ids = list(range(n))
+        rows: list[list[int]] = [[] for _ in ids]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise InvalidInputError(f"edge ({u}, {v}) out of range for {n} vertices")
-            neigh[u].add(v)
-            neigh[v].add(u)
-        if reflexive:
-            for v in range(n):
-                neigh[v].add(v)
-        self.n = n
-        self.adj = tuple(tuple(sorted(s)) for s in neigh)
-        self._reflexive = reflexive or all(v in neigh[v] for v in range(n))
+            rows[u].append(ids[v])
+            rows[v].append(ids[u])
+        self._seal(ids, rows, reflexive)
+
+    @classmethod
+    def from_rows(cls, ids: list[int], rows: list[list[int]], reflexive: bool) -> "Graph":
+        """The graph on the vertices ids == list(range(n)) whose rows are filled
+        and range-checked by the caller: for each edge (u, v), rows[u] holds
+        ids[v] and rows[v] holds ids[u], repeats allowed.  rows is consumed."""
+        g = cls.__new__(cls)
+        g._seal(ids, rows, reflexive)
+        return g
+
+    def _seal(self, ids: list[int], rows: list[list[int]], reflexive: bool) -> None:
+        # one row at a time, in place: sort, then drop repeats only from a
+        # row that has some; no set is built for any row
+        for v, row in zip(ids, rows):
+            if reflexive:
+                row.append(v)
+            row.sort()
+            prev = -1
+            for x in row:
+                if x == prev:  # a repeat sits next to its twin once sorted
+                    row = dict.fromkeys(row)  # keeps the sorted order
+                    break
+                prev = x
+            rows[v] = tuple(row)
+        self.n = len(ids)
+        self.adj = tuple(rows)
+        self._reflexive = reflexive or all(self.adjacent(v, v) for v in ids)
 
     @cached_property
     def adj_sets(self) -> tuple[frozenset[int], ...]:
@@ -116,22 +142,51 @@ def validate_host(h: Graph) -> HostReport:
     )
 
 
-def is_homomorphism(g: Graph, h: Graph, f: Sequence[int]) -> bool:
-    """True iff f maps every edge of g (loops included) onto an edge of h."""
+def _check_images(g: Graph, h: Graph, f: Sequence[int]) -> None:
     if len(f) != g.n:
         raise InvalidInputError(f"map has length {len(f)}, expected {g.n}")
     for v, c in enumerate(f):
         if not (0 <= c < h.n):
             raise InvalidInputError(f"image {c} of vertex {v} out of range")
+
+
+def _first_edge_failure(g: Graph, h: Graph, f1: Sequence[int], f2: Sequence[int]) -> int | None:
     h_nb = h.adj_sets
+    adj = g.adj
     for u in range(g.n):
-        fu = f[u]
-        for v in g.adj[u]:
+        nb1 = h_nb[f1[u]]
+        nb2 = h_nb[f2[u]]
+        for v in adj[u]:
             if v < u:
                 continue
-            if f[v] not in h_nb[fu]:
-                return False
-    return True
+            if f1[v] not in nb1:
+                return 0
+            if f2[v] not in nb2:
+                # f1 may still fail on a later edge, and its failure comes first
+                return 0 if _first_edge_failure(g, h, f1, f1) == 0 else 1
+    return None
+
+
+def first_non_homomorphism(g: Graph, h: Graph, phi: Sequence[int], psi: Sequence[int]) -> int | None:
+    """0 if phi is not a homomorphism g -> h, else 1 if psi is not, else None.
+
+    One pass over g's rows checks both maps on every edge, loops included.
+    A map of the wrong length or with an image outside h raises
+    InvalidInputError, phi's first, unless phi already fails as a map.
+    """
+    _check_images(g, h, phi)
+    try:
+        _check_images(g, h, psi)
+    except InvalidInputError:
+        if _first_edge_failure(g, h, phi, phi) is None:
+            raise
+        return 0
+    return _first_edge_failure(g, h, phi, psi)
+
+
+def is_homomorphism(g: Graph, h: Graph, f: Sequence[int]) -> bool:
+    """True iff f maps every edge of g (loops included) onto an edge of h."""
+    return first_non_homomorphism(g, h, f, f) is None
 
 
 def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:

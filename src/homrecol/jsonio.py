@@ -23,30 +23,43 @@ def _require(cond: bool, msg: str) -> None:
         raise InvalidInputError(msg)
 
 
-def graph_from_dict(obj: Any, name: str = "graph") -> Graph:
+def _num_vertices(obj: Any, name: str) -> int:
     _require(isinstance(obj, dict), f"{name} must be an object")
     _require("num_vertices" in obj, f"{name}.num_vertices is required")
     n = obj["num_vertices"]
     # type(x) is int also rejects bool
     _require(type(n) is int and n >= 0, f"{name}.num_vertices must be a nonnegative integer")
+    return n
+
+
+def graph_from_dict(obj: Any, name: str = "graph") -> Graph:
+    """The graph obj describes, checked and built in one pass over its edges.
+
+    Each endpoint goes into the other's row as ids[x], one int per vertex
+    id, not as the int json made for that occurrence of it.
+    """
+    n = _num_vertices(obj, name)
     edges = obj.get("edges", [])
     _require(isinstance(edges, list), f"{name}.edges must be a list")
+    ids = list(range(n))
+    rows: list[list[int]] = [[] for _ in ids]
     # per-element checks build their message only on failure
     for i, e in enumerate(edges):
         if not (type(e) is list and len(e) == 2 and type(e[0]) is int and type(e[1]) is int):
             raise InvalidInputError(f"{name}.edges[{i}] must be a pair of integers")
-        if not (0 <= e[0] < n and 0 <= e[1] < n):
+        u, v = e
+        if not (0 <= u < n and 0 <= v < n):
             raise InvalidInputError(f"{name}.edges[{i}] out of range")
+        rows[u].append(ids[v])
+        rows[v].append(ids[u])
     reflexive = obj.get("reflexive", False)
     _require(isinstance(reflexive, bool), f"{name}.reflexive must be a boolean")
     unknown = set(obj) - {"num_vertices", "edges", "reflexive"}
     _require(not unknown, f"{name} has unknown keys: {sorted(unknown)}")
-    return Graph(n, edges, reflexive=reflexive)
+    return Graph.from_rows(ids, rows, reflexive)
 
 
-def _parse_map(obj: Any, name: str, gn: int, hn: int) -> tuple[int, ...]:
-    _require(isinstance(obj, list), f"{name} must be a list")
-    _require(len(obj) == gn, f"{name} must have length {gn}")
+def _parse_map(obj: list, name: str, hn: int) -> tuple[int, ...]:
     for i, c in enumerate(obj):
         if type(c) is not int:
             raise InvalidInputError(f"{name}[{i}] must be an integer")
@@ -61,10 +74,16 @@ def instance_from_dict(doc: Any) -> Instance:
         _require(key in doc, f"missing key {key!r}")
     unknown = set(doc) - {"G", "H", "phi", "psi", "mode"}
     _require(not unknown, f"unknown keys: {sorted(unknown)}")
+    # the maps' lengths bound G's size by the input's before any row is
+    # allocated, so a huge G.num_vertices with short maps costs nothing
+    gn = _num_vertices(doc["G"], "G")
+    for key in ("phi", "psi"):
+        _require(isinstance(doc[key], list), f"{key} must be a list")
+        _require(len(doc[key]) == gn, f"{key} must have length {gn}")
     g = graph_from_dict(doc["G"], "G")
     h = graph_from_dict(doc["H"], "H")
-    phi = _parse_map(doc["phi"], "phi", g.n, h.n)
-    psi = _parse_map(doc["psi"], "psi", g.n, h.n)
+    phi = _parse_map(doc["phi"], "phi", h.n)
+    psi = _parse_map(doc["psi"], "psi", h.n)
     mode = doc.get("mode", REFLEXIVE)
     _require(mode in (REFLEXIVE, GIRTH5), 'mode must be "reflexive" or "girth5"')
     return Instance(g=g, h=h, phi=phi, psi=psi, mode=mode)

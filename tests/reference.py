@@ -205,3 +205,16 @@ def bfs_tree_by(g: Graph, root: int, key: Sequence[int]) -> tuple[list[int], lis
                 parent[v] = u
                 order.append(v)
     return order, parent
+
+
+def set_rows(n: int, edges: Sequence[tuple[int, int]], reflexive: bool = False) -> tuple[tuple[int, ...], ...]:
+    """Adjacency rows built the set way: a set of neighbours per vertex, each
+    row then sorted into a tuple."""
+    neigh: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        neigh[u].add(v)
+        neigh[v].add(u)
+    if reflexive:
+        for v in range(n):
+            neigh[v].add(v)
+    return tuple(tuple(sorted(s)) for s in neigh)

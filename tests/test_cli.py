@@ -1,5 +1,6 @@
 import gc
 import json
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -127,6 +128,50 @@ def test_parsed_wrap_holds_each_loop_once():
         tracemalloc.stop()
     assert inst.g.n == 100_000 and inst.g.is_reflexive()
     assert live <= 20 * 2**20
+
+
+@pytest.fixture(scope="module")
+def wrap_100k_text():
+    return dumps(instance_to_dict(make_cycle_wrap(100_000, 4, 40)))
+
+
+def test_parsed_wrap_shares_one_int_per_vertex(wrap_100k_text):
+    g = parse_instance(wrap_100k_text).g
+    assert len({id(x) for row in g.adj for x in row}) == g.n
+
+
+def test_parse_memory_of_the_100k_wrap(wrap_100k_text):
+    # rows filled in one pass with one int per vertex id and no set per
+    # vertex: a set per vertex and an int per occurrence of an id took
+    # 47 MB at the peak and left 17 MB live
+    tracemalloc.start()
+    try:
+        inst = parse_instance(wrap_100k_text)
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert inst.g.n == 100_000
+    assert peak <= 38 * 2**20
+    assert live <= 14 * 2**20
+
+
+def test_huge_num_vertices_rejected_before_allocating(tmp_path):
+    # 30M vertices' rows would take gigabytes; the maps' lengths reject the
+    # instance first, so the child runs within its own 1.5 GB address space
+    doc = c5_instance([0])
+    doc["G"] = {"num_vertices": 30_000_000, "edges": [], "reflexive": True}
+    doc["phi"] = [0]
+    path = write(tmp_path, "inst.json", doc)
+    limit = 1536 * 2**20
+    out = subprocess.run(
+        [sys.executable, "-m", "homrecol.cli", "solve", path],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert out.returncode == 2, out.stderr
+    assert out.stderr == "error: phi must have length 30000000\n"
 
 
 def test_invalid_json_line_message(tmp_path, capsys):
@@ -359,6 +404,8 @@ MALFORMED = [
     ([(("psi",), 7)], "psi must be a list"),
     ([(("psi",), [0, 1, 2, 3])], "psi must have length 5"),
     ([(("phi",), [0, 1, 2, 3, 4, 0])], "phi must have length 5"),
+    # the maps' lengths are checked before G's rows are built
+    ([(("phi",), [0, 1, 2, 3]), (("G", "edges", 2), [2, 9])], "phi must have length 5"),
     ([(("phi", 0), False)], "phi[0] must be an integer"),
     ([(("psi", 0), 2.5)], "psi[0] must be an integer"),
     ([(("phi", 4), 5)], "phi[4] out of range"),

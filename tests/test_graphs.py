@@ -14,7 +14,8 @@ from homrecol.graphs import (
     shortest_walk,
     validate_host,
 )
-from reference import bfs_tree_by, hom_adjacent
+from homrecol.jsonio import dumps, graph_from_dict, loads
+from reference import bfs_tree_by, hom_adjacent, set_rows
 
 
 def test_loops_live_in_adjacency():
@@ -34,6 +35,36 @@ def test_reflexive_flag_adds_all_loops():
 def test_edge_out_of_range_rejected():
     with pytest.raises(InvalidInputError):
         Graph(2, [(0, 2)])
+
+
+def _messy_edges(rng: random.Random, n: int) -> list[tuple[int, int]]:
+    """Random edges with explicit loops, both orientations and repeats."""
+    edges = []
+    for _ in range(rng.randrange(3 * n + 1) if n else 0):
+        u = rng.randrange(n)
+        edges.append((u, u) if rng.random() < 0.15 else (u, rng.randrange(n)))
+    edges += [(v, u) for u, v in rng.sample(edges, len(edges) // 3)]
+    edges += rng.sample(edges, len(edges) // 4)
+    rng.shuffle(edges)
+    return edges
+
+
+def test_row_build_matches_set_reference():
+    # both build paths, Graph(...) and the parser's one pass, against the
+    # set-per-vertex construction; some graphs pass id 256, the last int
+    # that Python caches, so the parsed rows must share ids to pass
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randrange(40) if seed % 4 else rng.randrange(257, 400)
+        edges = _messy_edges(rng, n)
+        reflexive = rng.random() < 0.5
+        ref = set_rows(n, edges, reflexive)
+        looped = all(v in ref[v] for v in range(n))
+        doc = loads(dumps({"num_vertices": n, "edges": edges, "reflexive": reflexive}))
+        for g in (Graph(n, edges, reflexive), graph_from_dict(doc, "G")):
+            assert g.n == n and g.adj == ref, seed
+            assert g.is_reflexive() == looped, seed
+            assert len({id(x) for row in g.adj for x in row}) == len({x for row in g.adj for x in row})
 
 
 def test_validate_host_c5():

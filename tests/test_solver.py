@@ -27,6 +27,7 @@ from homrecol.solver import (
     preprocess_girth5,
     recheck_obstruction,
     solve,
+    validate_instance,
     verify_witness,
 )
 from homrecol.systems import edge_preserved
@@ -34,6 +35,22 @@ from homrecol.walks import reduce_walk
 
 C5 = cycle_graph(5)
 ID5 = (0, 1, 2, 3, 4)
+
+
+@pytest.mark.parametrize(
+    "phi, psi, message",
+    [
+        ((0, 1, 2, 3, 1), (0, 2, 2, 3, 4), "phi is not a homomorphism"),
+        (ID5, (0, 2, 2, 3, 4), "psi is not a homomorphism"),
+        ((0, 1, 2, 3, 1), (0, 1, 2, 3, 9), "phi is not a homomorphism"),
+        ((0, 1, 2, 3, 9), (0, 2, 2, 3, 4), "image 9 of vertex 4 out of range"),
+        (ID5, (0, 1, 2), "map has length 3, expected 5"),
+    ],
+)
+def test_validate_instance_checks_phi_before_psi(phi, psi, message):
+    with pytest.raises(InvalidInputError) as excinfo:
+        validate_instance(Instance(g=C5, h=C5, phi=phi, psi=psi))
+    assert str(excinfo.value) == message
 
 
 def test_solve_identity_yields_empty_witness():
