@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Sequence
 
 from .errors import InvalidInputError
-from .graphs import Graph, first_non_homomorphism
+from .graphs import Graph, is_homomorphism
 
 
 class Answer(Enum):
@@ -40,7 +40,7 @@ def hom_graph_path(
     "stay adjacent to your own old colour".  Vertices are tried in order and
     colours in increasing order.
     """
-    if first_non_homomorphism(g, h, phi, psi) is not None:
+    if not is_homomorphism(g, h, phi) or not is_homomorphism(g, h, psi):
         raise InvalidInputError("endpoints must be homomorphisms")
     if h.n > 64:
         raise InvalidInputError("oracle supports hosts with at most 64 vertices")

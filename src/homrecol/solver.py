@@ -21,7 +21,7 @@ from .graphs import (
     Graph,
     Scratch,
     bfs_tree,
-    first_non_homomorphism,
+    is_homomorphism,
     shortest_walk,
     tree_path,
     validate_host,
@@ -74,9 +74,10 @@ def validate_instance(inst: Instance) -> None:
     """Check the structural hypotheses for the instance's mode."""
     if inst.mode not in (REFLEXIVE, GIRTH5):
         raise InvalidInputError(f"unknown mode {inst.mode!r}")
-    bad = first_non_homomorphism(inst.g, inst.h, inst.phi, inst.psi)
-    if bad is not None:
-        raise InvalidInputError(f"{('phi', 'psi')[bad]} is not a homomorphism")
+    if not is_homomorphism(inst.g, inst.h, inst.phi):
+        raise InvalidInputError("phi is not a homomorphism")
+    if not is_homomorphism(inst.g, inst.h, inst.psi):
+        raise InvalidInputError("psi is not a homomorphism")
     report = validate_host(inst.h)
     if not report.is_reflexive:
         raise InvalidInputError("host must be reflexive")
