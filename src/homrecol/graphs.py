@@ -177,17 +177,23 @@ class Scratch:
     A call uses only the entries of its own component's vertices and leaves
     queued all 0, as it found it, so one solve over many small components
     costs their total size, not n per component.  Calls from outside a solve
-    allocate their own.  The scheduler's one progress counter is left[v],
-    the steps v has still to go: its colour is walks[v][-left[v] - 1] and
-    its next colour walks[v][-left[v]].  cur[v] caches the colour, because
-    the hot loop reads it for every neighbour it checks.
+    allocate their own.  generate_system writes the valid system it returns
+    into start and end: v's walk is flat[start[v]:end[v]] of that system's
+    one flat list.  The scheduler's one progress counter is left[v], the
+    steps v has still to go: its colour is flat[end[v] - left[v] - 1] and
+    its next colour flat[end[v] - left[v]].  cur[v] caches the colour,
+    because the hot loop reads it for every neighbour it checks.  queued
+    marks the work list while the scheduler runs and, once the drained queue
+    has cleared it, the vertices a deadlock scan has visited.
     """
 
-    __slots__ = ("lo", "hi", "left", "cur", "queued")
+    __slots__ = ("lo", "hi", "start", "end", "left", "cur", "queued")
 
     def __init__(self, n: int):
         self.lo = [0] * n  # cover lifts of phi and psi
         self.hi = [0] * n
+        self.start = [0] * n  # each walk's slice of the system's flat list
+        self.end = [0] * n
         self.left = [0] * n  # scheduler: the steps still to go,
         self.cur = [0] * n  # the colour now,
         self.queued = bytearray(n)  # and membership of the work list

@@ -47,30 +47,32 @@ class TightWalkWitness:
 
 
 def waits_for(
-    g: Graph, h: Graph, walks: dict[int, Walk], left: Sequence[int] | Mapping[int, int], u: int
+    g: Graph, h: Graph, system: WalkSystem, left: Sequence[int] | Mapping[int, int], u: int
 ) -> int | None:
     """The lowest-id vertex u waits for, or None.
 
     left[v] is the number of steps v has still to go, for u and its
     neighbours: the scheduler's vertex-indexed list or any mapping.  With
-    k = left[v], v's colour is walks[v][-k - 1], its next colour walks[v][-k],
-    and v is unfinished while k is nonzero.  u waits for v when both are
-    unfinished, v's next colour is u's colour and v's colour clashes with
-    u's next: u cannot move before v does.
+    k = left[v] and e = system.end[v], v's colour is system.flat[e - k - 1],
+    its next colour system.flat[e - k], and v is unfinished while k is
+    nonzero.  u waits for v when both are unfinished, v's next colour is
+    u's colour and v's colour clashes with u's next: u cannot move before v
+    does.
     """
     k = left[u]
     if not k:
         return None
-    w = walks[u]
-    cur_u, nxt_u = w[-k - 1], w[-k]
+    flat, end = system.flat, system.end
+    e = end[u] - k
+    cur_u, nxt_u = flat[e - 1], flat[e]
     hs = h.adj_sets
     for v in g.adj[u]:
         if v == u:
             continue
         kv = left[v]
         if kv:
-            wv = walks[v]
-            if wv[-kv] == cur_u and nxt_u not in hs[wv[-kv - 1]]:
+            ev = end[v] - kv
+            if flat[ev] == cur_u and nxt_u not in hs[flat[ev - 1]]:
                 return v
     return None
 
@@ -92,16 +94,17 @@ def schedule(
     holds the per-vertex arrays; a solve passes one for all its calls, and
     without it this call allocates its own.
     """
-    walks = system.walks
+    start, end, flat = system.start, system.end, system.flat
     adj, hs = g.adj, h.adj_sets
     if scratch is None:
         scratch = Scratch(g.n)
     left, cur, queued = scratch.left, scratch.cur, scratch.queued
-    for v, w in walks.items():
-        left[v] = len(w) - 1
-        cur[v] = w[0]
+    for v in system.order:
+        s = start[v]
+        left[v] = end[v] - s - 1
+        cur[v] = flat[s]
     moves: list[tuple[int, int]] = []
-    seed = sorted(walks) if order is None else order
+    seed = sorted(system.order) if order is None else order
     queue = deque(v for v in seed if left[v])
     for v in queue:
         queued[v] = 1
@@ -113,7 +116,7 @@ def schedule(
         k = left[u]
         if not k:
             continue  # finished
-        nxt = walks[u][-k]
+        nxt = flat[end[u] - k]
         # H is undirected, so "nxt is adjacent to cur[x]" reads nxt's row
         allowed = hs[nxt]
         for x in adj[u]:
@@ -131,42 +134,45 @@ def schedule(
                     push(x)
                     queued[x] = 1
 
-    # the drained queue has cleared every queued flag
-    unfinished = [v for v in walks if left[v]]
-    if not unfinished:
+    first = min((v for v in system.order if left[v]), default=None)
+    if first is None:
         return moves
-    return _extract_tight_cycle(g, h, walks, left, min(unfinished))
+    # the drained queue has cleared every queued flag
+    return _extract_tight_cycle(g, h, system, scratch, first)
 
 
 def _extract_tight_cycle(
-    g: Graph,
-    h: Graph,
-    walks: dict[int, Walk],
-    left: Sequence[int] | Mapping[int, int],
-    start: int,
+    g: Graph, h: Graph, system: WalkSystem, scratch: Scratch, first: int
 ) -> TightWalkWitness:
-    """Follow waits_for arcs from start until a vertex repeats.
+    """Follow waits_for arcs from first until a vertex repeats.
 
-    left is read as in waits_for.  The cycle closed must be tight, so frozen:
-    each of its vertices must still be at the start of its walk, and the
-    cycle is tight under those start colours.  Either failing means the
-    system was not staggered, and raises InternalError.
+    scratch.left and scratch.cur hold the scheduler's state, read as in
+    waits_for, and scratch.queued must be all 0: it marks the vertices
+    visited, and is cleared again before this returns.  The cycle closed
+    must be tight, so frozen: each of its vertices must still be at the
+    start of its walk, and the cycle is tight under those colours.  Either
+    failing means the system was not staggered, and raises InternalError.
     """
-    chain = [start]
-    seen_at = {start: 0}
+    left, marked = scratch.left, scratch.queued
+    chain = [first]
+    marked[first] = 1
     while True:
-        v = waits_for(g, h, walks, left, chain[-1])
-        if v is None:
-            raise InternalError("deadlocked vertex without a blocking arc (system not staggered)")
-        if v in seen_at:
-            cycle = tuple(chain[seen_at[v] :]) + (v,)
+        v = waits_for(g, h, system, left, chain[-1])
+        if v is None or marked[v]:
             break
-        seen_at[v] = len(chain)
+        marked[v] = 1
         chain.append(v)
+    for x in chain:
+        marked[x] = 0
+    if v is None:
+        raise InternalError("deadlocked vertex without a blocking arc (system not staggered)")
+    del chain[: chain.index(v)]
+    chain.append(v)
+    cycle = tuple(chain)
 
-    for x in cycle:
-        if left[x] != len(walks[x]) - 1:
+    for x in chain:
+        if left[x] != len(system.walk(x)) - 1:
             raise InternalError(f"deadlock cycle vertex {x} has moved (system not staggered)")
-    if not is_tight(g, {x: walks[x][0] for x in cycle}, cycle):
+    if not is_tight(g, scratch.cur, cycle):
         raise InternalError("deadlock cycle is not tight (system not staggered)")
     return TightWalkWitness(cycle=cycle)

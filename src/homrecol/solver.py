@@ -139,9 +139,9 @@ def _solve_component(
             return outcome
         # The tight cycle is frozen at phi (the scheduler checked that none
         # of its vertices moved), so a vertex where psi differs is stuck.
-        stuck = [v for v in outcome.cycle if phi[v] != psi[v]]
-        if stuck:
-            return Obstruction(kind=FROZEN_MISMATCH, cycle=outcome.cycle, vertex=min(stuck))
+        stuck = min((v for v in outcome.cycle if phi[v] != psi[v]), default=None)
+        if stuck is not None:
+            return Obstruction(kind=FROZEN_MISMATCH, cycle=outcome.cycle, vertex=stuck)
         if unrealizable is not None:
             return unrealizable  # the retry deadlocked too
         # Every cycle colour agrees, so a realizable system must be constant on

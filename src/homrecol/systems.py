@@ -16,6 +16,12 @@ Walks are built only for the endpoints of the edges left over, and for the
 whole system once it is known to be valid.  A system that fails costs the
 size of its component plus the walks of those few edges, not the total
 length of all its walks, which grows quadratically on a mirrored cycle wrap.
+
+A valid system is laid out flat: every walk, in BFS order, in one list of
+colours, with its start and end index in the solve's Scratch.  Of the
+several candidate base walks a search may find valid, only the one chosen
+is written out, so a system holds its component's walks and nothing
+n-sized.
 """
 
 from __future__ import annotations
@@ -55,9 +61,23 @@ class Obstruction:
     cores: tuple[Walk, Walk] | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WalkSystem:
-    walks: dict[int, Walk]
+    """A valid system: v's walk is flat[start[v]:end[v]] for each v of order.
+
+    order is the component in the BFS order its walks were written in.
+    start and end are the vertex-indexed lists of the Scratch the system
+    was generated in, read only at order's vertices; generating another
+    system of the same component in that scratch overwrites them.
+    """
+
+    order: list[int]
+    start: list[int]
+    end: list[int]
+    flat: list[int]
+
+    def walk(self, v: int) -> Walk:
+        return tuple(self.flat[self.start[v] : self.end[v]])
 
 
 @dataclass(frozen=True)
@@ -101,31 +121,44 @@ def generate_system(
     endpoints, and its two walks are built only when its lifts are not
     adjacent on both sides.  The witness for a failing edge uv is the closed
     walk tree-path(root, u) . uv . tree-path(v, root).  On success every walk
-    is built once, from its parent's walk.  scratch holds the lift arrays; a
-    solve passes one for all its calls, and without it this call allocates
-    its own.
+    is built once, from its parent's walk.  scratch holds the lift arrays
+    and the system's start and end indices; a solve passes one for all its
+    calls, and without it this call allocates its own.
     """
+    if scratch is None:
+        scratch = Scratch(g.n)
+    witness = _failing_cycle(g, h, phi, psi, tree, w_root, scratch)
+    if witness is not None:
+        return witness
+    return _carry_walks(phi, psi, tree, w_root, scratch)
+
+
+def _failing_cycle(
+    g: Graph,
+    h: Graph,
+    phi: Sequence[int],
+    psi: Sequence[int],
+    tree: tuple[list[int], list[int]],
+    w_root: Walk,
+    scratch: Scratch,
+) -> CycleWitness | None:
+    """The failing cycle of w_root's system, or None when the system is valid."""
     order, parent = tree
     root = order[0]
     if w_root[0] != phi[root] or w_root[-1] != psi[root]:
         raise InternalError("base walk endpoints do not match the maps")
     if not is_reduced(w_root):
         raise InternalError("base walk must be reduced")
-    if scratch is None:
-        scratch = Scratch(g.n)
     failing = _failing_edge(g, h, phi, psi, order, parent, w_root, scratch)
-    if failing is None:
-        out = WalkSystem(walks=_carry_walks(phi, psi, order, parent, w_root))
-    else:
-        u, v = failing
-        cycle = tuple(reversed(tree_path(parent, u))) + tuple(tree_path(parent, v))
-        out = CycleWitness(cycle=cycle)
     # Drop the lifts: their cover node ids would otherwise stay allocated
     # through the schedule.
     lo, hi = scratch.lo, scratch.hi
     for v in order:
         lo[v] = hi[v] = 0
-    return out
+    if failing is None:
+        return None
+    u, v = failing
+    return CycleWitness(cycle=tuple(reversed(tree_path(parent, u))) + tuple(tree_path(parent, v)))
 
 
 class _Cover:
@@ -149,23 +182,33 @@ class _Cover:
         self.child = {i * nh + walk[i + 1]: i + 1 for i in range(m - 1)}
 
     def lift(
-        self, order: list[int], parent: list[int], f: Sequence[int], start: int, at: list[int]
-    ) -> list[int]:
-        """Lift f along the BFS tree into at, sending order[0] to node start.
+        self,
+        order: list[int],
+        parent: list[int],
+        phi: Sequence[int],
+        psi: Sequence[int],
+        lo: list[int],
+        hi: list[int],
+        hi_root: int,
+    ) -> None:
+        """Lift phi into lo and psi into hi along the BFS tree, in one pass.
 
-        A step to colour c stays on a node coloured c, goes up when the
-        parent is coloured c, and otherwise goes down to the child c.  Only
-        the entries of the tree's vertices are written.
+        order[0] goes to node 0 under phi and to node hi_root under psi.  A
+        step to colour c stays on a node coloured c, goes up when the parent
+        is coloured c, and otherwise goes down to the child c.  Only the
+        entries of the tree's vertices are written.
         """
         label, up, depth, child, nh = self.label, self.up, self.depth, self.child, self.nh
-        at[order[0]] = start
+        lo[order[0]] = 0
+        hi[order[0]] = hi_root
         for v in islice(order, 1, None):
-            x = at[parent[v]]
-            c = f[v]
+            p = parent[v]
+            x = lo[p]
+            c = phi[v]
             if label[x] != c:
-                p = up[x]
-                if label[p] == c:
-                    x = p
+                q = up[x]
+                if label[q] == c:
+                    x = q
                 else:
                     key = x * nh + c
                     y = child.get(key)
@@ -175,8 +218,23 @@ class _Cover:
                         up.append(x)
                         depth.append(depth[x] + 1)
                     x = y
-            at[v] = x
-        return at
+            lo[v] = x
+            x = hi[p]  # the same step for psi
+            c = psi[v]
+            if label[x] != c:
+                q = up[x]
+                if label[q] == c:
+                    x = q
+                else:
+                    key = x * nh + c
+                    y = child.get(key)
+                    if y is None:
+                        y = child[key] = len(label)
+                        label.append(c)
+                        up.append(x)
+                        depth.append(depth[x] + 1)
+                    x = y
+            hi[v] = x
 
     def walk(self, a: int, b: int) -> Walk:
         """The reduced walk from node a to node b: up to their meet, then down."""
@@ -210,8 +268,8 @@ def _failing_edge(
 ) -> tuple[int, int] | None:
     """The first non-tree edge uv (u < v) the system does not preserve, if any."""
     cover = _Cover(h.n, w_root)
-    lo = cover.lift(order, parent, phi, 0, scratch.lo)
-    hi = cover.lift(order, parent, psi, len(w_root) - 1, scratch.hi)
+    lo, hi = scratch.lo, scratch.hi
+    cover.lift(order, parent, phi, psi, lo, hi, len(w_root) - 1)
     up = cover.up
     for u in sorted(order):
         lo_u, hi_u = lo[u], hi[u]
@@ -236,28 +294,45 @@ def _failing_edge(
 def _carry_walks(
     phi: Sequence[int],
     psi: Sequence[int],
-    order: list[int],
-    parent: list[int],
+    tree: tuple[list[int], list[int]],
     w_root: Walk,
-) -> dict[int, Walk]:
+    scratch: Scratch,
+) -> WalkSystem:
     """Every walk of the system, each the reduction of (phi(v),) + w_parent + (psi(v),).
 
-    order is any sequence of vertices in which each one after the first is
-    adjacent to its parent, which comes earlier.  The parent's walk is
-    reduced, so the reduction changes at most one vertex at each end: it
-    keeps, drops or adds the end vertex.
+    The walks go into one flat list in tree order, each after its parent's,
+    and their bounds into scratch.start and scratch.end.  The parent's walk
+    is reduced, so the reduction changes at most one vertex at each end: it
+    keeps, drops or adds the end vertex.  Each walk starts where the one
+    before it ends, and both bounds are the same int object.
     """
-    walks: dict[int, Walk] = {order[0]: w_root}
+    order, parent = tree
+    start, end = scratch.start, scratch.end
+    flat = list(w_root)
+    e = len(flat)
+    start[order[0]] = 0
+    end[order[0]] = e
     for v in islice(order, 1, None):
-        w = walks[parent[v]]
+        s = e
+        p = parent[v]
+        i, j = start[p], end[p]
         a = phi[v]
-        if w[0] != a:
-            w = w[1:] if len(w) > 1 and w[1] == a else (a,) + w
+        if flat[i] != a:
+            if j - i > 1 and flat[i + 1] == a:
+                i += 1
+            else:
+                flat.append(a)
+        flat += flat[i:j]
         b = psi[v]
-        if w[-1] != b:
-            w = w[:-1] if len(w) > 1 and w[-2] == b else w + (b,)
-        walks[v] = w
-    return walks
+        if flat[-1] != b:
+            if len(flat) - s > 1 and flat[-2] == b:
+                flat.pop()
+            else:
+                flat.append(b)
+        e = len(flat)
+        start[v] = s
+        end[v] = e
+    return WalkSystem(order=order, start=start, end=end, flat=flat)
 
 
 def _candidate_family(
@@ -306,9 +381,9 @@ def find_valid_base_walk(
     core-prefix . reversed tail); a second witness from the zero-power
     candidate pins it further.  Every candidate is validated by generating
     its system, so extra candidates can never cost soundness.  Among a
-    family's valid candidates the shortest wins, then the first.  One
-    scratch, passed in or else allocated here, serves every generate_system
-    call.
+    family's valid candidates the shortest wins, then the first, and only
+    its walks are built.  One scratch, passed in or else allocated here,
+    serves every system checked.
 
     The obstruction is no-valid-walk on (root,) when the endpoint colours
     lie in different components of H, free-class-mismatch on a witness
@@ -327,19 +402,17 @@ def find_valid_base_walk(
     # At most two witness cycles each pin a candidate family; the second
     # comes from the first family's zero-power candidate.
     first_cycle = cycle = out.cycle
-    results: dict[Walk, WalkSystem | CycleWitness] = {}
+    # each candidate's failing cycle, or None when its system is valid
+    results: dict[Walk, CycleWitness | None] = {}
     for _ in range(2):
         candidates, cores = _candidate_family(phi, psi, cycle)
         if candidates is None:
             return Obstruction(kind=CLASS_MISMATCH, cycle=cycle, cores=cores)
         for cand in candidates:
             if cand not in results:
-                results[cand] = generate_system(g, h, phi, psi, tree, cand, scratch=scratch)
-        valid = [c for c in candidates if isinstance(results[c], WalkSystem)]
+                results[cand] = _failing_cycle(g, h, phi, psi, tree, cand, scratch)
+        valid = [c for c in candidates if results[c] is None]
         if valid:
-            return results[min(valid, key=len)]
-        second = results[candidates[1]]
-        if not isinstance(second, CycleWitness):
-            raise InternalError("zero-power candidate left no witness cycle")
-        cycle = second.cycle
+            return _carry_walks(phi, psi, tree, min(valid, key=len), scratch)
+        cycle = results[candidates[1]].cycle
     return Obstruction(kind=NO_VALID_WALK, cycle=first_cycle)

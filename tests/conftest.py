@@ -126,6 +126,24 @@ def tight_vertices(g: Graph, h: Graph, colours) -> set[int]:
     return out
 
 
+def system_of(walks: dict[int, tuple[int, ...]]) -> WalkSystem:
+    """The WalkSystem holding walks[v] for each v, laid out in the dict's order."""
+    n = max(walks) + 1
+    start, end, flat = [0] * n, [0] * n, []
+    for v, w in walks.items():
+        start[v] = len(flat)
+        flat += w
+        end[v] = len(flat)
+    return WalkSystem(order=list(walks), start=start, end=end, flat=flat)
+
+
+def walks_of(outcome):
+    """A WalkSystem's walks as a dict in its order; any other outcome as it is."""
+    if isinstance(outcome, WalkSystem):
+        return {v: outcome.walk(v) for v in outcome.order}
+    return outcome
+
+
 def brute_generate_system(g, h, phi, psi, root, w_root, key=None):
     """generate_system the direct way: every walk built down the BFS tree
     (neighbours by ascending key[v] when given, as reference.bfs_tree_by)
@@ -144,7 +162,7 @@ def brute_generate_system(g, h, phi, psi, root, w_root, key=None):
                     while parent[chain[-1]] != chain[-1]:
                         chain.append(parent[chain[-1]])
                 return CycleWitness(cycle=tuple(reversed(up_u)) + tuple(up_v))
-    return WalkSystem(walks=walks)
+    return system_of(walks)
 
 
 class BruteScheduleState:
@@ -153,8 +171,8 @@ class BruteScheduleState:
     def __init__(self, g: Graph, h: Graph, system: WalkSystem):
         self.g = g
         self.h = h
-        self.walks = system.walks
-        self.pos = {v: 0 for v in system.walks}
+        self.walks = walks_of(system)
+        self.pos = {v: 0 for v in self.walks}
         self.moves: list[tuple[int, int]] = []
 
     def current(self, v: int) -> int:
@@ -183,7 +201,7 @@ def brute_schedule(g, h, system, order=None):
     """schedule through BruteScheduleState: a method call per check and per
     move, and a closure for the blocking arc of tight-cycle extraction."""
     state = BruteScheduleState(g, h, system)
-    seed = sorted(system.walks) if order is None else list(order)
+    seed = sorted(state.walks) if order is None else list(order)
     queue = deque(v for v in seed if not state.finished(v))
     queued = set(queue)
     while queue:
@@ -199,7 +217,7 @@ def brute_schedule(g, h, system, order=None):
                 queue.append(x)
                 queued.add(x)
 
-    unfinished = sorted(v for v in system.walks if not state.finished(v))
+    unfinished = sorted(v for v in state.walks if not state.finished(v))
     if not unfinished:
         return state.moves
     return _brute_tight_cycle(state, unfinished[0])

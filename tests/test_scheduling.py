@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import brute_generate_system, brute_schedule, tight_vertices
+from conftest import brute_generate_system, brute_schedule, system_of, tight_vertices, walks_of
 from homrecol.errors import InternalError, InvalidInputError
 from homrecol.families import (
     cycle_graph,
@@ -75,11 +75,12 @@ def test_is_tight_validates_cycle():
 
 def _start_arcs(g, h, system):
     """Arcs u -> waits_for(u) with every vertex at the start of its walk."""
-    left = {v: len(w) - 1 for v, w in system.walks.items()}
-    arcs = [(u, waits_for(g, h, system.walks, left, u)) for u in sorted(system.walks)]
+    walks = walks_of(system)
+    left = {v: len(w) - 1 for v, w in walks.items()}
+    arcs = [(u, waits_for(g, h, system, left, u)) for u in sorted(walks)]
     # the scheduler's vertex-indexed list reads the same as the mapping
     listed = [left.get(v, 0) for v in range(g.n)]
-    assert arcs == [(u, waits_for(g, h, system.walks, listed, u)) for u in sorted(system.walks)]
+    assert arcs == [(u, waits_for(g, h, system, listed, u)) for u in sorted(walks)]
     return [(u, v) for u, v in arcs if v is not None]
 
 
@@ -87,7 +88,7 @@ def test_movable_and_arcs_on_path_host():
     # two looped vertices joined by an edge, walking along a path host
     g = Graph(2, [(0, 1)], reflexive=True)
     h = path_graph(3)
-    system = WalkSystem(walks={0: (0, 1), 1: (1, 2)})
+    system = system_of({0: (0, 1), 1: (1, 2)})
     # tried first, 1 cannot move: 2 is not adjacent to 0's current colour 0
     assert schedule(g, h, system, order=[1, 0]) == [(0, 1), (1, 2)]
     assert _start_arcs(g, h, system) == [(1, 0)]
@@ -100,14 +101,14 @@ def test_waits_for_lowest_unfinished_vertex():
     # 0 sits at 0 too, but it is finished, so 3 does not wait for it
     g = Graph(4, [(3, 0), (3, 1), (3, 2)], reflexive=True)
     h = path_graph(3)
-    system = WalkSystem(walks={0: (0,), 1: (0, 1), 2: (0, 1), 3: (1, 2)})
+    system = system_of({0: (0,), 1: (0, 1), 2: (0, 1), 3: (1, 2)})
     assert _start_arcs(g, h, system) == [(3, 1)]
 
 
 def test_no_arcs_when_all_constant():
     g = Graph(2, [(0, 1)], reflexive=True)
     h = path_graph(3)
-    system = WalkSystem(walks={0: (0,), 1: (1,)})
+    system = system_of({0: (0,), 1: (1,)})
     assert _start_arcs(g, h, system) == []
     assert schedule(g, h, system) == []
 
@@ -130,11 +131,23 @@ def test_extract_tight_cycle_rejects_a_moved_vertex():
     # tight under the colours now but not frozen, and extraction refuses it
     walks = {0: (0, 1), 1: (1, 2), 2: (1, 2, 3), 3: (3, 4), 4: (4, 0)}
     with pytest.raises(InternalError, match="vertex 2 has moved"):
-        _extract_tight_cycle(C5, C5, walks, [1] * 5, 0)
+        _extract_tight_cycle(C5, C5, *_one_step_left(walks), 0)
     walks[2] = (2, 3)
-    assert _extract_tight_cycle(C5, C5, walks, [1] * 5, 0) == TightWalkWitness(
+    system, scratch = _one_step_left(walks)
+    assert _extract_tight_cycle(C5, C5, system, scratch, 0) == TightWalkWitness(
         cycle=(0, 4, 3, 2, 1, 0)
     )
+    # the marks of the visited vertices are cleared again
+    assert scratch.queued == bytearray(5)
+
+
+def _one_step_left(walks):
+    """The system of walks, and a scratch with every vertex one step from its end."""
+    scratch = Scratch(len(walks))
+    for v, w in walks.items():
+        scratch.left[v] = 1
+        scratch.cur[v] = w[-2]
+    return system_of(walks), scratch
 
 
 def _replay(g, h, phi, psi, moves):
@@ -153,7 +166,7 @@ def test_cycle_wrap_schedule_replays():
     assert isinstance(search, WalkSystem)
     out = schedule(inst.g, inst.h, search)
     assert isinstance(out, list)
-    assert len(out) == sum(len(w) - 1 for w in search.walks.values())
+    assert len(out) == sum(len(w) - 1 for w in walks_of(search).values())
     _replay(inst.g, inst.h, inst.phi, inst.psi, out)
 
 
@@ -170,7 +183,7 @@ def test_schedule_order_independent():
             continue
         base = schedule(g, h, search)
         for _ in range(3):
-            order = sorted(search.walks)
+            order = sorted(search.order)
             rng.shuffle(order)
             alt = schedule(g, h, search, order=order)
             assert isinstance(alt, list) == isinstance(base, list)
@@ -240,7 +253,7 @@ def test_schedule_matches_reference_on_wrap():
     inst = make_cycle_wrap(2000, 4, 40)
     search = find_valid_base_walk(inst.g, inst.h, inst.phi, inst.psi, bfs_tree(inst.g, 0))
     out = _assert_same_outcome(inst.g, inst.h, search)
-    assert len(out) == sum(len(w) - 1 for w in search.walks.values())
+    assert len(out) == sum(len(w) - 1 for w in walks_of(search).values())
 
 
 def test_schedule_matches_reference_on_deadlocks():
@@ -272,7 +285,7 @@ def test_shared_scratch_matches_reference():
             if w0 is None:
                 continue
             system = generate_system(g, h, phi, psi, bfs_tree(g, comp[0]), w0, scratch=scratch)
-            assert system == brute_generate_system(g, h, phi, psi, comp[0], w0)
+            assert walks_of(system) == walks_of(brute_generate_system(g, h, phi, psi, comp[0], w0))
             if isinstance(system, WalkSystem):
                 # the second run starts on the arrays the first one left behind
                 for _ in range(2):

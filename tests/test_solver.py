@@ -1,9 +1,10 @@
 import random
 import time
+import tracemalloc
 
 import pytest
 
-from conftest import disjoint_union, relabel, tight_vertices
+from conftest import brute_generate_system, disjoint_union, relabel, tight_vertices, walks_of
 from homrecol.errors import InvalidInputError
 from homrecol.families import (
     cycle_graph,
@@ -17,7 +18,7 @@ from homrecol.families import (
     random_hom,
     random_instance,
 )
-from homrecol.graphs import Graph, bfs_tree, tree_path
+from homrecol.graphs import Graph, bfs_tree, shortest_walk, tree_path
 from homrecol.oracle import Answer, hom_graph_bfs, hom_graph_path
 from homrecol import solver
 from homrecol.solver import (
@@ -30,7 +31,8 @@ from homrecol.solver import (
     validate_instance,
     verify_witness,
 )
-from homrecol.systems import edge_preserved
+from homrecol.scheduling import schedule
+from homrecol.systems import CycleWitness, edge_preserved, find_valid_base_walk
 from homrecol.walks import reduce_walk
 
 C5 = cycle_graph(5)
@@ -496,3 +498,106 @@ def test_solver_leaves_instance_set_view_unbuilt():
             assert graph.adjacent(0, 1) and graph.adjacent(1, 0) and graph.adjacent(2, 2)
             assert not graph.adjacent(0, 2)
     assert "adj_sets" not in vars(yes.g)
+
+
+def _tight_rotation(n):
+    # the tight 4-wrap of an n-cycle with psi rotated one step back
+    phi = tuple(i % 4 for i in range(n))
+    psi = tuple((i - 1) % 4 for i in range(n))
+    return Instance(g=cycle_graph(n), h=cycle_graph(4), phi=phi, psi=psi)
+
+
+def test_solve_memory_of_the_100k_tight_rotation():
+    # walks in one flat list and a deadlock scan that marks visited vertices
+    # in the scratch: a tuple per walk in a dict, and two vertex-keyed dicts
+    # for the deadlock cycle, took 33 MiB at the peak
+    n = 100_000
+    inst = _tight_rotation(n)
+    tracemalloc.start()
+    try:
+        verdict = solve(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.obstruction.kind == "frozen-mismatch"
+    assert verdict.obstruction.vertex == 0 and len(verdict.obstruction.cycle) == n + 1
+    assert peak <= 28 * 2**20
+
+
+def _walk_vertices_and_moves(inst):
+    system = find_valid_base_walk(inst.g, inst.h, inst.phi, inst.psi, bfs_tree(inst.g, 0))
+    out = schedule(inst.g, inst.h, system)
+    return len(system.flat), len(out) if isinstance(out, list) else 0
+
+
+@pytest.mark.parametrize(
+    "make", [lambda n: make_cycle_wrap(n, 4, 40), _tight_rotation], ids=["wrap", "tight"]
+)
+def test_walk_vertices_and_moves_grow_linearly(make):
+    # counts, not times: doubling n at most doubles the walk vertices built
+    # and the moves made
+    small = _walk_vertices_and_moves(make(4000))
+    big = _walk_vertices_and_moves(make(8000))
+    assert small[0] >= 8000
+    assert big[0] <= 2.1 * small[0] and big[1] <= 2.1 * small[1], (small, big)
+
+
+def test_solve_many_isolated_looped_vertices():
+    # 20,000 components, nearly all one looped vertex: a solve that allocated
+    # anything n-sized per component or per system would take minutes
+    n = 20_000
+    g = Graph(n, [(0, 1), (1, 2), (10, 11)], reflexive=True)
+    inst = Instance(g=g, h=cycle_graph(4), phi=(0,) * n, psi=(1,) * n)
+    start = time.process_time()
+    v = solve(inst)
+    elapsed = time.process_time() - start
+    assert v.yes and len(v.moves) == n
+    assert elapsed < 2.0, f"solve took {elapsed:.1f} s CPU"
+
+
+def test_solve_schedules_flat_systems_that_match_the_reference(monkeypatch):
+    # every system a solve schedules, through the one scratch its components,
+    # candidate stages and constant-walk retries share, holds in its flat
+    # list exactly the walks the reference builds from its root walk
+    rng = random.Random(62)
+    constructed = [
+        make_double_turn, make_locked_link, make_twisted_loop, _hexagon_off_a_path,
+        make_figure_eight, make_double_bridge,
+    ]
+    seen = {"systems": 0, "multi": 0, "girth5": 0, "candidate": 0, "retry": 0}
+    work = None  # the instance the systems are of: girth5 ones after preprocessing
+    roots = []  # the component roots scheduled so far in this solve
+
+    def checked(g, h, system, order=None, scratch=None):
+        phi, psi = work.phi, work.psi
+        root = system.order[0]
+        assert system.order == bfs_tree(g, root)[0]
+        walks = walks_of(system)
+        assert walks == walks_of(brute_generate_system(g, h, phi, psi, root, walks[root]))
+        assert len(system.flat) == sum(len(w) for w in walks.values())
+        seen["systems"] += 1
+        if root in roots:
+            seen["retry"] += 1
+        else:
+            w0 = shortest_walk(h, phi[root], psi[root])
+            if isinstance(brute_generate_system(g, h, phi, psi, root, w0), CycleWitness):
+                seen["candidate"] += 1
+            roots.append(root)
+        return schedule(g, h, system, order=order, scratch=scratch)
+
+    monkeypatch.setattr(solver, "schedule", checked)
+    for i in range(300):
+        if i % 3 == 0:
+            inst = random_girth5_instance(rng, 2 + i % 11)
+            work = preprocess_girth5(inst)[0]
+        else:
+            parts = [random_instance(rng, 2 + i % 13, 4 + i % 9) for _ in range(1 + i % 2)]
+            if i % 3 == 2:
+                parts.append(rng.choice(constructed)())
+            inst = work = disjoint_union(parts, interleave=rng.random() < 0.5)
+        roots.clear()
+        solve(inst)
+        seen["multi"] += len(roots) > 1
+        seen["girth5"] += inst.mode == GIRTH5 and bool(roots)
+    assert seen["systems"] > 400 and seen["multi"] > 100 and seen["girth5"] > 50, seen
+    assert seen["candidate"] > 10 and seen["retry"] > 10, seen

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import brute_generate_system, random_walk, small_hosts
+from conftest import brute_generate_system, random_walk, small_hosts, walks_of
 from homrecol.errors import InternalError
 from homrecol.families import (
     cycle_graph,
@@ -60,13 +60,13 @@ def test_edge_preserved_detects_mismatch():
 def test_generate_system_identity():
     out = generate_system(C5, C5, ID5, ID5, bfs_tree(C5, 0), (0,))
     assert isinstance(out, WalkSystem)
-    assert all(w == (v,) for v, w in out.walks.items())
+    assert all(w == (v,) for v, w in walks_of(out).items())
 
 
 def test_generate_system_rotation():
     out = generate_system(C5, C5, ID5, ROT5, bfs_tree(C5, 0), (0, 1))
     assert isinstance(out, WalkSystem)
-    assert out.walks == {v: (v, (v + 1) % 5) for v in range(5)}
+    assert walks_of(out) == {v: (v, (v + 1) % 5) for v in range(5)}
 
 
 def test_generate_system_requires_reduced_base():
@@ -122,7 +122,7 @@ def test_generate_system_matches_reference():
                     tree = bfs_tree(g, root) if key is None else bfs_tree_by(g, root, key)
                     out = generate_system(g, h, phi, psi, tree, w)
                     ref = brute_generate_system(g, h, phi, psi, root, w, key)
-                    assert out == ref, (i, w, key)
+                    assert walks_of(out) == walks_of(ref), (i, w, key)
                     kinds[type(out)] += 1
     assert min(kinds.values()) > 500, kinds
 
@@ -182,7 +182,7 @@ def test_walk_carried_to_the_root_generates_the_same_system():
             carried = generate_system(g, h, phi, psi, tree, w_root)
             assert type(carried) is type(own), (i, v)
             if isinstance(own, WalkSystem):
-                assert carried.walks == own.walks, (i, v)
+                assert walks_of(carried) == walks_of(own), (i, v)
             kinds[type(own)] += 1
     assert min(kinds.values()) > 300, kinds
 
@@ -208,9 +208,9 @@ def test_system_uniqueness_under_tie_breaks():
             continue
         order = list(range(g.n))
         rng.shuffle(order)
-        alt = generate_system(g, h, phi, psi, bfs_tree_by(g, 0, order), search.walks[0])
+        alt = generate_system(g, h, phi, psi, bfs_tree_by(g, 0, order), search.walk(0))
         assert isinstance(alt, WalkSystem)
-        assert alt.walks == search.walks
+        assert walks_of(alt) == walks_of(search)
         found += 1
     assert found > 20
 
@@ -222,7 +222,7 @@ def test_system_soundness_on_random_closed_walks():
         search = find_valid_base_walk(g, h, phi, psi, bfs_tree(g, 0))
         if not isinstance(search, WalkSystem):
             continue
-        walks = search.walks
+        walks = walks_of(search)
         comp = sorted(walks)
         for _ in range(200):
             w = random_walk(rng, g, rng.randrange(0, 12), start=comp[rng.randrange(len(comp))])
@@ -257,7 +257,7 @@ def test_system_staggering():
         search = find_valid_base_walk(g, h, phi, psi, bfs_tree(g, 0))
         if not isinstance(search, WalkSystem):
             continue
-        walks = search.walks
+        walks = walks_of(search)
         for u in walks:
             for v in g.adj[u]:
                 if v <= u or v not in walks:
@@ -269,12 +269,12 @@ def test_system_staggering():
 
 def test_find_base_walk_trivial():
     search = find_valid_base_walk(C5, C5, ID5, ID5, bfs_tree(C5, 0))
-    assert search.walks[0] == (0,)
+    assert search.walk(0) == (0,)
 
 
 def test_find_base_walk_rotation():
     search = find_valid_base_walk(C5, C5, ID5, ROT5, bfs_tree(C5, 0))
-    assert search.walks[0] == (0, 1)
+    assert search.walk(0) == (0, 1)
 
 
 def test_find_base_walk_class_mismatch():
@@ -308,7 +308,7 @@ def test_find_base_walk_second_witness_family():
     cands, _ = _candidate_family(inst.phi, inst.psi, first.cycle)
     assert target not in cands
     search = find_valid_base_walk(inst.g, inst.h, inst.phi, inst.psi, tree)
-    assert search.walks[0] == target
+    assert search.walk(0) == target
 
 
 def test_find_base_walk_complete_vs_oracle():
@@ -341,4 +341,4 @@ def test_walk_length_bound():
         if not isinstance(search, WalkSystem):
             continue
         bound = max(4 * g.n, (h.n - 1) + 2 * (g.n - 1))
-        assert all(len(w) - 1 <= bound for w in search.walks.values())
+        assert all(len(w) - 1 <= bound for w in walks_of(search).values())
