@@ -5,7 +5,9 @@ colour is adjacent to every neighbour's current colour.  If no unfinished
 vertex can advance, following "waits for" arcs from any unfinished vertex
 closes a cycle whose images form a cyclically reduced closed walk — the
 tight-cycle certificate that the system is unrealizable.  A tight cycle is
-frozen, so none of its vertices has left its starting colour.
+frozen, so none of its vertices has left its starting colour.  Tightness is
+the one walk rule walks.is_cyclically_reduced, read on the cycle's colours;
+the cycle's steps are edges of G because each is a waits_for arc.
 """
 
 from __future__ import annotations
@@ -14,36 +16,18 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import InternalError, InvalidInputError
+from .errors import InternalError
 from .graphs import Graph, Scratch
 from .systems import WalkSystem
-from .walks import Walk
-
-
-def is_tight(g: Graph, colours, cycle: Walk) -> bool:
-    """True iff the cycle's image under colours is cyclically reduced and nonempty.
-
-    colours may be a full map (sequence) or a mapping defined on the cycle.
-    Vertices of a tight cycle are frozen: no reconfiguration step may ever
-    change them.
-    """
-    if cycle[0] != cycle[-1]:
-        raise InvalidInputError("tightness is for closed walks")
-    for a, b in zip(cycle, cycle[1:]):
-        if not g.adjacent(a, b):
-            raise InvalidInputError(f"cycle step {a} -> {b} is not an edge")
-    body = tuple(colours[x] for x in cycle[:-1])
-    m = len(body)
-    if m == 0:
-        return False
-    return all(
-        body[i] != body[(i + 1) % m] and body[i] != body[(i + 2) % m] for i in range(m)
-    )
+from .walks import Walk, is_cyclically_reduced
 
 
 @dataclass(frozen=True)
 class TightWalkWitness:
-    cycle: Walk  # closed vertex sequence in the instance graph, frozen at its start colours
+    """A deadlock: a closed walk of the instance graph, built from waits_for
+    arcs, whose image under the start colours is cyclically reduced."""
+
+    cycle: Walk
 
 
 def waits_for(
@@ -150,8 +134,10 @@ def _extract_tight_cycle(
     waits_for, and scratch.queued must be all 0: it marks the vertices
     visited, and is cleared again before this returns.  The cycle closed
     must be tight, so frozen: each of its vertices must still be at the
-    start of its walk, and the cycle is tight under those colours.  Either
-    failing means the system was not staggered, and raises InternalError.
+    start of its walk, and its image under scratch.cur must be cyclically
+    reduced.  Its steps are arcs, so edges of G, and are not checked again.
+    Either failing means the system was not staggered, and raises
+    InternalError.
     """
     left, marked = scratch.left, scratch.queued
     chain = [first]
@@ -168,11 +154,11 @@ def _extract_tight_cycle(
         raise InternalError("deadlocked vertex without a blocking arc (system not staggered)")
     del chain[: chain.index(v)]
     chain.append(v)
-    cycle = tuple(chain)
 
+    start, end, cur = system.start, system.end, scratch.cur
     for x in chain:
-        if left[x] != len(system.walk(x)) - 1:
+        if left[x] != end[x] - start[x] - 1:
             raise InternalError(f"deadlock cycle vertex {x} has moved (system not staggered)")
-    if not is_tight(g, scratch.cur, cycle):
+    if not is_cyclically_reduced(tuple(cur[x] for x in chain)):
         raise InternalError("deadlock cycle is not tight (system not staggered)")
-    return TightWalkWitness(cycle=cycle)
+    return TightWalkWitness(cycle=tuple(chain))

@@ -26,7 +26,7 @@ from .graphs import (
     tree_path,
     validate_host,
 )
-from .scheduling import TightWalkWitness, is_tight, schedule
+from .scheduling import TightWalkWitness, schedule
 from .systems import (
     CLASS_MISMATCH,
     FROZEN_MISMATCH,
@@ -37,7 +37,7 @@ from .systems import (
     find_valid_base_walk,
     generate_system,
 )
-from .walks import free_decomposition, reduce_walk, shift_match
+from .walks import free_decomposition, is_cyclically_reduced, reduce_walk, shift_match
 
 Move = tuple[int, int]
 
@@ -236,6 +236,8 @@ def recheck_obstruction(inst: Instance, obstruction: Obstruction) -> bool:
         # elsewhere never reads their colours: check it on the loop-added
         # instance, also when preprocessing stopped at some isolated vertex.
         g = g.with_all_loops()
+    # the one check that the certificate's cycle is a closed walk of G; the
+    # walk rules below read only its colours
     if len(cycle) > 1:
         if cycle[0] != cycle[-1]:
             return False
@@ -244,30 +246,26 @@ def recheck_obstruction(inst: Instance, obstruction: Obstruction) -> bool:
                 return False
 
     if obstruction.kind == CLASS_MISMATCH:
-        da = free_decomposition(reduce_walk(tuple(phi[x] for x in cycle)))
-        db = free_decomposition(reduce_walk(tuple(psi[x] for x in cycle)))
-        if (da.core, db.core) != obstruction.cores:
-            return False
-        if da.contractible != db.contractible:
-            return True
-        if da.contractible:
-            return False
-        return shift_match(da.core, db.core) is None
+        da = free_decomposition(tuple(phi[x] for x in cycle))
+        db = free_decomposition(tuple(psi[x] for x in cycle))
+        return (da.core, db.core) == obstruction.cores and shift_match(da.core, db.core) is None
 
+    # frozen-mismatch and unrealizable claim a tight cycle: its image under
+    # phi is cyclically reduced, so it is frozen at phi
     if obstruction.kind == FROZEN_MISMATCH:
         v = obstruction.vertex
         return (
             v is not None
             and v in set(cycle)
             and phi[v] != psi[v]
-            and is_tight(g, phi, cycle)
+            and is_cyclically_reduced(tuple(phi[x] for x in cycle))
         )
 
     if obstruction.kind == UNREALIZABLE:
         v = obstruction.vertex
         if v is None or v not in set(cycle):
             return False
-        if not is_tight(g, phi, cycle):
+        if not is_cyclically_reduced(tuple(phi[x] for x in cycle)):
             return False
         if any(phi[x] != psi[x] for x in cycle):
             return False

@@ -76,9 +76,6 @@ class WalkSystem:
     end: list[int]
     flat: list[int]
 
-    def walk(self, v: int) -> Walk:
-        return tuple(self.flat[self.start[v] : self.end[v]])
-
 
 @dataclass(frozen=True)
 class CycleWitness:
@@ -343,17 +340,13 @@ def _candidate_family(
     Returns (candidates, None), or (None, the two free cores) when the cycle's
     images are not freely homotopic, in which case no base walk exists.
     """
-    img_phi = reduce_walk(tuple(phi[x] for x in cycle))
-    img_psi = reduce_walk(tuple(psi[x] for x in cycle))
-    da = free_decomposition(img_phi)
-    db = free_decomposition(img_psi)
-    if da.contractible and db.contractible:
-        raise InternalError("witness cycle with both images contractible")
-    if da.contractible or db.contractible:
-        return None, (da.core, db.core)
+    da = free_decomposition(tuple(phi[x] for x in cycle))
+    db = free_decomposition(tuple(psi[x] for x in cycle))
     k = shift_match(da.core, db.core)
     if k is None:
         return None, (da.core, db.core)
+    if not da.core:
+        raise InternalError("witness cycle with both images contractible")
     prefix = da.core[: k + 1]
     root = primitive_root(da.core)
     root_loop = root + (root[0],)

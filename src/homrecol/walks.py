@@ -60,6 +60,17 @@ def is_reduced(seq: Sequence[int]) -> bool:
     )
 
 
+def is_cyclically_reduced(c: Walk) -> bool:
+    """True iff the closed walk c (first == last) is reduced read round the
+    cycle, and is more than a point.
+
+    This is the tightness rule: a cycle of G whose image is cyclically
+    reduced is tight, so frozen.  It reads colours only; the caller has
+    checked that c is a closed walk.
+    """
+    return len(c) > 1 and is_reduced(c + c[1:3])
+
+
 def reduce_walk(x: Sequence[int]) -> Walk:
     """The unique shortest walk with the same endpoints in x's homotopy class.
 
@@ -85,15 +96,12 @@ class FreeDecomposition:
 
     tail runs from the original basepoint to the core's first vertex; core is
     the cyclic word of the free-homotopy class, stored in its as-computed
-    rotation (shift_match compares two cores up to rotation).
+    rotation (shift_match compares two cores up to rotation).  The class is
+    contractible iff core is empty.
     """
 
     tail: Walk
     core: Walk
-
-    @property
-    def contractible(self) -> bool:
-        return not self.core
 
 
 def free_decomposition(c: Walk) -> FreeDecomposition:
@@ -145,14 +153,16 @@ def primitive_root(core: Walk) -> Walk:
 def shift_match(a: Walk, b: Walk) -> int | None:
     """Smallest k >= 0 with b[j] == a[(j + k) % len] for all j, else None.
 
-    Reversed matches deliberately do not count; a free class is matched by
-    rotations only.
+    This is the free-homotopy rule on two cores: the classes agree iff it is
+    not None.  Two empty words (both classes contractible) match at 0, and
+    words of different lengths never match.  Reversed matches deliberately
+    do not count; a free class is matched by rotations only.
     """
-    if not a or not b:
-        raise InternalError("shift match needs nonempty cyclic words")
     if len(a) != len(b):
         return None
     m = len(a)
+    if not m:
+        return 0
     lps = _failure_function(b)
     j = 0
     for i in range(2 * m):

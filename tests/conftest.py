@@ -16,14 +16,15 @@ from homrecol.families import (
     cycle_graph,
     cycle_with_pendant,
     host_catalogue,
+    make_cycle_wrap,
     two_squares_shared,
 )
 from homrecol.graphs import Graph, bfs_tree
 from homrecol.oracle import Answer
-from homrecol.scheduling import TightWalkWitness, is_tight
+from homrecol.scheduling import TightWalkWitness
 from homrecol.solver import REFLEXIVE, Instance
 from homrecol.systems import CycleWitness, WalkSystem, edge_preserved
-from homrecol.walks import reduce_walk
+from homrecol.walks import is_cyclically_reduced, reduce_walk
 from reference import bfs_tree_by
 
 
@@ -121,7 +122,7 @@ def tight_vertices(g: Graph, h: Graph, colours) -> set[int]:
     """Vertices on a tight simple cycle (the shape deadlock extraction emits)."""
     out: set[int] = set()
     for cyc in simple_cycles(g):
-        if is_tight(g, colours, cyc):
+        if is_cyclically_reduced(tuple(colours[x] for x in cyc)):
             out.update(cyc)
     return out
 
@@ -140,7 +141,8 @@ def system_of(walks: dict[int, tuple[int, ...]]) -> WalkSystem:
 def walks_of(outcome):
     """A WalkSystem's walks as a dict in its order; any other outcome as it is."""
     if isinstance(outcome, WalkSystem):
-        return {v: outcome.walk(v) for v in outcome.order}
+        flat, start, end = outcome.flat, outcome.start, outcome.end
+        return {v: tuple(flat[start[v] : end[v]]) for v in outcome.order}
     return outcome
 
 
@@ -248,7 +250,7 @@ def _brute_tight_cycle(state: BruteScheduleState, start: int) -> TightWalkWitnes
 
     if any(state.pos[x] for x in cycle):
         raise InternalError("deadlock cycle vertex has moved (system not staggered)")
-    if not is_tight(state.g, {x: state.current(x) for x in cycle}, cycle):
+    if not is_cyclically_reduced(tuple(state.current(x) for x in cycle)):
         raise InternalError("deadlock cycle is not tight (system not staggered)")
     return TightWalkWitness(cycle=cycle)
 
@@ -308,6 +310,19 @@ def relabel_host(inst: Instance, label) -> Instance:
         psi=tuple(label[c] for c in inst.psi),
         mode=inst.mode,
     )
+
+
+def tight_rotation(n: int) -> Instance:
+    """Tight 4-wrap of an n-cycle with psi rotated one step: frozen-mismatch."""
+    phi = tuple(i % 4 for i in range(n))
+    psi = tuple((i - 1) % 4 for i in range(n))
+    return Instance(g=cycle_graph(n), h=cycle_graph(4), phi=phi, psi=psi)
+
+
+def mirrored_wrap(n: int) -> Instance:
+    """Cycle wrap of C4 with psi[i] = phi[-i mod n]: free-class-mismatch."""
+    base = make_cycle_wrap(n, 4, 0)
+    return Instance(g=base.g, h=base.h, phi=base.phi, psi=tuple(base.phi[(-i) % n] for i in range(n)))
 
 
 def disjoint_union(parts: list[Instance], interleave: bool) -> Instance:

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from conftest import mirrored_wrap, tight_rotation
 from homrecol import families
 from homrecol.graphs import Graph
 from homrecol.jsonio import (
@@ -26,19 +27,6 @@ from homrecol.oracle import Answer, hom_graph_bfs
 from homrecol.solver import Instance, recheck_obstruction, solve, verify_witness
 
 CONSTRUCTIONS = ["figure_eight", "double_bridge", "locked_link", "twisted_loop", "double_turn"]
-
-
-def tight_rotation(n: int) -> Instance:
-    """Tight 4-wrap of an n-cycle with psi rotated one step: frozen-mismatch."""
-    phi = tuple(i % 4 for i in range(n))
-    psi = tuple((i - 1) % 4 for i in range(n))
-    return Instance(g=families.cycle_graph(n), h=families.cycle_graph(4), phi=phi, psi=psi)
-
-
-def mirrored_wrap(n: int) -> Instance:
-    """Cycle wrap of C4 with psi[i] = phi[-i mod n]: free-class-mismatch."""
-    base = families.make_cycle_wrap(n, 4, 0)
-    return Instance(g=base.g, h=base.h, phi=base.phi, psi=tuple(base.phi[(-i) % n] for i in range(n)))
 
 
 def instances(group: str) -> list[Instance]:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import brute_generate_system, brute_schedule, system_of, tight_vertices, walks_of
-from homrecol.errors import InternalError, InvalidInputError
+from homrecol.errors import InternalError
 from homrecol.families import (
     cycle_graph,
     make_cycle_wrap,
@@ -26,51 +26,16 @@ from homrecol.oracle import Answer, hom_graph_bfs
 from homrecol.scheduling import (
     TightWalkWitness,
     _extract_tight_cycle,
-    is_tight,
     schedule,
     waits_for,
 )
 from homrecol.systems import WalkSystem, find_valid_base_walk, generate_system
-from homrecol.walks import free_decomposition
+from homrecol.walks import is_cyclically_reduced
 from reference import hom_adjacent
 
 C5 = cycle_graph(5)
 ID5 = (0, 1, 2, 3, 4)
 ROT5 = (1, 2, 3, 4, 0)
-
-
-def test_is_tight_identity_pentagon():
-    assert is_tight(C5, ID5, (0, 1, 2, 3, 4, 0))
-
-
-def test_is_tight_matches_decomposition_emptiness():
-    rng = random.Random(41)
-    for _ in range(200):
-        g = cycle_graph(rng.randrange(4, 9))
-        h = cycle_graph(rng.randrange(4, 7))
-        phi = random_hom(rng, g, h)
-        cyc = tuple(range(g.n)) + (0,)
-        image = tuple(phi[x] for x in cyc)
-        d = free_decomposition(image)
-        expect = (not d.contractible) and len(d.core) == len(image) - 1
-        assert is_tight(g, phi, cyc) == expect
-
-
-def test_is_tight_slack_wrap():
-    inst = make_cycle_wrap(13, 4, 0)
-    cyc = tuple(range(13)) + (0,)
-    assert not is_tight(inst.g, inst.phi, cyc)
-
-
-def test_is_tight_constant_image():
-    assert not is_tight(C5, (0,) * 5, (0, 1, 2, 3, 4, 0))
-
-
-def test_is_tight_validates_cycle():
-    with pytest.raises(InvalidInputError):
-        is_tight(C5, ID5, (0, 1, 2))  # not closed
-    with pytest.raises(InvalidInputError):
-        is_tight(C5, ID5, (0, 2, 0))  # not edges
 
 
 def _start_arcs(g, h, system):
@@ -120,7 +85,7 @@ def test_rotation_deadlocks_with_tight_pentagon():
     out = schedule(C5, C5, system)
     assert isinstance(out, TightWalkWitness)
     assert out.cycle == (0, 4, 3, 2, 1, 0)
-    assert is_tight(C5, ID5, out.cycle)
+    assert is_cyclically_reduced(tuple(ID5[x] for x in out.cycle))
     # oracle: the rotation really is unreachable (component has 3125 potential states)
     assert hom_graph_bfs(C5, C5, ID5, ROT5, max_states=5**5) is Answer.NO
 
@@ -218,7 +183,7 @@ def test_deadlock_tight_under_current_and_original():
             continue
         out = schedule(g, h, search)
         if isinstance(out, TightWalkWitness):
-            assert is_tight(g, phi, out.cycle)
+            assert is_cyclically_reduced(tuple(phi[x] for x in out.cycle))
             assert set(out.cycle) <= tight_vertices(g, h, phi)
             seen += 1
     assert seen > 5

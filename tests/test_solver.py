@@ -1,10 +1,21 @@
+import inspect
 import random
 import time
 import tracemalloc
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
-from conftest import brute_generate_system, disjoint_union, relabel, tight_vertices, walks_of
+from conftest import (
+    brute_generate_system,
+    disjoint_union,
+    mirrored_wrap,
+    relabel,
+    tight_rotation,
+    tight_vertices,
+    walks_of,
+)
 from homrecol.errors import InvalidInputError
 from homrecol.families import (
     cycle_graph,
@@ -37,6 +48,7 @@ from homrecol.walks import reduce_walk
 
 C5 = cycle_graph(5)
 ID5 = (0, 1, 2, 3, 4)
+ROT5 = (1, 2, 3, 4, 0)
 
 
 @pytest.mark.parametrize(
@@ -231,6 +243,85 @@ def test_recheck_girth5_certificate_beside_stuck_isolated_vertex():
     assert not recheck_obstruction(inst, Obstruction(kind="frozen-mismatch", cycle=(1,), vertex=1))
     ok = Instance(g=inst.g, h=h, phi=(0, 0, 1), psi=(5, 1, 0), mode="girth5")
     assert not recheck_obstruction(ok, Obstruction(kind="no-valid-walk", cycle=(1,)))
+
+
+def test_recheck_rejects_a_corrupted_tight_cycle():
+    # the cycle of a frozen-mismatch or unrealizable certificate must be a
+    # closed walk of G through its vertex; tightness reads colours only, so
+    # these checks alone stand between a corrupt cycle and a YES instance.
+    # Each G here has vertices off the certificate's cycle.
+    kinds = set()
+    for inst in (
+        disjoint_union([tight_rotation(8), make_cycle_wrap(13, 4, 1)], interleave=True),
+        disjoint_union([Instance(g=C5, h=C5, phi=ID5, psi=ROT5), make_figure_eight()], interleave=False),
+        make_locked_link(),
+        make_twisted_loop(),
+    ):
+        ob = solve(inst).obstruction
+        g, cycle = inst.g, ob.cycle
+        assert recheck_obstruction(inst, ob)
+        kinds.add(ob.kind)
+        # not closed
+        assert not recheck_obstruction(inst, replace(ob, cycle=cycle[:-1]))
+        assert not recheck_obstruction(inst, replace(ob, cycle=cycle + (cycle[1],)))
+        # a step that is not an edge: the cycle skips its third vertex, and
+        # its image may well stay cyclically reduced
+        assert not g.adjacent(cycle[1], cycle[3])
+        assert not recheck_obstruction(inst, replace(ob, cycle=cycle[:2] + cycle[3:]))
+        # a vertex off the cycle, where phi and psi differ if one does
+        off = [x for x in range(g.n) if x not in cycle]
+        off.sort(key=lambda x: inst.phi[x] == inst.psi[x])
+        assert not recheck_obstruction(inst, replace(ob, vertex=off[0]))
+    assert kinds == {"frozen-mismatch", "unrealizable"}
+
+
+def test_mismatch_rechecks_need_only_walk_algebra(monkeypatch):
+    # ROADMAP item 5's boundary: with every systems and scheduling function
+    # that solver imported made to raise, frozen-mismatch and
+    # free-class-mismatch certificates still recheck
+    rng = random.Random(65)
+    insts = [tight_rotation(2000), mirrored_wrap(200)]
+    for i in range(200):
+        if i % 4 == 0:
+            insts.append(random_girth5_instance(rng, 2 + i % 11))
+        elif i % 4 == 1:
+            # a tight k-wrap with psi rotated, its vertices renamed
+            k = rng.choice((4, 5, 6))
+            n = k * rng.randrange(1, 6)
+            shift = rng.randrange(1, n)
+            phi = tuple(x % k for x in range(n))
+            psi = tuple(phi[(x - shift) % n] for x in range(n))
+            label = list(range(n))
+            rng.shuffle(label)
+            insts.append(relabel(Instance(g=cycle_graph(n), h=cycle_graph(k), phi=phi, psi=psi), label))
+        else:
+            insts.append(random_instance(rng, 2 + i % 13, 4 + i % 9))
+    certs = []
+    for inst in insts:
+        ob = solve(inst).obstruction
+        if ob is not None and ob.kind in ("frozen-mismatch", "free-class-mismatch"):
+            certs.append((inst, ob))
+    assert [ob.kind for _, ob in certs[:2]] == ["frozen-mismatch", "free-class-mismatch"]
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"recheck called solver.{name}")
+
+        return call
+
+    patched = set()
+    for name, obj in list(vars(solver).items()):
+        if inspect.isfunction(obj) and obj.__module__ in ("homrecol.systems", "homrecol.scheduling"):
+            monkeypatch.setattr(solver, name, refuse(name))
+            patched.add(name)
+    assert {"find_valid_base_walk", "generate_system", "schedule"} <= patched
+    kinds = Counter()
+    for inst, ob in certs:
+        assert recheck_obstruction(inst, ob), ob
+        kinds[ob.kind, inst.mode] += 1
+    assert kinds["frozen-mismatch", "reflexive"] >= 20, kinds
+    assert kinds["free-class-mismatch", "reflexive"] >= 20, kinds
+    assert kinds["free-class-mismatch", "girth5"] >= 5, kinds
 
 
 def test_preprocess_noop_for_reflexive_no_isolated():
@@ -500,19 +591,12 @@ def test_solver_leaves_instance_set_view_unbuilt():
     assert "adj_sets" not in vars(yes.g)
 
 
-def _tight_rotation(n):
-    # the tight 4-wrap of an n-cycle with psi rotated one step back
-    phi = tuple(i % 4 for i in range(n))
-    psi = tuple((i - 1) % 4 for i in range(n))
-    return Instance(g=cycle_graph(n), h=cycle_graph(4), phi=phi, psi=psi)
-
-
 def test_solve_memory_of_the_100k_tight_rotation():
     # walks in one flat list and a deadlock scan that marks visited vertices
     # in the scratch: a tuple per walk in a dict, and two vertex-keyed dicts
     # for the deadlock cycle, took 33 MiB at the peak
     n = 100_000
-    inst = _tight_rotation(n)
+    inst = tight_rotation(n)
     tracemalloc.start()
     try:
         verdict = solve(inst)
@@ -531,7 +615,7 @@ def _walk_vertices_and_moves(inst):
 
 
 @pytest.mark.parametrize(
-    "make", [lambda n: make_cycle_wrap(n, 4, 40), _tight_rotation], ids=["wrap", "tight"]
+    "make", [lambda n: make_cycle_wrap(n, 4, 40), tight_rotation], ids=["wrap", "tight"]
 )
 def test_walk_vertices_and_moves_grow_linearly(make):
     # counts, not times: doubling n at most doubles the walk vertices built

@@ -208,7 +208,7 @@ def test_system_uniqueness_under_tie_breaks():
             continue
         order = list(range(g.n))
         rng.shuffle(order)
-        alt = generate_system(g, h, phi, psi, bfs_tree_by(g, 0, order), search.walk(0))
+        alt = generate_system(g, h, phi, psi, bfs_tree_by(g, 0, order), walks_of(search)[0])
         assert isinstance(alt, WalkSystem)
         assert walks_of(alt) == walks_of(search)
         found += 1
@@ -269,12 +269,12 @@ def test_system_staggering():
 
 def test_find_base_walk_trivial():
     search = find_valid_base_walk(C5, C5, ID5, ID5, bfs_tree(C5, 0))
-    assert search.walk(0) == (0,)
+    assert walks_of(search)[0] == (0,)
 
 
 def test_find_base_walk_rotation():
     search = find_valid_base_walk(C5, C5, ID5, ROT5, bfs_tree(C5, 0))
-    assert search.walk(0) == (0, 1)
+    assert walks_of(search)[0] == (0, 1)
 
 
 def test_find_base_walk_class_mismatch():
@@ -308,7 +308,7 @@ def test_find_base_walk_second_witness_family():
     cands, _ = _candidate_family(inst.phi, inst.psi, first.cycle)
     assert target not in cands
     search = find_valid_base_walk(inst.g, inst.h, inst.phi, inst.psi, tree)
-    assert search.walk(0) == target
+    assert walks_of(search)[0] == target
 
 
 def test_find_base_walk_complete_vs_oracle():

@@ -7,11 +7,18 @@ from hypothesis import strategies as st
 
 from conftest import random_walk, small_hosts
 from homrecol.errors import InternalError
-from homrecol.families import cycle_graph, cycle_with_pendant
+from homrecol.families import (
+    cycle_graph,
+    cycle_with_pendant,
+    make_cycle_wrap,
+    random_hom,
+    random_instance,
+)
 from homrecol.oracle import Answer
 from homrecol.walks import (
     concat,
     free_decomposition,
+    is_cyclically_reduced,
     is_reduced,
     primitive_root,
     reduce_walk,
@@ -153,7 +160,7 @@ def test_free_decomposition_pendant_example():
 
 def test_free_decomposition_contractible():
     d = free_decomposition((0, 1, 2, 1, 0))
-    assert d.contractible and d.tail == (0,) and d.core == ()
+    assert d.tail == (0,) and d.core == ()
 
 
 def test_free_decomposition_already_cyclic():
@@ -167,14 +174,14 @@ def test_free_decomposition_roundtrip_random():
         h = rng.choice(small_hosts())
         w = random_walk(rng, h, rng.randrange(0, 30))
         d = free_decomposition(w + reverse(w)[1:])
-        assert d.contractible  # walk times its reverse is null-homotopic
+        assert d.core == ()  # walk times its reverse is null-homotopic
     for _ in range(300):
         h = rng.choice(small_hosts())
         w = random_walk(rng, h, rng.randrange(0, 30))
         loop = w + random_path_back(rng, h, w[-1], w[0])
         d = free_decomposition(loop)
         assert homotopic(basepoint_change(d.tail, core_walk(d)), loop)
-        if not d.contractible:
+        if d.core:
             assert is_reduced(d.core + d.core)  # cyclically reduced
 
 
@@ -220,6 +227,83 @@ def test_shift_match_length_mismatch():
 def test_shift_match_smallest_offset():
     assert shift_match((0, 1) * 3, (0, 1) * 3) == 0
     assert shift_match((0, 1) * 3, (1, 0) * 3) == 1
+
+
+def _closed_walks(seed, count):
+    """Seeded closed walks of 0 to 12 steps in random_instance hosts, each
+    drawn as a random walk kept only if it returns to its start.  Half the
+    walks step uniformly; the other half avoid their last two vertices
+    where they can, so that tight ones are common."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        h = random_instance(rng, rng.randrange(2, 9), rng.randrange(4, 9)).h
+        steps = rng.randrange(13)
+        forward = rng.random() < 0.5
+        for _ in range(200):
+            w = [rng.randrange(h.n)]
+            for _ in range(steps):
+                nbrs = h.adj[w[-1]]
+                if forward:
+                    nbrs = [x for x in nbrs if x not in w[-2:]] or nbrs
+                w.append(rng.choice(nbrs))
+            if w[0] == w[-1]:
+                out.append(tuple(w))
+                break
+    return out
+
+
+def test_shift_match_of_contractible_classes():
+    # two contractible classes agree; a contractible and a non-contractible
+    # one do not, whichever comes first
+    assert shift_match((), ()) == 0
+    cores = {free_decomposition(c).core for c in _closed_walks(47, 400)}
+    assert len([core for core in cores if core]) > 10
+    for core in cores:
+        if core:
+            assert shift_match((), core) is None and shift_match(core, ()) is None
+
+
+# --- tightness ---------------------------------------------------------------
+
+
+def test_is_cyclically_reduced_identity_pentagon():
+    assert is_cyclically_reduced((0, 1, 2, 3, 4, 0))
+
+
+def test_is_cyclically_reduced_matches_decomposition_emptiness():
+    rng = random.Random(41)
+    for _ in range(200):
+        g = cycle_graph(rng.randrange(4, 9))
+        h = cycle_graph(rng.randrange(4, 7))
+        phi = random_hom(rng, g, h)
+        image = tuple(phi[x] for x in range(g.n)) + (phi[0],)
+        d = free_decomposition(image)
+        expect = bool(d.core) and len(d.core) == len(image) - 1
+        assert is_cyclically_reduced(image) == expect
+
+
+def test_is_cyclically_reduced_slack_wrap():
+    inst = make_cycle_wrap(13, 4, 0)
+    assert not is_cyclically_reduced(tuple(inst.phi) + (inst.phi[0],))
+
+
+def test_is_cyclically_reduced_constant_image():
+    assert not is_cyclically_reduced((0,) * 6)
+
+
+def test_is_cyclically_reduced_agrees_with_free_decomposition():
+    # tight iff nothing strips off: the core is the whole closed walk less
+    # its closing vertex, and is not empty (a point has an empty core)
+    walks = _closed_walks(46, 2000)
+    steps = {len(c) - 1 for c in walks}
+    assert {0, 1, 2} <= steps and max(steps) == 12
+    tight = 0
+    for c in walks:
+        core = free_decomposition(c).core
+        assert is_cyclically_reduced(c) == (bool(core) and len(core) == len(c) - 1), c
+        tight += is_cyclically_reduced(c)
+    assert 100 < tight < len(walks) - 100
 
 
 # --- property tests ----------------------------------------------------------
