@@ -94,13 +94,11 @@ def _cmd_gen(args) -> int:
         inst = families.make_cycle_wrap(args.g_len, args.h_len, args.shift)
     elif args.family == "figure-eight":
         inst = families.make_figure_eight()
-    elif args.family == "random":
+    else:  # "random", the last of the parser's choices
         for flag, value in (("--gv", args.gv), ("--hv", args.hv)):
             if value < 1:
                 raise InvalidInputError(f"{flag} must be at least 1, got {value}")
         inst = families.random_instance(random.Random(args.seed), args.gv, args.hv)
-    else:
-        raise InvalidInputError(f"unknown family {args.family!r}")
     _emit(jsonio.instance_to_dict(inst))
     return EXIT_YES
 

@@ -22,28 +22,32 @@ from .errors import InvalidInputError
 class Graph:
     """Immutable undirected graph with optional loops."""
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]], reflexive: bool = False):
+    def __init__(self, n: int, edges: Iterable[Sequence[int]], reflexive: bool = False):
+        """The graph on 0..n-1 with the given edges, checked and built in one pass.
+
+        Each edge must be a list or tuple of two ints (not bools) in range;
+        the InvalidInputError for one that is not names it as edges[i].
+        Each endpoint goes into the other's row as ids[x], one int per
+        vertex id, not as the int the caller made for that occurrence of it.
+        """
         if n < 0:
             raise InvalidInputError("vertex count must be nonnegative")
         ids = list(range(n))
         rows: list[list[int]] = [[] for _ in ids]
-        for u, v in edges:
+        # per-element checks build their message only on failure
+        for i, e in enumerate(edges):
+            if not (
+                (type(e) is list or type(e) is tuple)
+                and len(e) == 2
+                and type(e[0]) is int
+                and type(e[1]) is int
+            ):
+                raise InvalidInputError(f"edges[{i}] must be a pair of integers")
+            u, v = e
             if not (0 <= u < n and 0 <= v < n):
-                raise InvalidInputError(f"edge ({u}, {v}) out of range for {n} vertices")
+                raise InvalidInputError(f"edges[{i}] out of range")
             rows[u].append(ids[v])
             rows[v].append(ids[u])
-        self._seal(ids, rows, reflexive)
-
-    @classmethod
-    def from_rows(cls, ids: list[int], rows: list[list[int]], reflexive: bool) -> "Graph":
-        """The graph on the vertices ids == list(range(n)) whose rows are filled
-        and range-checked by the caller: for each edge (u, v), rows[u] holds
-        ids[v] and rows[v] holds ids[u], repeats allowed.  rows is consumed."""
-        g = cls.__new__(cls)
-        g._seal(ids, rows, reflexive)
-        return g
-
-    def _seal(self, ids: list[int], rows: list[list[int]], reflexive: bool) -> None:
         # one row at a time, in place: sort, then drop repeats only from a
         # row that has some; no set is built for any row.  Rows with repeats
         # are rare, and the scan costs less than dict.fromkeys on every row
@@ -58,7 +62,7 @@ class Graph:
                     break
                 prev = x
             rows[v] = tuple(row)
-        self.n = len(ids)
+        self.n = n
         self.adj = tuple(rows)
         self._reflexive = reflexive or all(self.adjacent(v, v) for v in ids)
 
@@ -176,15 +180,16 @@ class Scratch:
 
     A call uses only the entries of its own component's vertices and leaves
     queued all 0, as it found it, so one solve over many small components
-    costs their total size, not n per component.  Calls from outside a solve
-    allocate their own.  generate_system writes the valid system it returns
-    into start and end: v's walk is flat[start[v]:end[v]] of that system's
-    one flat list.  The scheduler's one progress counter is left[v], the
-    steps v has still to go: its colour is flat[end[v] - left[v] - 1] and
-    its next colour flat[end[v] - left[v]].  cur[v] caches the colour,
-    because the hot loop reads it for every neighbour it checks.  queued
-    marks the work list while the scheduler runs and, once the drained queue
-    has cleared it, the vertices a deadlock scan has visited.
+    costs their total size, not n per component.  A recheck of a NO
+    certificate allocates one for the calls it makes.  generate_system
+    writes the valid system it returns into start and end: v's walk is
+    flat[start[v]:end[v]] of that system's one flat list.  The scheduler's
+    one progress counter is left[v], the steps v has still to go: its
+    colour is flat[end[v] - left[v] - 1] and its next colour
+    flat[end[v] - left[v]].  cur[v] caches the colour, because the hot loop
+    reads it for every neighbour it checks.  queued marks the work list
+    while the scheduler runs and, once the drained queue has cleared it,
+    the vertices a deadlock scan has visited.
     """
 
     __slots__ = ("lo", "hi", "start", "end", "left", "cur", "queued")

@@ -33,30 +33,20 @@ def _num_vertices(obj: Any, name: str) -> int:
 
 
 def graph_from_dict(obj: Any, name: str = "graph") -> Graph:
-    """The graph obj describes, checked and built in one pass over its edges.
-
-    Each endpoint goes into the other's row as ids[x], one int per vertex
-    id, not as the int json made for that occurrence of it.
-    """
+    """The graph obj describes, built by Graph in its one pass over the edges."""
     n = _num_vertices(obj, name)
     edges = obj.get("edges", [])
     _require(isinstance(edges, list), f"{name}.edges must be a list")
-    ids = list(range(n))
-    rows: list[list[int]] = [[] for _ in ids]
-    # per-element checks build their message only on failure
-    for i, e in enumerate(edges):
-        if not (type(e) is list and len(e) == 2 and type(e[0]) is int and type(e[1]) is int):
-            raise InvalidInputError(f"{name}.edges[{i}] must be a pair of integers")
-        u, v = e
-        if not (0 <= u < n and 0 <= v < n):
-            raise InvalidInputError(f"{name}.edges[{i}] out of range")
-        rows[u].append(ids[v])
-        rows[v].append(ids[u])
     reflexive = obj.get("reflexive", False)
+    # the edges are checked first, the flag and the keys after them
+    try:
+        g = Graph(n, edges, reflexive is True)
+    except InvalidInputError as exc:  # an edge's error, named edges[i]
+        raise InvalidInputError(f"{name}.{exc}") from None
     _require(isinstance(reflexive, bool), f"{name}.reflexive must be a boolean")
     unknown = set(obj) - {"num_vertices", "edges", "reflexive"}
     _require(not unknown, f"{name} has unknown keys: {sorted(unknown)}")
-    return Graph.from_rows(ids, rows, reflexive)
+    return g
 
 
 def _parse_map(obj: list, name: str, hn: int) -> tuple[int, ...]:

@@ -62,34 +62,26 @@ def waits_for(
 
 
 def schedule(
-    g: Graph,
-    h: Graph,
-    system: WalkSystem,
-    order: Sequence[int] | None = None,
-    scratch: Scratch | None = None,
+    g: Graph, h: Graph, system: WalkSystem, scratch: Scratch
 ) -> list[tuple[int, int]] | TightWalkWitness:
     """Run the system to completion or extract a tight-cycle witness.
 
-    Vertices are tried from a FIFO work list (seeded in ascending id order,
-    or in the given order); moving a vertex re-queues itself and then its
-    unfinished neighbours.  A drained queue with unfinished vertices is a
-    deadlock.  A vertex may move when its next colour is adjacent to the
-    current colour of every neighbour, its own loop included.  scratch
-    holds the per-vertex arrays; a solve passes one for all its calls, and
-    without it this call allocates its own.
+    Vertices are tried from a FIFO work list (seeded in ascending id
+    order); moving a vertex re-queues itself and then its unfinished
+    neighbours.  A drained queue with unfinished vertices is a deadlock.  A
+    vertex may move when its next colour is adjacent to the current colour
+    of every neighbour, its own loop included.  scratch holds the
+    per-vertex arrays; a solve passes one for all its calls.
     """
     start, end, flat = system.start, system.end, system.flat
     adj, hs = g.adj, h.adj_sets
-    if scratch is None:
-        scratch = Scratch(g.n)
     left, cur, queued = scratch.left, scratch.cur, scratch.queued
     for v in system.order:
         s = start[v]
         left[v] = end[v] - s - 1
         cur[v] = flat[s]
     moves: list[tuple[int, int]] = []
-    seed = sorted(system.order) if order is None else order
-    queue = deque(v for v in seed if left[v])
+    queue = deque(v for v in sorted(system.order) if left[v])
     for v in queue:
         queued[v] = 1
     popleft, push = queue.popleft, queue.append
@@ -97,9 +89,9 @@ def schedule(
     while queue:
         u = popleft()
         queued[u] = 0
+        # a queued vertex is unfinished: only unfinished ones are pushed,
+        # and only its own move lowers left[u]
         k = left[u]
-        if not k:
-            continue  # finished
         nxt = flat[end[u] - k]
         # H is undirected, so "nxt is adjacent to cur[x]" reads nxt's row
         allowed = hs[nxt]

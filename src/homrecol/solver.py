@@ -134,7 +134,7 @@ def _solve_component(
         return system
     unrealizable = None
     while True:
-        outcome = schedule(g, h, system, scratch=scratch)
+        outcome = schedule(g, h, system, scratch)
         if isinstance(outcome, list):
             return outcome
         # The tight cycle is frozen at phi (the scheduler checked that none
@@ -153,7 +153,7 @@ def _solve_component(
         unrealizable = Obstruction(kind=UNREALIZABLE, cycle=outcome.cycle, vertex=r)
         chain = tree_path(tree[1], r)
         w_root = reduce_walk(tuple(phi[x] for x in reversed(chain)) + tuple(psi[x] for x in chain))
-        system = generate_system(g, h, phi, psi, tree, w_root, scratch=scratch)
+        system = generate_system(g, h, phi, psi, tree, w_root, scratch)
         if isinstance(system, CycleWitness):
             return unrealizable
 
@@ -250,36 +250,29 @@ def recheck_obstruction(inst: Instance, obstruction: Obstruction) -> bool:
         db = free_decomposition(tuple(psi[x] for x in cycle))
         return (da.core, db.core) == obstruction.cores and shift_match(da.core, db.core) is None
 
-    # frozen-mismatch and unrealizable claim a tight cycle: its image under
-    # phi is cyclically reduced, so it is frozen at phi
-    if obstruction.kind == FROZEN_MISMATCH:
+    if obstruction.kind in (FROZEN_MISMATCH, UNREALIZABLE):
+        # both claim a tight cycle through v: its image under phi is
+        # cyclically reduced, so it is frozen at phi
         v = obstruction.vertex
-        return (
-            v is not None
-            and v in set(cycle)
-            and phi[v] != psi[v]
-            and is_cyclically_reduced(tuple(phi[x] for x in cycle))
-        )
-
-    if obstruction.kind == UNREALIZABLE:
-        v = obstruction.vertex
-        if v is None or v not in set(cycle):
+        if v not in cycle or not is_cyclically_reduced(tuple(phi[x] for x in cycle)):
             return False
-        if not is_cyclically_reduced(tuple(phi[x] for x in cycle)):
-            return False
+        if obstruction.kind == FROZEN_MISMATCH:
+            return phi[v] != psi[v]
         if any(phi[x] != psi[x] for x in cycle):
             return False
         # v is frozen, so the constant walk is the only admissible base walk;
         # the obstruction claims the system it generates (if any) deadlocks.
-        retry = generate_system(g, h, phi, psi, bfs_tree(g, v), (phi[v],))
+        scratch = Scratch(g.n)
+        retry = generate_system(g, h, phi, psi, bfs_tree(g, v), (phi[v],), scratch)
         if isinstance(retry, CycleWitness):
             return True
-        return isinstance(schedule(g, h, retry), TightWalkWitness)
+        return isinstance(schedule(g, h, retry, scratch), TightWalkWitness)
 
     if obstruction.kind == NO_VALID_WALK:
         if len(cycle) == 1:
             return shortest_walk(h, phi[cycle[0]], psi[cycle[0]]) is None
         root = min(bfs_tree(g, cycle[0])[0])
-        return isinstance(find_valid_base_walk(g, h, phi, psi, bfs_tree(g, root)), Obstruction)
+        search = find_valid_base_walk(g, h, phi, psi, bfs_tree(g, root), Scratch(g.n))
+        return isinstance(search, Obstruction)
 
     return False

@@ -103,7 +103,7 @@ def generate_system(
     psi: Sequence[int],
     tree: tuple[list[int], list[int]],
     w_root: Walk,
-    scratch: Scratch | None = None,
+    scratch: Scratch,
 ) -> WalkSystem | CycleWitness:
     """Build the unique reduced system containing w_root, or a failing cycle.
 
@@ -120,10 +120,8 @@ def generate_system(
     walk tree-path(root, u) . uv . tree-path(v, root).  On success every walk
     is built once, from its parent's walk.  scratch holds the lift arrays
     and the system's start and end indices; a solve passes one for all its
-    calls, and without it this call allocates its own.
+    calls.
     """
-    if scratch is None:
-        scratch = Scratch(g.n)
     witness = _failing_cycle(g, h, phi, psi, tree, w_root, scratch)
     if witness is not None:
         return witness
@@ -363,7 +361,7 @@ def find_valid_base_walk(
     phi: Sequence[int],
     psi: Sequence[int],
     tree: tuple[list[int], list[int]],
-    scratch: Scratch | None = None,
+    scratch: Scratch,
 ) -> WalkSystem | Obstruction:
     """The system of a topologically valid (phi(root), psi(root))-walk, or why none exists.
 
@@ -375,8 +373,7 @@ def find_valid_base_walk(
     candidate pins it further.  Every candidate is validated by generating
     its system, so extra candidates can never cost soundness.  Among a
     family's valid candidates the shortest wins, then the first, and only
-    its walks are built.  One scratch, passed in or else allocated here,
-    serves every system checked.
+    its walks are built.  The one scratch serves every system checked.
 
     The obstruction is no-valid-walk on (root,) when the endpoint colours
     lie in different components of H, free-class-mismatch on a witness
@@ -387,9 +384,7 @@ def find_valid_base_walk(
     w0 = shortest_walk(h, phi[root], psi[root])
     if w0 is None:
         return Obstruction(kind=NO_VALID_WALK, cycle=(root,))
-    if scratch is None:
-        scratch = Scratch(g.n)
-    out = generate_system(g, h, phi, psi, tree, w0, scratch=scratch)
+    out = generate_system(g, h, phi, psi, tree, w0, scratch)
     if isinstance(out, WalkSystem):
         return out
     # At most two witness cycles each pin a candidate family; the second

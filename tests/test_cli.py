@@ -321,6 +321,15 @@ def test_gen_is_byte_reproducible(capsys):
     parse_instance(first)  # and it parses back
 
 
+def test_gen_unknown_family_exit_two(capsys):
+    # argparse's choices reject it before any command runs
+    with pytest.raises(SystemExit) as exc:
+        run(["gen", "--family", "moebius"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "invalid choice: 'moebius'" in out.err
+
+
 def test_gen_figure_eight_matches_family(capsys):
     assert run(["gen", "--family", "figure-eight"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -37,6 +37,26 @@ def test_edge_out_of_range_rejected():
         Graph(2, [(0, 2)])
 
 
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([(0, 1.0)], "edges[0] must be a pair of integers"),
+        ([(0, 1), (0, 1, 2)], "edges[1] must be a pair of integers"),
+        ([[0, 1], [1]], "edges[1] must be a pair of integers"),
+        ([0], "edges[0] must be a pair of integers"),
+        ([(0, True)], "edges[0] must be a pair of integers"),
+        ([(1, 1), [0, 1], (2, 0)], "edges[2] out of range"),
+    ],
+    ids=["float", "triple", "single", "bare-int", "bool", "range"],
+)
+def test_graph_names_the_bad_edge(edges, message):
+    # Graph is the one builder, the parser's included: a float endpoint
+    # used to raise TypeError, a triple ValueError, and a bool passed as 1
+    with pytest.raises(InvalidInputError) as exc:
+        Graph(2, edges)
+    assert str(exc.value) == message
+
+
 def _messy_edges(rng: random.Random, n: int) -> list[tuple[int, int]]:
     """Random edges with explicit loops, both orientations and repeats."""
     edges = []
@@ -50,8 +70,8 @@ def _messy_edges(rng: random.Random, n: int) -> list[tuple[int, int]]:
 
 
 def test_row_build_matches_set_reference():
-    # both build paths, Graph(...) and the parser's one pass, against the
-    # set-per-vertex construction; some graphs pass id 256, the last int
+    # Graph(...) on tuples and, through the parser, on json's lists, against
+    # the set-per-vertex construction; some graphs pass id 256, the last int
     # that Python caches, so the parsed rows must share ids to pass
     for seed in range(300):
         rng = random.Random(seed)

@@ -2,11 +2,13 @@
 
 Every function defined under src/homrecol must run while `cli.run` handles
 its commands: `solve` and `verify` on every answer kind, `check-input` on a
-valid and an invalid instance, `oracle`, each `gen` family and
-`reduce-walk`.  Exempt are families.py (the tests and the benchmark import
-its generators), dunder methods and `cli.main` (it only wraps `run` in
-`sys.exit`).  A function that shows up here as never run is either dead or
-serves only the tests, whose helpers live in tests/.  Every field a class
+valid and an invalid instance, `oracle` with and without `--max-states`,
+each `gen` family and `reduce-walk`.  Every parameter with a default there
+must be passed some other value by a call in that run.  Exempt are
+families.py (the tests and the benchmark import its generators), dunder
+methods and `cli.main` (it only wraps `run` in `sys.exit`).  A function
+that shows up here as never run, or a parameter never set, is either dead
+or serves only the tests, whose helpers live in tests/.  Every field a class
 there declares is read somewhere in the package, and no module there
 imports a sibling's underscore name.  README's Library section lists the
 exports, exactly `homrecol.__all__`.
@@ -15,12 +17,17 @@ exports, exactly `homrecol.__all__`.
 from __future__ import annotations
 
 import ast
+import importlib
+import io
 import json
 import os
 import random
 import re
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
+
+import pytest
 
 import homrecol
 from homrecol import families
@@ -59,6 +66,31 @@ def _defined_functions() -> dict[tuple[str, int], str]:
     return {key: name for key, name in out.items() if name not in EXEMPT_NAMES}
 
 
+def _parameter_defaults() -> dict[tuple[str, int], dict[str, object]]:
+    """(file, first line of the code object) -> {parameter: default value},
+    for every def with a defaulted parameter, its defaults evaluated in its
+    module's namespace."""
+    out: dict[tuple[str, int], dict[str, object]] = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in EXEMPT_FILES:
+            continue
+        namespace = vars(importlib.import_module(f"homrecol.{path.stem}"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            positional = a.posonlyargs + a.args
+            pairs = list(zip(positional[len(positional) - len(a.defaults) :], a.defaults))
+            pairs += [(arg, d) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            if pairs:
+                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                out[(str(path), first)] = {
+                    arg.arg: eval(compile(ast.Expression(d), str(path), "eval"), namespace)
+                    for arg, d in pairs
+                }
+    return out
+
+
 def _instances():
     yield families.make_cycle_wrap(13, 4, 1)
     for name in ("figure_eight", "double_bridge", "locked_link", "twisted_loop", "double_turn"):
@@ -70,12 +102,14 @@ def _instances():
         yield families.random_girth5_instance(random.Random(seed), 4 + seed % 7)
 
 
-def _commands(tmp_path, capsys) -> set[str]:
+def _commands(tmp_path) -> set[str]:
     """Run every command through cli.run; return the answer kinds seen."""
 
     def call(argv: list[str], *codes: int) -> str:
-        assert run(argv) in codes, argv
-        return capsys.readouterr().out
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert run(argv) in codes, argv
+        return out.getvalue()
 
     def write(name: str, text: str) -> str:
         path = tmp_path / name
@@ -95,6 +129,7 @@ def _commands(tmp_path, capsys) -> set[str]:
     call(["gen", "--family", "random", "--seed", "3"], 0)
     assert json.loads(call(["check-input", wrap], 0))["valid"]
     assert json.loads(call(["oracle", wrap], 0))["answer"] == "yes"
+    assert json.loads(call(["oracle", wrap, "--max-states", "5000"], 0))["answer"] == "yes"
     bad = json.loads(dumps(instance_to_dict(families.make_figure_eight())))
     bad["H"] = {"num_vertices": 3, "edges": [[0, 1], [1, 2], [0, 2]], "reflexive": True}
     bad["phi"] = bad["psi"] = [0] * bad["G"]["num_vertices"]
@@ -104,23 +139,64 @@ def _commands(tmp_path, capsys) -> set[str]:
     return answers
 
 
-def test_every_package_function_runs_under_the_cli(tmp_path, capsys):
-    defined = _defined_functions()
+def _key(code) -> tuple[str, int]:
+    return os.path.realpath(code.co_filename), code.co_firstlineno
+
+
+@pytest.fixture(scope="module")
+def cli_corpus(tmp_path_factory):
+    """The commands run once under a profile hook: the answer kinds seen,
+    the code objects called, and (code object, parameter) for each defaulted
+    parameter some call passed another value."""
+    defaults = _parameter_defaults()
+    by_code: dict = {}  # code object -> its defaults, {} for none
     ran: set = set()
+    set_params: set = set()
 
     def hook(frame, event, arg):
-        if event == "call":
-            ran.add(frame.f_code)
+        if event != "call":
+            return
+        code = frame.f_code
+        ran.add(code)
+        params = by_code.get(code)
+        if params is None:
+            params = by_code[code] = defaults.get(_key(code), {})
+        for name, default in params.items():
+            value = frame.f_locals[name]
+            if not (value is default or value == default):
+                set_params.add((code, name))
 
     sys.setprofile(hook)
     try:
-        answers = _commands(tmp_path, capsys)
+        answers = _commands(tmp_path_factory.mktemp("cli"))
     finally:
         sys.setprofile(None)
+    return answers, ran, set_params
+
+
+def test_every_package_function_runs_under_the_cli(cli_corpus):
+    answers, ran, _ = cli_corpus
+    defined = _defined_functions()
     assert answers == ANSWERS
-    seen = {(os.path.realpath(c.co_filename), c.co_firstlineno) for c in ran}
+    seen = {_key(c) for c in ran}
     never = sorted(name for key, name in defined.items() if key not in seen)
     assert never == [], f"defined in src/homrecol but never run by the CLI: {never}"
+
+
+def test_every_defaulted_parameter_is_set_under_the_cli(cli_corpus):
+    # a default that no call overrides is a knob only the tests turn, or
+    # none at all
+    _, _, set_params = cli_corpus
+    defined = _defined_functions()
+    passed = {(_key(code), name) for code, name in set_params}
+    never = sorted(
+        f"{defined[key]}({name})"
+        for key, params in _parameter_defaults().items()
+        if key in defined
+        for name in params
+        if (key, name) not in passed
+    )
+    assert never == [], f"parameters in src/homrecol never set by the CLI: {never}"
 
 
 def test_readme_library_lists_exactly_the_exports():

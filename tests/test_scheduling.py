@@ -54,10 +54,9 @@ def test_movable_and_arcs_on_path_host():
     g = Graph(2, [(0, 1)], reflexive=True)
     h = path_graph(3)
     system = system_of({0: (0, 1), 1: (1, 2)})
-    # tried first, 1 cannot move: 2 is not adjacent to 0's current colour 0
-    assert schedule(g, h, system, order=[1, 0]) == [(0, 1), (1, 2)]
+    # 1 waits for 0: 2 is not adjacent to 0's current colour 0
     assert _start_arcs(g, h, system) == [(1, 0)]
-    out = schedule(g, h, system)
+    out = schedule(g, h, system, Scratch(g.n))
     assert out == [(0, 1), (1, 2)]
 
 
@@ -75,14 +74,14 @@ def test_no_arcs_when_all_constant():
     h = path_graph(3)
     system = system_of({0: (0,), 1: (1,)})
     assert _start_arcs(g, h, system) == []
-    assert schedule(g, h, system) == []
+    assert schedule(g, h, system, Scratch(g.n)) == []
 
 
 def test_rotation_deadlocks_with_tight_pentagon():
-    system = generate_system(C5, C5, ID5, ROT5, bfs_tree(C5, 0), (0, 1))
+    system = generate_system(C5, C5, ID5, ROT5, bfs_tree(C5, 0), (0, 1), Scratch(5))
     assert isinstance(system, WalkSystem)
     assert _start_arcs(C5, C5, system) == [(u, (u - 1) % 5) for u in range(5)]
-    out = schedule(C5, C5, system)
+    out = schedule(C5, C5, system, Scratch(5))
     assert isinstance(out, TightWalkWitness)
     assert out.cycle == (0, 4, 3, 2, 1, 0)
     assert is_cyclically_reduced(tuple(ID5[x] for x in out.cycle))
@@ -127,9 +126,10 @@ def _replay(g, h, phi, psi, moves):
 
 def test_cycle_wrap_schedule_replays():
     inst = make_cycle_wrap(13, 4, 1)
-    search = find_valid_base_walk(inst.g, inst.h, inst.phi, inst.psi, bfs_tree(inst.g, 0))
+    scratch = Scratch(inst.g.n)
+    search = find_valid_base_walk(inst.g, inst.h, inst.phi, inst.psi, bfs_tree(inst.g, 0), scratch)
     assert isinstance(search, WalkSystem)
-    out = schedule(inst.g, inst.h, search)
+    out = schedule(inst.g, inst.h, search, scratch)
     assert isinstance(out, list)
     assert len(out) == sum(len(w) - 1 for w in walks_of(search).values())
     _replay(inst.g, inst.h, inst.phi, inst.psi, out)
@@ -143,14 +143,15 @@ def test_schedule_order_independent():
         g = random_graph(rng, rng.randrange(2, 7), 0.5)
         phi = random_hom(rng, g, h)
         psi = random_walk_hom(rng, g, h, phi, rng.randrange(0, 10))
-        search = find_valid_base_walk(g, h, phi, psi, bfs_tree(g, 0))
+        scratch = Scratch(g.n)
+        search = find_valid_base_walk(g, h, phi, psi, bfs_tree(g, 0), scratch)
         if not isinstance(search, WalkSystem):
             continue
-        base = schedule(g, h, search)
+        base = schedule(g, h, search, scratch)
         for _ in range(3):
             order = sorted(search.order)
             rng.shuffle(order)
-            alt = schedule(g, h, search, order=order)
+            alt = brute_schedule(g, h, search, order=order)
             assert isinstance(alt, list) == isinstance(base, list)
             if isinstance(alt, list):
                 _replay(g, h, phi, _apply(g, phi, alt), alt)
@@ -178,10 +179,11 @@ def test_deadlock_tight_under_current_and_original():
         phi = tuple(i % k if i < wraps else 0 for i in range(g.n))
         shift = rng.randrange(g.n)
         psi = tuple(phi[(i - shift) % g.n] for i in range(g.n))
-        search = find_valid_base_walk(g, h, phi, psi, bfs_tree(g, 0))
+        scratch = Scratch(g.n)
+        search = find_valid_base_walk(g, h, phi, psi, bfs_tree(g, 0), scratch)
         if not isinstance(search, WalkSystem):
             continue
-        out = schedule(g, h, search)
+        out = schedule(g, h, search, scratch)
         if isinstance(out, TightWalkWitness):
             assert is_cyclically_reduced(tuple(phi[x] for x in out.cycle))
             assert set(out.cycle) <= tight_vertices(g, h, phi)
@@ -189,9 +191,9 @@ def test_deadlock_tight_under_current_and_original():
     assert seen > 5
 
 
-def _assert_same_outcome(g, h, system, order=None):
-    out = schedule(g, h, system, order=order)
-    assert out == brute_schedule(g, h, system, order=order)
+def _assert_same_outcome(g, h, system):
+    out = schedule(g, h, system, Scratch(g.n))
+    assert out == brute_schedule(g, h, system)
     return out
 
 
@@ -202,7 +204,7 @@ def test_schedule_matches_reference_on_random_instances():
         inst = random_instance(rng, rng.randrange(2, 9), rng.randrange(4, 9))
         for comp in connected_components(inst.g):
             search = find_valid_base_walk(
-                inst.g, inst.h, inst.phi, inst.psi, bfs_tree(inst.g, comp[0])
+                inst.g, inst.h, inst.phi, inst.psi, bfs_tree(inst.g, comp[0]), Scratch(inst.g.n)
             )
             if not isinstance(search, WalkSystem):
                 continue
@@ -210,28 +212,36 @@ def test_schedule_matches_reference_on_random_instances():
             kinds["moves" if isinstance(out, list) else "deadlock"] += 1
             order = list(comp)
             rng.shuffle(order)
-            _assert_same_outcome(inst.g, inst.h, search, order=order)
+            # the reference in a shuffled order: the same outcome kind and,
+            # when every walk is run, the same final colouring
+            alt = brute_schedule(inst.g, inst.h, search, order=order)
+            assert isinstance(alt, list) == isinstance(out, list)
+            if isinstance(out, list):
+                assert _apply(inst.g, inst.phi, alt) == _apply(inst.g, inst.phi, out)
     assert kinds["moves"] > 100 and kinds["deadlock"] > 0
 
 
 def test_schedule_matches_reference_on_wrap():
     inst = make_cycle_wrap(2000, 4, 40)
-    search = find_valid_base_walk(inst.g, inst.h, inst.phi, inst.psi, bfs_tree(inst.g, 0))
+    search = find_valid_base_walk(
+        inst.g, inst.h, inst.phi, inst.psi, bfs_tree(inst.g, 0), Scratch(inst.g.n)
+    )
     out = _assert_same_outcome(inst.g, inst.h, search)
     assert len(out) == sum(len(w) - 1 for w in walks_of(search).values())
 
 
 def test_schedule_matches_reference_on_deadlocks():
-    system = generate_system(C5, C5, ID5, ROT5, bfs_tree(C5, 0), (0, 1))
+    system = generate_system(C5, C5, ID5, ROT5, bfs_tree(C5, 0), (0, 1), Scratch(5))
     assert isinstance(_assert_same_outcome(C5, C5, system), TightWalkWitness)
     # both the first system and the constant-walk retry of the locked link deadlock
     inst = make_locked_link()
-    search = find_valid_base_walk(inst.g, inst.h, inst.phi, inst.psi, bfs_tree(inst.g, 0))
+    scratch = Scratch(inst.g.n)
+    search = find_valid_base_walk(inst.g, inst.h, inst.phi, inst.psi, bfs_tree(inst.g, 0), scratch)
     out = _assert_same_outcome(inst.g, inst.h, search)
     assert isinstance(out, TightWalkWitness)
     root = min(out.cycle)
     retry = generate_system(
-        inst.g, inst.h, inst.phi, inst.psi, bfs_tree(inst.g, root), (inst.phi[root],)
+        inst.g, inst.h, inst.phi, inst.psi, bfs_tree(inst.g, root), (inst.phi[root],), scratch
     )
     assert isinstance(_assert_same_outcome(inst.g, inst.h, retry), TightWalkWitness)
 

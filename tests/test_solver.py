@@ -29,7 +29,7 @@ from homrecol.families import (
     random_hom,
     random_instance,
 )
-from homrecol.graphs import Graph, bfs_tree, shortest_walk, tree_path
+from homrecol.graphs import Graph, Scratch, bfs_tree, shortest_walk, tree_path
 from homrecol.oracle import Answer, hom_graph_bfs, hom_graph_path
 from homrecol import solver
 from homrecol.solver import (
@@ -608,9 +608,26 @@ def test_solve_memory_of_the_100k_tight_rotation():
     assert peak <= 28 * 2**20
 
 
+def test_recheck_memory_of_the_100k_tight_rotation():
+    # one tight-cycle test reads the cycle as it is: a set of its 100k
+    # vertices, built for one membership test, was the whole 6 MiB peak
+    inst = tight_rotation(100_000)
+    ob = solve(inst).obstruction
+    assert ob.kind == "frozen-mismatch"
+    tracemalloc.start()
+    try:
+        ok = recheck_obstruction(inst, ob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok
+    assert peak <= 3 * 2**20, peak
+
+
 def _walk_vertices_and_moves(inst):
-    system = find_valid_base_walk(inst.g, inst.h, inst.phi, inst.psi, bfs_tree(inst.g, 0))
-    out = schedule(inst.g, inst.h, system)
+    scratch = Scratch(inst.g.n)
+    system = find_valid_base_walk(inst.g, inst.h, inst.phi, inst.psi, bfs_tree(inst.g, 0), scratch)
+    out = schedule(inst.g, inst.h, system, scratch)
     return len(system.flat), len(out) if isinstance(out, list) else 0
 
 
@@ -652,7 +669,7 @@ def test_solve_schedules_flat_systems_that_match_the_reference(monkeypatch):
     work = None  # the instance the systems are of: girth5 ones after preprocessing
     roots = []  # the component roots scheduled so far in this solve
 
-    def checked(g, h, system, order=None, scratch=None):
+    def checked(g, h, system, scratch):
         phi, psi = work.phi, work.psi
         root = system.order[0]
         assert system.order == bfs_tree(g, root)[0]
@@ -667,7 +684,7 @@ def test_solve_schedules_flat_systems_that_match_the_reference(monkeypatch):
             if isinstance(brute_generate_system(g, h, phi, psi, root, w0), CycleWitness):
                 seen["candidate"] += 1
             roots.append(root)
-        return schedule(g, h, system, order=order, scratch=scratch)
+        return schedule(g, h, system, scratch)
 
     monkeypatch.setattr(solver, "schedule", checked)
     for i in range(300):

@@ -16,7 +16,7 @@ from homrecol.families import (
     random_walk_hom,
     two_squares_shared,
 )
-from homrecol.graphs import bfs_tree, shortest_walk, tree_path
+from homrecol.graphs import Scratch, bfs_tree, shortest_walk, tree_path
 from homrecol.oracle import Answer, hom_graph_bfs
 from homrecol.systems import (
     CLASS_MISMATCH,
@@ -58,27 +58,27 @@ def test_edge_preserved_detects_mismatch():
 
 
 def test_generate_system_identity():
-    out = generate_system(C5, C5, ID5, ID5, bfs_tree(C5, 0), (0,))
+    out = generate_system(C5, C5, ID5, ID5, bfs_tree(C5, 0), (0,), Scratch(5))
     assert isinstance(out, WalkSystem)
     assert all(w == (v,) for v, w in walks_of(out).items())
 
 
 def test_generate_system_rotation():
-    out = generate_system(C5, C5, ID5, ROT5, bfs_tree(C5, 0), (0, 1))
+    out = generate_system(C5, C5, ID5, ROT5, bfs_tree(C5, 0), (0, 1), Scratch(5))
     assert isinstance(out, WalkSystem)
     assert walks_of(out) == {v: (v, (v + 1) % 5) for v in range(5)}
 
 
 def test_generate_system_requires_reduced_base():
     with pytest.raises(InternalError):
-        generate_system(C5, C5, ID5, ID5, bfs_tree(C5, 0), (0, 1, 0))
+        generate_system(C5, C5, ID5, ID5, bfs_tree(C5, 0), (0, 1, 0), Scratch(5))
 
 
 def test_generate_system_witness_for_incompatible_wraps():
     h = two_squares_shared()
     phi = (0, 1, 2, 3, 0)
     psi = (0, 4, 5, 6, 0)
-    out = generate_system(C5, h, phi, psi, bfs_tree(C5, 0), (0,))
+    out = generate_system(C5, h, phi, psi, bfs_tree(C5, 0), (0,), Scratch(5))
     assert isinstance(out, CycleWitness)
     assert out.cycle == (0, 1, 2, 3, 4, 0)
     # the witness genuinely fails: its image classes differ under conjugation
@@ -120,7 +120,7 @@ def test_generate_system_matches_reference():
                 rng.shuffle(order)
                 for key in (None, order):
                     tree = bfs_tree(g, root) if key is None else bfs_tree_by(g, root, key)
-                    out = generate_system(g, h, phi, psi, tree, w)
+                    out = generate_system(g, h, phi, psi, tree, w, Scratch(g.n))
                     ref = brute_generate_system(g, h, phi, psi, root, w, key)
                     assert walks_of(out) == walks_of(ref), (i, w, key)
                     kinds[type(out)] += 1
@@ -136,7 +136,9 @@ def test_generate_system_mirrored_wrap_is_linear():
     w0 = shortest_walk(wrap.h, wrap.phi[0], psi[0])
     tracemalloc.start()
     try:
-        out = generate_system(wrap.g, wrap.h, wrap.phi, psi, bfs_tree(wrap.g, 0), w0)
+        out = generate_system(
+            wrap.g, wrap.h, wrap.phi, psi, bfs_tree(wrap.g, 0), w0, Scratch(wrap.g.n)
+        )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -170,7 +172,7 @@ def test_walk_carried_to_the_root_generates_the_same_system():
             if w is None:
                 continue
             own_tree = bfs_tree(g, v)
-            own = generate_system(g, h, phi, psi, own_tree, w)
+            own = generate_system(g, h, phi, psi, own_tree, w, Scratch(g.n))
             tree = bfs_tree(g, min(own_tree[0]))
             up = tree_path(tree[1], v)[1:]
             # one reduction of the whole detour, as the retry computes it
@@ -179,7 +181,7 @@ def test_walk_carried_to_the_root_generates_the_same_system():
             for x in up:
                 ref = reduce_walk((phi[x],) + ref + (psi[x],))
             assert w_root == ref
-            carried = generate_system(g, h, phi, psi, tree, w_root)
+            carried = generate_system(g, h, phi, psi, tree, w_root, Scratch(g.n))
             assert type(carried) is type(own), (i, v)
             if isinstance(own, WalkSystem):
                 assert walks_of(carried) == walks_of(own), (i, v)
@@ -203,12 +205,13 @@ def test_system_uniqueness_under_tie_breaks():
         comp0 = sorted(bfs_tree(g, 0)[0])
         if len(comp0) < 2:
             continue
-        search = find_valid_base_walk(g, h, phi, psi, bfs_tree(g, 0))
+        search = find_valid_base_walk(g, h, phi, psi, bfs_tree(g, 0), Scratch(g.n))
         if not isinstance(search, WalkSystem):
             continue
         order = list(range(g.n))
         rng.shuffle(order)
-        alt = generate_system(g, h, phi, psi, bfs_tree_by(g, 0, order), walks_of(search)[0])
+        tree = bfs_tree_by(g, 0, order)
+        alt = generate_system(g, h, phi, psi, tree, walks_of(search)[0], Scratch(g.n))
         assert isinstance(alt, WalkSystem)
         assert walks_of(alt) == walks_of(search)
         found += 1
@@ -219,7 +222,7 @@ def test_system_soundness_on_random_closed_walks():
     rng = random.Random(32)
     for _ in range(15):
         g, h, phi, psi = _random_valid_instance(rng)
-        search = find_valid_base_walk(g, h, phi, psi, bfs_tree(g, 0))
+        search = find_valid_base_walk(g, h, phi, psi, bfs_tree(g, 0), Scratch(g.n))
         if not isinstance(search, WalkSystem):
             continue
         walks = walks_of(search)
@@ -254,7 +257,7 @@ def test_system_staggering():
     checked = 0
     for _ in range(60):
         g, h, phi, psi = _random_valid_instance(rng)
-        search = find_valid_base_walk(g, h, phi, psi, bfs_tree(g, 0))
+        search = find_valid_base_walk(g, h, phi, psi, bfs_tree(g, 0), Scratch(g.n))
         if not isinstance(search, WalkSystem):
             continue
         walks = walks_of(search)
@@ -268,18 +271,20 @@ def test_system_staggering():
 
 
 def test_find_base_walk_trivial():
-    search = find_valid_base_walk(C5, C5, ID5, ID5, bfs_tree(C5, 0))
+    search = find_valid_base_walk(C5, C5, ID5, ID5, bfs_tree(C5, 0), Scratch(5))
     assert walks_of(search)[0] == (0,)
 
 
 def test_find_base_walk_rotation():
-    search = find_valid_base_walk(C5, C5, ID5, ROT5, bfs_tree(C5, 0))
+    search = find_valid_base_walk(C5, C5, ID5, ROT5, bfs_tree(C5, 0), Scratch(5))
     assert walks_of(search)[0] == (0, 1)
 
 
 def test_find_base_walk_class_mismatch():
     h = two_squares_shared()
-    search = find_valid_base_walk(C5, h, (0, 1, 2, 3, 0), (0, 4, 5, 6, 0), bfs_tree(C5, 0))
+    search = find_valid_base_walk(
+        C5, h, (0, 1, 2, 3, 0), (0, 4, 5, 6, 0), bfs_tree(C5, 0), Scratch(5)
+    )
     assert isinstance(search, Obstruction)
     assert search.kind == CLASS_MISMATCH
     assert search.cores == ((0, 1, 2, 3), (0, 4, 5, 6))
@@ -290,7 +295,7 @@ def test_find_base_walk_separated_endpoints():
 
     h = Graph(4, [(0, 1), (2, 3)], reflexive=True)
     g = Graph(1, [], reflexive=True)
-    search = find_valid_base_walk(g, h, (0,), (3,), bfs_tree(g, 0))
+    search = find_valid_base_walk(g, h, (0,), (3,), bfs_tree(g, 0), Scratch(g.n))
     assert search == Obstruction(kind=NO_VALID_WALK, cycle=(0,))
 
 
@@ -303,11 +308,12 @@ def test_find_base_walk_second_witness_family():
     inst = make_double_turn()
     target = (0, 1, 2, 3, 0, 1, 2, 3, 0, 6, 5, 4, 0)
     tree = bfs_tree(inst.g, 0)
-    first = generate_system(inst.g, inst.h, inst.phi, inst.psi, tree, shortest_walk(inst.h, 0, 0))
+    w0 = shortest_walk(inst.h, 0, 0)
+    first = generate_system(inst.g, inst.h, inst.phi, inst.psi, tree, w0, Scratch(inst.g.n))
     assert isinstance(first, CycleWitness)
     cands, _ = _candidate_family(inst.phi, inst.psi, first.cycle)
     assert target not in cands
-    search = find_valid_base_walk(inst.g, inst.h, inst.phi, inst.psi, tree)
+    search = find_valid_base_walk(inst.g, inst.h, inst.phi, inst.psi, tree, Scratch(inst.g.n))
     assert walks_of(search)[0] == target
 
 
@@ -326,7 +332,7 @@ def test_find_base_walk_complete_vs_oracle():
             sub_psi[v] = psi[v]  # stay inside vertex 0's component
         sub_psi = tuple(sub_psi)
         if hom_graph_bfs(g, h, phi, sub_psi, max_states=300_000) is Answer.YES:
-            search = find_valid_base_walk(g, h, phi, sub_psi, bfs_tree(g, 0))
+            search = find_valid_base_walk(g, h, phi, sub_psi, bfs_tree(g, 0), Scratch(g.n))
             assert isinstance(search, WalkSystem)
             agree += 1
     assert agree > 40
@@ -337,7 +343,7 @@ def test_walk_length_bound():
     rng = random.Random(35)
     for _ in range(80):
         g, h, phi, psi = _random_valid_instance(rng)
-        search = find_valid_base_walk(g, h, phi, psi, bfs_tree(g, 0))
+        search = find_valid_base_walk(g, h, phi, psi, bfs_tree(g, 0), Scratch(g.n))
         if not isinstance(search, WalkSystem):
             continue
         bound = max(4 * g.n, (h.n - 1) + 2 * (g.n - 1))
