@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import InternalError
 from .graphs import Graph, Scratch
@@ -30,13 +30,11 @@ class TightWalkWitness:
     cycle: Walk
 
 
-def waits_for(
-    g: Graph, h: Graph, system: WalkSystem, left: Sequence[int] | Mapping[int, int], u: int
-) -> int | None:
+def waits_for(g: Graph, h: Graph, system: WalkSystem, left: Sequence[int], u: int) -> int | None:
     """The lowest-id vertex u waits for, or None.
 
     left[v] is the number of steps v has still to go, for u and its
-    neighbours: the scheduler's vertex-indexed list or any mapping.  With
+    neighbours, in the scheduler's vertex-indexed list.  With
     k = left[v] and e = system.end[v], v's colour is system.flat[e - k - 1],
     its next colour system.flat[e - k], and v is unfinished while k is
     nonzero.  u waits for v when both are unfinished, v's next colour is

@@ -34,7 +34,6 @@ from .errors import InternalError
 from .graphs import Graph, Scratch, shortest_walk, tree_path
 from .walks import (
     Walk,
-    closed_power,
     concat,
     free_decomposition,
     is_reduced,
@@ -161,11 +160,13 @@ class _Cover:
 
     Its nodes are the reduced walks from one base colour, kept as a trie:
     node i is a walk ending in colour label[i] whose last step leaves node
-    up[i], depth[i] steps from the base node 0 (its own parent).  The cover
-    is a tree, so the reduced walk between two nodes is their tree path.
+    up[i]; the base node 0 is its own parent.  A node is added after its
+    parent, so up[i] < i for every i >= 1, and an ancestor's id is smaller
+    than its descendants'.  The cover is a tree, so the reduced walk between
+    two nodes is their tree path.
     """
 
-    __slots__ = ("label", "up", "depth", "child", "nh")
+    __slots__ = ("label", "up", "child", "nh")
 
     def __init__(self, nh: int, walk: Walk):
         """The trie of the one reduced walk `walk`; node i is walk[: i + 1]."""
@@ -173,7 +174,6 @@ class _Cover:
         self.nh = nh
         self.label = list(walk)
         self.up = [0] + list(range(m - 1))
-        self.depth = list(range(m))
         self.child = {i * nh + walk[i + 1]: i + 1 for i in range(m - 1)}
 
     def lift(
@@ -186,66 +186,48 @@ class _Cover:
         hi: list[int],
         hi_root: int,
     ) -> None:
-        """Lift phi into lo and psi into hi along the BFS tree, in one pass.
+        """Lift phi into lo and psi into hi along the BFS tree.
 
         order[0] goes to node 0 under phi and to node hi_root under psi.  A
         step to colour c stays on a node coloured c, goes up when the parent
         is coloured c, and otherwise goes down to the child c.  Only the
         entries of the tree's vertices are written.
         """
-        label, up, depth, child, nh = self.label, self.up, self.depth, self.child, self.nh
-        lo[order[0]] = 0
-        hi[order[0]] = hi_root
-        for v in islice(order, 1, None):
-            p = parent[v]
-            x = lo[p]
-            c = phi[v]
-            if label[x] != c:
-                q = up[x]
-                if label[q] == c:
-                    x = q
-                else:
-                    key = x * nh + c
-                    y = child.get(key)
-                    if y is None:
-                        y = child[key] = len(label)
-                        label.append(c)
-                        up.append(x)
-                        depth.append(depth[x] + 1)
-                    x = y
-            lo[v] = x
-            x = hi[p]  # the same step for psi
-            c = psi[v]
-            if label[x] != c:
-                q = up[x]
-                if label[q] == c:
-                    x = q
-                else:
-                    key = x * nh + c
-                    y = child.get(key)
-                    if y is None:
-                        y = child[key] = len(label)
-                        label.append(c)
-                        up.append(x)
-                        depth.append(depth[x] + 1)
-                    x = y
-            hi[v] = x
+        label, up, child, nh = self.label, self.up, self.child, self.nh
+        for colours, nodes, x in ((phi, lo, 0), (psi, hi, hi_root)):
+            nodes[order[0]] = x
+            for v in islice(order, 1, None):
+                x = nodes[parent[v]]
+                c = colours[v]
+                if label[x] != c:
+                    q = up[x]
+                    if label[q] == c:
+                        x = q
+                    else:
+                        key = x * nh + c
+                        y = child.get(key)
+                        if y is None:
+                            y = child[key] = len(label)
+                            label.append(c)
+                            up.append(x)
+                        x = y
+                nodes[v] = x
 
     def walk(self, a: int, b: int) -> Walk:
-        """The reduced walk from node a to node b: up to their meet, then down."""
-        label, up, depth = self.label, self.up, self.depth
+        """The reduced walk from node a to node b: up to their meet, then down.
+
+        While a != b, the larger of the two ids is no ancestor of the other
+        node, so it lies strictly below their meet and steps up.
+        """
+        label, up = self.label, self.up
         left, right = [], []
-        while depth[a] > depth[b]:
-            left.append(label[a])
-            a = up[a]
-        while depth[b] > depth[a]:
-            right.append(label[b])
-            b = up[b]
         while a != b:
-            left.append(label[a])
-            a = up[a]
-            right.append(label[b])
-            b = up[b]
+            if a > b:
+                left.append(label[a])
+                a = up[a]
+            else:
+                right.append(label[b])
+                b = up[b]
         left.append(label[a])
         left.extend(reversed(right))
         return tuple(left)
@@ -348,10 +330,11 @@ def _candidate_family(
     prefix = da.core[: k + 1]
     root = primitive_root(da.core)
     root_loop = root + (root[0],)
-    out: list[Walk] = []
-    for d in (-1, 0, 1):
-        w = concat(concat(concat(da.tail, closed_power(root_loop, d)), prefix), reverse(db.tail))
-        out.append(reduce_walk(w))
+    # the root loop turned -1, 0 and 1 times, so candidates[1] is the zero power
+    out = [
+        reduce_walk(concat(concat(concat(da.tail, turn), prefix), reverse(db.tail)))
+        for turn in (reverse(root_loop), root_loop[:1], root_loop)
+    ]
     return out, None
 
 

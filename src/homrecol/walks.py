@@ -41,19 +41,6 @@ def reverse(x: Walk) -> Walk:
     return x[::-1]
 
 
-def closed_power(c: Walk, d: int) -> Walk:
-    """The closed walk traversed d times (negative d reverses); d=0 is the point."""
-    if c[0] != c[-1]:
-        raise InternalError("power of a non-closed walk")
-    if d < 0:
-        c = reverse(c)
-        d = -d
-    out = (c[0],)
-    for _ in range(d):
-        out = out + c[1:]
-    return out
-
-
 def is_reduced(seq: Sequence[int]) -> bool:
     return all(seq[i] != seq[i + 1] for i in range(len(seq) - 1)) and all(
         seq[i] != seq[i + 2] for i in range(len(seq) - 2)

@@ -41,11 +41,10 @@ ROT5 = (1, 2, 3, 4, 0)
 def _start_arcs(g, h, system):
     """Arcs u -> waits_for(u) with every vertex at the start of its walk."""
     walks = walks_of(system)
-    left = {v: len(w) - 1 for v, w in walks.items()}
+    left = [0] * g.n
+    for v, w in walks.items():
+        left[v] = len(w) - 1
     arcs = [(u, waits_for(g, h, system, left, u)) for u in sorted(walks)]
-    # the scheduler's vertex-indexed list reads the same as the mapping
-    listed = [left.get(v, 0) for v in range(g.n)]
-    assert arcs == [(u, waits_for(g, h, system, listed, u)) for u in sorted(walks)]
     return [(u, v) for u, v in arcs if v is not None]
 
 

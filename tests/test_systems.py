@@ -5,7 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from conftest import brute_generate_system, random_walk, small_hosts, walks_of
+from conftest import (
+    brute_generate_system,
+    mirrored_wrap,
+    random_walk,
+    small_hosts,
+    tight_rotation,
+    walks_of,
+)
 from homrecol.errors import InternalError
 from homrecol.families import (
     cycle_graph,
@@ -16,7 +23,7 @@ from homrecol.families import (
     random_walk_hom,
     two_squares_shared,
 )
-from homrecol.graphs import Scratch, bfs_tree, shortest_walk, tree_path
+from homrecol.graphs import Scratch, bfs_tree, connected_components, shortest_walk, tree_path
 from homrecol.oracle import Answer, hom_graph_bfs
 from homrecol.systems import (
     CLASS_MISMATCH,
@@ -25,6 +32,7 @@ from homrecol.systems import (
     Obstruction,
     WalkSystem,
     _candidate_family,
+    _Cover,
     edge_preserved,
     find_valid_base_walk,
     generate_system,
@@ -144,6 +152,55 @@ def test_generate_system_mirrored_wrap_is_linear():
         tracemalloc.stop()
     assert isinstance(out, CycleWitness)
     assert peak < 32 * 2**20
+
+
+def _root_path(cover, x):
+    """The walk of cover node x: the labels from the base node 0 down to x."""
+    path = [cover.label[x]]
+    while x:
+        x = cover.up[x]
+        path.append(cover.label[x])
+    return tuple(reversed(path))
+
+
+def _cover_instances():
+    rng = random.Random(38)
+    for i in range(200):
+        yield random_instance(rng, 2 + i % 20, 4 + i % 9)
+    yield tight_rotation(2000)
+    yield mirrored_wrap(2000)
+
+
+def test_cover_ids_lifts_and_meets():
+    # a cover node is numbered after its parent, and walk() finds the meet of
+    # two nodes by stepping the larger id up: check the lifts against walks
+    # reduced down the BFS tree, and node pairs against their root paths
+    rng = random.Random(39)
+    lifted = pairs = 0
+    for inst in _cover_instances():
+        g, h, phi, psi = inst.g, inst.h, inst.phi, inst.psi
+        for comp in connected_components(g):
+            order, parent = bfs_tree(g, comp[0])
+            w_root = shortest_walk(h, phi[comp[0]], psi[comp[0]])
+            if w_root is None:
+                continue
+            cover = _Cover(h.n, w_root)
+            lo, hi = [0] * g.n, [0] * g.n
+            cover.lift(order, parent, phi, psi, lo, hi, len(w_root) - 1)
+            up = cover.up
+            assert all(up[i] < i for i in range(1, len(up)))
+            walks = {order[0]: w_root}
+            for v in order[1:]:
+                walks[v] = reduce_walk((phi[v],) + walks[parent[v]] + (psi[v],))
+            for v in order:
+                assert cover.walk(lo[v], hi[v]) == walks[v], v
+            for _ in range(50):
+                a, b = rng.randrange(len(up)), rng.randrange(len(up))
+                path = reduce_walk(reverse(_root_path(cover, a)) + _root_path(cover, b)[1:])
+                assert cover.walk(a, b) == path, (a, b)
+                pairs += a != b
+            lifted += 1
+    assert lifted > 200 and pairs > 5000, (lifted, pairs)
 
 
 def _benchmark_workloads():
