@@ -61,7 +61,7 @@ def waits_for(g: Graph, h: Graph, system: WalkSystem, left: Sequence[int], u: in
 
 def schedule(
     g: Graph, h: Graph, system: WalkSystem, scratch: Scratch
-) -> list[tuple[int, int]] | TightWalkWitness:
+) -> list[int] | TightWalkWitness:
     """Run the system to completion or extract a tight-cycle witness.
 
     Vertices are tried from a FIFO work list (seeded in ascending id
@@ -70,6 +70,9 @@ def schedule(
     vertex may move when its next colour is adjacent to the current colour
     of every neighbour, its own loop included.  scratch holds the
     per-vertex arrays; a solve passes one for all its calls.
+
+    The moves come as one flat list [v0, c0, v1, c1, ...]: move i takes
+    vertex v_i to colour c_i, and no object is built per move.
     """
     start, end, flat = system.start, system.end, system.flat
     adj, hs = g.adj, h.adj_sets
@@ -78,7 +81,7 @@ def schedule(
         s = start[v]
         left[v] = end[v] - s - 1
         cur[v] = flat[s]
-    moves: list[tuple[int, int]] = []
+    moves: list[int] = []
     queue = deque(v for v in sorted(system.order) if left[v])
     for v in queue:
         queued[v] = 1
@@ -99,7 +102,8 @@ def schedule(
         else:
             cur[u] = nxt
             left[u] = k - 1
-            emit((u, nxt))
+            emit(u)
+            emit(nxt)
             if k != 1:
                 push(u)
                 queued[u] = 1

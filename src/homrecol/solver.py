@@ -14,7 +14,7 @@ instance has the same answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InternalError, InvalidInputError
 from .graphs import (
@@ -39,8 +39,6 @@ from .systems import (
 )
 from .walks import free_decomposition, is_cyclically_reduced, reduce_walk, shift_match
 
-Move = tuple[int, int]
-
 REFLEXIVE = "reflexive"
 GIRTH5 = "girth5"
 
@@ -57,7 +55,9 @@ class Instance:
 @dataclass(frozen=True)
 class Verdict:
     answer: str  # "yes" | "no"
-    moves: list[Move] | None = None
+    # a YES witness as one flat list [v0, c0, v1, c1, ...]: move i takes
+    # vertex v_i to colour c_i
+    moves: list[int] | None = None
     obstruction: Obstruction | None = None
 
     @property
@@ -91,16 +91,17 @@ def validate_instance(inst: Instance) -> None:
             raise InvalidInputError("host must have girth at least 5 in girth5 mode")
 
 
-def preprocess_girth5(inst: Instance) -> tuple[Instance, list[Move], Obstruction | None]:
+def preprocess_girth5(inst: Instance) -> tuple[Instance, list[int], Obstruction | None]:
     """Recolour isolated vertices directly, then add all loops.
 
     Looped isolated vertices walk through the host (their two colours must
     share a component); loopless ones jump.  The reflexive instance returned
-    has the same answer as the original.
+    has the same answer as the original.  The moves made are the prefix, a
+    flat list [v0, c0, v1, c1, ...] as Verdict.moves.
     """
     if inst.mode != GIRTH5:
         raise InvalidInputError("preprocessing applies to girth5 mode")
-    prefix: list[Move] = []
+    prefix: list[int] = []
     phi = list(inst.phi)
     for v in range(inst.g.n):
         if any(u != v for u in inst.g.adj[v]):
@@ -111,9 +112,10 @@ def preprocess_girth5(inst: Instance) -> tuple[Instance, list[Move], Obstruction
             walk = shortest_walk(inst.h, phi[v], inst.psi[v])
             if walk is None:
                 return inst, [], Obstruction(kind=NO_VALID_WALK, cycle=(v,))
-            prefix.extend((v, c) for c in walk[1:])
+            for c in walk[1:]:
+                prefix += v, c
         else:
-            prefix.append((v, inst.psi[v]))
+            prefix += v, inst.psi[v]
         phi[v] = inst.psi[v]
     reflexive = Instance(
         g=inst.g.with_all_loops(), h=inst.h, phi=tuple(phi), psi=inst.psi, mode=REFLEXIVE
@@ -128,7 +130,7 @@ def _solve_component(
     psi: Sequence[int],
     tree: tuple[list[int], list[int]],
     scratch: Scratch,
-) -> list[Move] | Obstruction:
+) -> list[int] | Obstruction:
     system = find_valid_base_walk(g, h, phi, psi, tree, scratch)
     if isinstance(system, Obstruction):
         return system
@@ -161,7 +163,7 @@ def _solve_component(
 def solve(inst: Instance) -> Verdict:
     """Decide the instance and return a verified witness or a typed obstruction."""
     validate_instance(inst)
-    moves: list[Move] = []
+    moves: list[int] = []
     work = inst
     if inst.mode == GIRTH5:
         work, moves, early = preprocess_girth5(inst)
@@ -180,22 +182,31 @@ def solve(inst: Instance) -> Verdict:
         outcome = _solve_component(g, work.h, work.phi, work.psi, tree, scratch)
         if isinstance(outcome, Obstruction):
             return Verdict(answer="no", obstruction=outcome)
-        moves.extend(outcome)
+        # an empty list takes a component's moves as they are: a copy would
+        # hold the witness twice
+        if moves:
+            moves += outcome
+        else:
+            moves = outcome
 
-    check = verify_witness(inst, moves)
+    it = iter(moves)
+    check = verify_witness(inst, zip(it, it))
     if not check.ok:
         raise InternalError(f"emitted witness fails to replay at move {check.index}")
     return Verdict(answer="yes", moves=moves)
 
 
-def verify_witness(inst: Instance, moves: Sequence[Sequence[int]]) -> WitnessCheck:
+def verify_witness(inst: Instance, moves: Iterable[Sequence[int]]) -> WitnessCheck:
     """Replay moves from phi: one vertex per step, loop rule respected,
-    homomorphism maintained, psi reached.  A move is a (vertex, colour)
-    tuple as solve emits it, or a [vertex, colour] list as a result file
-    parses to."""
+    homomorphism maintained, psi reached.  moves yields (vertex, colour)
+    pairs: the [vertex, colour] lists of a parsed result file, or the
+    tuples zip(it, it) reads off a flat Verdict.moves, with
+    it = iter(verdict.moves).  A bad move fails at its index, landing off
+    psi at the number of moves."""
     g, h = inst.g, inst.h
     gn, hn, adj, hs = g.n, h.n, g.adj, h.adj_sets
     cur = list(inst.phi)
+    i = -1  # the loop leaves i + 1 moves replayed
     for i, move in enumerate(moves):
         if len(move) != 2:
             return WitnessCheck(False, i)
@@ -211,7 +222,7 @@ def verify_witness(inst: Instance, moves: Sequence[Sequence[int]]) -> WitnessChe
                 return WitnessCheck(False, i)
         cur[v] = c
     if tuple(cur) != tuple(inst.psi):
-        return WitnessCheck(False, len(moves))
+        return WitnessCheck(False, i + 1)
     return WitnessCheck(True, None)
 
 

@@ -167,15 +167,22 @@ def brute_generate_system(g, h, phi, psi, root, w_root, key=None):
     return system_of(walks)
 
 
+def pairs(flat) -> list[tuple[int, int]]:
+    """The (vertex, colour) moves of a flat move list [v0, c0, v1, c1, ...]."""
+    it = iter(flat)
+    return list(zip(it, it))
+
+
 class BruteScheduleState:
-    """Per-vertex walk suffixes behind method calls, as the scheduler once kept them."""
+    """Per-vertex walk suffixes behind method calls, as the scheduler once
+    kept them; the moves in the scheduler's flat layout."""
 
     def __init__(self, g: Graph, h: Graph, system: WalkSystem):
         self.g = g
         self.h = h
         self.walks = walks_of(system)
         self.pos = {v: 0 for v in self.walks}
-        self.moves: list[tuple[int, int]] = []
+        self.moves: list[int] = []
 
     def current(self, v: int) -> int:
         return self.walks[v][self.pos[v]]
@@ -196,7 +203,7 @@ class BruteScheduleState:
 
     def move(self, u: int) -> None:
         self.pos[u] += 1
-        self.moves.append((u, self.current(u)))
+        self.moves += u, self.current(u)
 
 
 def brute_schedule(g, h, system, order=None):

@@ -12,7 +12,7 @@ import subprocess
 import sys
 import time
 
-from conftest import child_env, random_walk, tight_vertices
+from conftest import child_env, pairs, random_walk, tight_vertices
 from homrecol.families import (
     cycle_graph,
     host_catalogue,
@@ -76,7 +76,7 @@ def test_witness_soundness():
         verdict = solve(inst)
         if verdict.yes:
             checked += 1
-            if not verify_witness(inst, verdict.moves).ok:
+            if not verify_witness(inst, pairs(verdict.moves)).ok:
                 failures += 1
     for inst in [
         make_cycle_wrap(13, 4, 1),
@@ -86,7 +86,7 @@ def test_witness_soundness():
     ]:
         verdict = solve(inst)
         checked += 1
-        if not (verdict.yes and verify_witness(inst, verdict.moves).ok):
+        if not (verdict.yes and verify_witness(inst, pairs(verdict.moves)).ok):
             failures += 1
     rng = random.Random(71)
     for _ in range(40):
@@ -97,7 +97,7 @@ def test_witness_soundness():
         reachable = Instance(g=g, h=h, phi=phi, psi=psi)
         verdict = solve(reachable)
         checked += 1
-        if not (verdict.yes and verify_witness(reachable, verdict.moves).ok):
+        if not (verdict.yes and verify_witness(reachable, pairs(verdict.moves)).ok):
             failures += 1
     assert failures == 0 and checked > 400
 
@@ -168,11 +168,13 @@ from homrecol.solver import solve, verify_witness
 inst = make_cycle_wrap(100_000, 4, 1)
 start = time.monotonic()
 verdict = solve(inst)
-ok = verdict.yes and verify_witness(inst, verdict.moves).ok
+moves = verdict.moves or []
+it = iter(moves)
+ok = verdict.yes and verify_witness(inst, zip(it, it)).ok
 elapsed = time.monotonic() - start
 peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps({"ok": ok, "seconds": elapsed, "peak_mib": peak_mib,
-                  "moves": len(verdict.moves or [])}))
+                  "moves": len(moves) // 2}))
 """
 
 
@@ -203,7 +205,7 @@ def test_girth5_equivalence_100():
         assert answer is not Answer.BUDGET_EXCEEDED
         assert (answer is Answer.YES) == verdict.yes
         if verdict.yes:
-            assert verify_witness(inst, verdict.moves).ok
+            assert verify_witness(inst, pairs(verdict.moves)).ok
         agreements += 1
     assert agreements == 100
 

@@ -1,5 +1,6 @@
 import gc
 import json
+import random
 import resource
 import subprocess
 import sys
@@ -7,11 +8,26 @@ import tracemalloc
 
 import pytest
 
-from conftest import child_env
+from conftest import child_env, disjoint_union
 from homrecol.cli import run
 from homrecol.errors import InvalidInputError
-from homrecol.families import make_cycle_wrap, make_figure_eight
-from homrecol.jsonio import dumps, instance_to_dict, loads, parse_instance
+from homrecol.families import (
+    cycle_graph,
+    make_cycle_wrap,
+    make_double_turn,
+    make_figure_eight,
+    random_girth5_instance,
+)
+from homrecol.graphs import Graph
+from homrecol.jsonio import (
+    MOVES_PER_CHUNK,
+    dumps,
+    instance_to_dict,
+    loads,
+    parse_instance,
+    verdict_to_dict,
+)
+from homrecol.solver import Instance, preprocess_girth5, solve
 
 
 def write(tmp_path, name, doc):
@@ -462,8 +478,8 @@ def test_parse_accepts_duplicate_edges_and_explicit_loops():
 
 
 def test_obstruction_roundtrips_through_result_file():
-    from homrecol.jsonio import obstruction_from_dict, verdict_to_dict
-    from homrecol.solver import recheck_obstruction, solve
+    from homrecol.jsonio import obstruction_from_dict
+    from homrecol.solver import recheck_obstruction
 
     inst = parse_instance(json.dumps(c5_instance([1, 2, 3, 4, 0])))
     verdict = solve(inst)
@@ -471,6 +487,49 @@ def test_obstruction_roundtrips_through_result_file():
     recovered = obstruction_from_dict(doc["obstruction"])
     assert recovered == verdict.obstruction
     assert recheck_obstruction(inst, recovered)
+
+
+def _dumped_as_pairs(flat) -> str:
+    """What json.dumps writes for a YES result with flat's moves as pairs."""
+    it = iter(flat)
+    doc = {"answer": "yes", "witness": {"moves": [[v, c] for v, c in zip(it, it)]}}
+    return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize(
+    "k", [0, 1, MOVES_PER_CHUNK - 1, MOVES_PER_CHUNK, MOVES_PER_CHUNK + 1, 2 * MOVES_PER_CHUNK + 1]
+)
+def test_yes_result_dumps_the_bytes_of_json_pairs(k):
+    # k looped isolated vertices, each one step round C4: k moves, one per
+    # component, around the edges of the writer's chunks
+    inst = Instance(g=Graph(k, [], reflexive=True), h=cycle_graph(4), phi=(0,) * k, psi=(1,) * k)
+    verdict = solve(inst)
+    assert len(verdict.moves) == 2 * k
+    assert dumps(verdict_to_dict(verdict)) == _dumped_as_pairs(verdict.moves)
+
+
+def test_girth5_and_union_yes_results_dump_the_bytes_of_json_pairs():
+    prefixed = 0
+    for seed in range(60):
+        inst = random_girth5_instance(random.Random(seed), 4 + seed % 7)
+        verdict = solve(inst)
+        if verdict.yes:
+            prefix = preprocess_girth5(inst)[1]
+            prefixed += bool(prefix) and len(verdict.moves) > len(prefix)
+            assert dumps(verdict_to_dict(verdict)) == _dumped_as_pairs(verdict.moves)
+    assert prefixed >= 10
+    parts = [make_cycle_wrap(13, 4, 1), make_double_turn(), make_cycle_wrap(12, 4, 3)]
+    verdict = solve(disjoint_union(parts, interleave=True))
+    assert verdict.yes
+    assert dumps(verdict_to_dict(verdict)) == _dumped_as_pairs(verdict.moves)
+
+
+def test_hand_built_yes_result_dumps_as_plain_json():
+    # the writer is chosen by the document's type, not its answer: a plain
+    # dict of [vertex, colour] lists is plain JSON
+    doc = {"answer": "yes", "witness": {"moves": [[0, 2]]}}
+    assert dumps(doc) == json.dumps(doc, separators=(",", ":")) + "\n"
+    assert dumps(doc) == '{"answer":"yes","witness":{"moves":[[0,2]]}}\n'
 
 
 def test_parse_empty_graph():

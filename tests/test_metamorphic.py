@@ -10,7 +10,7 @@ renamed original included, must still check.
 import random
 from collections import Counter
 
-from conftest import disjoint_union, relabel, relabel_host
+from conftest import disjoint_union, pairs, relabel, relabel_host
 from homrecol import families
 from homrecol.families import make_cycle_wrap, random_girth5_instance, random_instance
 from homrecol.solver import (
@@ -41,7 +41,7 @@ def _instances(rng: random.Random, count: int):
 
 def _certified(inst, verdict) -> bool:
     if verdict.yes:
-        return verify_witness(inst, verdict.moves).ok
+        return verify_witness(inst, pairs(verdict.moves)).ok
     return recheck_obstruction(inst, verdict.obstruction)
 
 
@@ -51,7 +51,8 @@ def _renamed(verdict, g_label=None, h_label=None) -> Verdict:
     g_name = (lambda v: v) if g_label is None else g_label.__getitem__
     h_name = (lambda c: c) if h_label is None else h_label.__getitem__
     if verdict.yes:
-        return Verdict(answer="yes", moves=[(g_name(v), h_name(c)) for v, c in verdict.moves])
+        moves = [x for v, c in pairs(verdict.moves) for x in (g_name(v), h_name(c))]
+        return Verdict(answer="yes", moves=moves)
     o = verdict.obstruction
     return Verdict(
         answer="no",

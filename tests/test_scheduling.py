@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from conftest import brute_generate_system, brute_schedule, system_of, tight_vertices, walks_of
+from conftest import (
+    brute_generate_system,
+    brute_schedule,
+    pairs,
+    system_of,
+    tight_vertices,
+    walks_of,
+)
 from homrecol.errors import InternalError
 from homrecol.families import (
     cycle_graph,
@@ -56,7 +63,7 @@ def test_movable_and_arcs_on_path_host():
     # 1 waits for 0: 2 is not adjacent to 0's current colour 0
     assert _start_arcs(g, h, system) == [(1, 0)]
     out = schedule(g, h, system, Scratch(g.n))
-    assert out == [(0, 1), (1, 2)]
+    assert out == [0, 1, 1, 2]
 
 
 def test_waits_for_lowest_unfinished_vertex():
@@ -115,7 +122,7 @@ def _one_step_left(walks):
 
 def _replay(g, h, phi, psi, moves):
     cur = list(phi)
-    for v, c in moves:
+    for v, c in pairs(moves):
         before = tuple(cur)
         cur[v] = c
         assert is_homomorphism(g, h, cur)
@@ -130,7 +137,7 @@ def test_cycle_wrap_schedule_replays():
     assert isinstance(search, WalkSystem)
     out = schedule(inst.g, inst.h, search, scratch)
     assert isinstance(out, list)
-    assert len(out) == sum(len(w) - 1 for w in walks_of(search).values())
+    assert len(out) == 2 * sum(len(w) - 1 for w in walks_of(search).values())
     _replay(inst.g, inst.h, inst.phi, inst.psi, out)
 
 
@@ -161,7 +168,7 @@ def test_schedule_order_independent():
 
 def _apply(g, phi, moves):
     cur = list(phi)
-    for v, c in moves:
+    for v, c in pairs(moves):
         cur[v] = c
     return tuple(cur)
 
@@ -226,7 +233,7 @@ def test_schedule_matches_reference_on_wrap():
         inst.g, inst.h, inst.phi, inst.psi, bfs_tree(inst.g, 0), Scratch(inst.g.n)
     )
     out = _assert_same_outcome(inst.g, inst.h, search)
-    assert len(out) == sum(len(w) - 1 for w in walks_of(search).values())
+    assert len(out) == 2 * sum(len(w) - 1 for w in walks_of(search).values())
 
 
 def test_schedule_matches_reference_on_deadlocks():

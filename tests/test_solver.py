@@ -11,6 +11,7 @@ from conftest import (
     brute_generate_system,
     disjoint_union,
     mirrored_wrap,
+    pairs,
     relabel,
     tight_rotation,
     tight_vertices,
@@ -30,6 +31,7 @@ from homrecol.families import (
     random_instance,
 )
 from homrecol.graphs import Graph, Scratch, bfs_tree, shortest_walk, tree_path
+from homrecol.jsonio import dumps, verdict_to_dict
 from homrecol.oracle import Answer, hom_graph_bfs, hom_graph_path
 from homrecol import solver
 from homrecol.solver import (
@@ -118,7 +120,7 @@ def test_solve_double_turn_yes():
 
     inst = make_double_turn()
     v = solve(inst)
-    assert v.yes and verify_witness(inst, v.moves).ok
+    assert v.yes and verify_witness(inst, pairs(v.moves)).ok
 
 
 def test_solve_locked_link_unrealizable():
@@ -181,7 +183,7 @@ def test_preprocess_isolated_loopless_jump():
     inst = Instance(g=g, h=C5, phi=(0, 0, 1), psi=(3, 0, 1), mode="girth5")
     work, prefix, early = preprocess_girth5(inst)
     assert early is None
-    assert prefix == [(0, 3)]
+    assert prefix == [0, 3]
     assert work.phi == (3, 0, 1)
     assert work.g.is_reflexive() and work.mode == "reflexive"
     assert solve(inst).yes
@@ -192,9 +194,9 @@ def test_preprocess_isolated_looped_walks():
     inst = Instance(g=g, h=C5, phi=(0, 0), psi=(2, 2), mode="girth5")
     work, prefix, early = preprocess_girth5(inst)
     assert early is None
-    assert prefix == [(0, 1), (0, 2), (1, 2)]
+    assert prefix == [0, 1, 0, 2, 1, 2]
     v = solve(inst)
-    assert v.yes and verify_witness(inst, v.moves).ok
+    assert v.yes and verify_witness(inst, pairs(v.moves)).ok
 
 
 def test_preprocess_isolated_looped_separated_host():
@@ -209,7 +211,7 @@ def test_preprocess_isolated_looped_separated_host():
     g2 = Graph(1, [], reflexive=False)
     inst2 = Instance(g=g2, h=h, phi=(0,), psi=(3,), mode="girth5")
     v2 = solve(inst2)
-    assert v2.yes and v2.moves == [(0, 3)]
+    assert v2.yes and v2.moves == [0, 3]
 
 
 def test_recheck_girth5_one_vertex_needs_looped_isolated_vertex():
@@ -353,7 +355,7 @@ def test_girth5_matches_oracle_on_original():
         o = hom_graph_bfs(inst.g, inst.h, inst.phi, inst.psi, max_states=400_000)
         assert o is (Answer.YES if v.yes else Answer.NO)
         if v.yes:
-            assert verify_witness(inst, v.moves).ok
+            assert verify_witness(inst, pairs(v.moves)).ok
 
 
 def test_solver_matches_oracle_on_random_instances():
@@ -364,7 +366,7 @@ def test_solver_matches_oracle_on_random_instances():
         o = hom_graph_bfs(inst.g, inst.h, inst.phi, inst.psi, max_states=400_000)
         assert o is (Answer.YES if v.yes else Answer.NO)
         if v.yes:
-            assert verify_witness(inst, v.moves).ok
+            assert verify_witness(inst, pairs(v.moves)).ok
         else:
             assert recheck_obstruction(inst, v.obstruction)
 
@@ -381,7 +383,7 @@ def test_solve_single_vertex_long_host_walk():
     h = path_graph(9)
     g = Graph(1, [], reflexive=True)
     v = solve(Instance(g=g, h=h, phi=(0,), psi=(8,)))
-    assert v.yes and v.moves == [(0, c) for c in range(1, 9)]
+    assert v.yes and pairs(v.moves) == [(0, c) for c in range(1, 9)]
 
 
 def test_verify_witness_examples():
@@ -404,26 +406,30 @@ def test_list_maps_in_a_library_instance():
     g, h = path_graph(3), cycle_graph(4)
     listed = solve(Instance(g=g, h=h, phi=[0, 1, 2], psi=[1, 2, 3]))
     tupled = solve(Instance(g=g, h=h, phi=(0, 1, 2), psi=(1, 2, 3)))
-    assert listed.yes and listed.moves == tupled.moves and len(listed.moves) == 3
-    assert verify_witness(Instance(g=g, h=h, phi=[0, 1, 2], psi=[1, 2, 3]), listed.moves).ok
+    assert listed.yes and listed.moves == tupled.moves and len(pairs(listed.moves)) == 3
+    listed_inst = Instance(g=g, h=h, phi=[0, 1, 2], psi=[1, 2, 3])
+    assert verify_witness(listed_inst, pairs(listed.moves)).ok
     assert verify_witness(Instance(g=g, h=h, phi=(0, 1, 2), psi=[0, 1, 2]), []).ok
     assert verify_witness(Instance(g=g, h=h, phi=(0, 1, 2), psi=[0, 1, 3]), []) == (False, 0)
 
 
 @pytest.mark.parametrize("bad_at", [None, 0, 7, 23])
 def test_verify_witness_same_on_list_and_tuple_moves(bad_at):
-    # a result file parses each move to a [vertex, colour] list, solve emits
-    # (vertex, colour) tuples: the replay must read both alike, down to the
-    # index of the first bad move
+    # a result file parses each move to a [vertex, colour] list, solve
+    # replays its flat list [v0, c0, v1, c1, ...] as (vertex, colour) pairs
+    # fed by zip: the replay must read all of them alike, down to the index
+    # of the first bad move and, landing off psi, the number of moves
     inst = make_cycle_wrap(12, 4, 3)
-    moves = solve(inst).moves
-    assert len(moves) > 23
+    flat = solve(inst).moves
+    assert len(flat) > 2 * 23
     if bad_at is not None:
-        moves[bad_at] = (moves[bad_at][0], 4)  # a colour H does not have
-    for witness in (moves, moves[:-1]):
-        check = verify_witness(inst, witness)
-        assert verify_witness(inst, [list(m) for m in witness]) == check
-        expected = (True, None) if witness is moves else (False, len(witness))
+        flat[2 * bad_at + 1] = 4  # a colour H does not have
+    for witness in (flat, flat[:-2]):
+        it = iter(witness)
+        check = verify_witness(inst, zip(it, it))
+        assert verify_witness(inst, pairs(witness)) == check
+        assert verify_witness(inst, [list(m) for m in pairs(witness)]) == check
+        expected = (True, None) if witness is flat else (False, len(witness) // 2)
         assert check == (expected if bad_at is None else (False, bad_at))
     assert verify_witness(inst, [[0, 1, 2]]) == verify_witness(inst, [(0, 1, 2)]) == (False, 0)
 
@@ -459,7 +465,7 @@ def test_solve_many_components_linear():
     start = time.process_time()
     v = solve(inst)
     elapsed = time.process_time() - start
-    assert v.yes and len(v.moves) == 2 * k
+    assert v.yes and len(pairs(v.moves)) == 2 * k
     assert elapsed < 10.0, f"solve took {elapsed:.1f} s CPU"
 
 
@@ -503,7 +509,7 @@ def _hexagon_off_a_path():
 def test_constant_walk_retry_from_a_cycle_vertex_succeeds():
     inst = _hexagon_off_a_path()
     v = solve(inst)
-    assert v.moves == [
+    assert pairs(v.moves) == [
         (0, 2), (1, 1), (2, 0), (0, 1), (1, 0), (2, 5),
         (0, 0), (1, 5), (0, 5), (1, 4), (0, 4), (0, 3),
     ]
@@ -540,7 +546,7 @@ def test_constant_walk_retry_under_relabelling(monkeypatch, make, answer):
             old = {x: u for u, x in enumerate(label)}
             seen.add(tuple(old[x] for x in chains[0]))
         if answer == "yes":
-            assert v.yes and verify_witness(inst, v.moves).ok
+            assert v.yes and verify_witness(inst, pairs(v.moves)).ok
         else:
             assert v.obstruction.kind == answer
             assert recheck_obstruction(inst, v.obstruction)
@@ -577,7 +583,7 @@ def test_solver_leaves_instance_set_view_unbuilt():
 
     yes = make_cycle_wrap(200, 4, 3)
     verdict = solve(yes)
-    assert verdict.yes and verify_witness(yes, verdict.moves).ok
+    assert verdict.yes and verify_witness(yes, pairs(verdict.moves)).ok
     no = Instance(g=cycle_graph(5), h=cycle_graph(5), phi=ID5, psi=(1, 2, 3, 4, 0))
     verdict = solve(no)
     assert verdict.obstruction.kind == "frozen-mismatch"
@@ -609,6 +615,36 @@ def test_solve_memory_of_the_100k_tight_rotation():
     assert peak <= 22 * 2**20, peak
 
 
+def test_solve_and_dump_memory_of_the_100k_wrap():
+    # the 399,840 moves as one flat list of shared ints, written in chunks:
+    # a (vertex, colour) tuple per move took the solve's peak to 37.8 MiB
+    inst = make_cycle_wrap(100_000, 4, 40)
+    tracemalloc.start()
+    try:
+        verdict = solve(inst)
+        text = dumps(verdict_to_dict(verdict))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.yes and len(verdict.moves) == 2 * 399_840
+    assert text.startswith('{"answer":"yes","witness":{"moves":[[')
+    assert peak <= 26 * 2**20, peak
+
+
+def test_solve_takes_a_components_moves_uncopied(monkeypatch):
+    # the scheduler's flat list is the witness itself: copying it into a
+    # fresh list holds two of them at once
+    emitted = []
+
+    def kept(*args):
+        emitted.append(schedule(*args))
+        return emitted[-1]
+
+    monkeypatch.setattr(solver, "schedule", kept)
+    verdict = solve(make_cycle_wrap(2000, 4, 40))
+    assert len(emitted) == 1 and verdict.moves is emitted[0]
+
+
 def test_recheck_memory_of_the_100k_tight_rotation():
     # one tight-cycle test reads the cycle as it is: a set of its 100k
     # vertices, built for one membership test, was the whole 6 MiB peak
@@ -629,7 +665,7 @@ def _walk_vertices_and_moves(inst):
     scratch = Scratch(inst.g.n)
     system = find_valid_base_walk(inst.g, inst.h, inst.phi, inst.psi, bfs_tree(inst.g, 0), scratch)
     out = schedule(inst.g, inst.h, system, scratch)
-    return len(system.flat), len(out) if isinstance(out, list) else 0
+    return len(system.flat), len(out) // 2 if isinstance(out, list) else 0
 
 
 @pytest.mark.parametrize(
@@ -653,7 +689,7 @@ def test_solve_many_isolated_looped_vertices():
     start = time.process_time()
     v = solve(inst)
     elapsed = time.process_time() - start
-    assert v.yes and len(v.moves) == n
+    assert v.yes and len(pairs(v.moves)) == n
     assert elapsed < 2.0, f"solve took {elapsed:.1f} s CPU"
 
 
