@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import gc
 import json
+from itertools import repeat
 from typing import Any
 
 from .errors import InvalidInputError
@@ -33,14 +34,23 @@ def _num_vertices(obj: Any, name: str) -> int:
 
 
 def graph_from_dict(obj: Any, name: str = "graph") -> Graph:
-    """The graph obj describes, built by Graph in its one pass over the edges."""
+    """The graph obj describes, built by Graph in its one pass over the edges.
+
+    The edges are handed to Graph in order, and each leaves obj["edges"]
+    once its row entries exist: the document's edge list is empty
+    afterwards, or, when an edge is rejected, holds the edges after it in
+    reverse order.  The rest of obj is left as it is.
+    """
     n = _num_vertices(obj, name)
     edges = obj.get("edges", [])
     _require(isinstance(edges, list), f"{name}.edges must be a list")
     reflexive = obj.get("reflexive", False)
-    # the edges are checked first, the flag and the keys after them
+    # the edges are checked first, the flag and the keys after them; popped
+    # from the reversed list at C level, each [u, v] is freed with its two
+    # ints as soon as Graph has filed it, not after the whole graph is built
+    edges.reverse()
     try:
-        g = Graph(n, edges, reflexive is True)
+        g = Graph(n, map(edges.pop, repeat(-1, len(edges))), reflexive is True)
     except InvalidInputError as exc:  # an edge's error, named edges[i]
         raise InvalidInputError(f"{name}.{exc}") from None
     _require(isinstance(reflexive, bool), f"{name}.reflexive must be a boolean")
@@ -59,6 +69,8 @@ def _parse_map(obj: list, name: str, hn: int) -> tuple[int, ...]:
 
 
 def instance_from_dict(doc: Any) -> Instance:
+    """The instance doc describes, checked.  Building G and H empties the
+    edge lists of doc (see graph_from_dict)."""
     _require(isinstance(doc, dict), "instance file must be a JSON object")
     for key in ("G", "H", "phi", "psi"):
         _require(key in doc, f"missing key {key!r}")
@@ -100,7 +112,13 @@ def loads(text: str) -> Any:
 
 
 def parse_instance(text: str) -> Instance:
-    return instance_from_dict(loads(text))
+    """The instance in text.  The reference to text is dropped once it is
+    parsed: on CPython 3.11, where the callee owns its arguments, a caller
+    that passes the text as a temporary frees it before the graphs are
+    built."""
+    doc = loads(text)
+    del text
+    return instance_from_dict(doc)
 
 
 def _graph_to_dict(g: Graph) -> dict:

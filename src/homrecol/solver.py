@@ -207,20 +207,24 @@ def verify_witness(inst: Instance, moves: Iterable[Sequence[int]]) -> WitnessChe
     gn, hn, adj, hs = g.n, h.n, g.adj, h.adj_sets
     cur = list(inst.phi)
     i = -1  # the loop leaves i + 1 moves replayed
-    for i, move in enumerate(moves):
-        if len(move) != 2:
-            return WitnessCheck(False, i)
-        v, c = move
-        if not (0 <= v < gn and 0 <= c < hn) or c == cur[v]:
-            return WitnessCheck(False, i)
-        # The move keeps a homomorphism iff all of v's edges stay edges.  A
-        # loop sits in v's own row, so the same test is the loop rule, read
-        # with H undirected: the old colour must be adjacent to the new one.
-        allowed = hs[c]
-        for u in adj[v]:
-            if cur[u] not in allowed:
+    # each move is unpacked in the loop target, with no name bound to it; i
+    # is stored before its move is unpacked, so a move that is not a pair
+    # fails at its own index
+    try:
+        for i, (v, c) in enumerate(moves):
+            if not (0 <= v < gn and 0 <= c < hn) or c == cur[v]:
                 return WitnessCheck(False, i)
-        cur[v] = c
+            # The move keeps a homomorphism iff all of v's edges stay edges.
+            # A loop sits in v's own row, so the same test is the loop rule,
+            # read with H undirected: the old colour must be adjacent to the
+            # new one.
+            allowed = hs[c]
+            for u in adj[v]:
+                if cur[u] not in allowed:
+                    return WitnessCheck(False, i)
+            cur[v] = c
+    except ValueError:  # too many or too few values to unpack
+        return WitnessCheck(False, i)
     if tuple(cur) != tuple(inst.psi):
         return WitnessCheck(False, i + 1)
     return WitnessCheck(True, None)

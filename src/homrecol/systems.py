@@ -163,10 +163,13 @@ class _Cover:
     up[i]; the base node 0 is its own parent.  A node is added after its
     parent, so up[i] < i for every i >= 1, and an ancestor's id is smaller
     than its descendants'.  The cover is a tree, so the reduced walk between
-    two nodes is their tree path.
+    two nodes is their tree path.  kid[i] is node i's first child, 0 when it
+    has none (node 0 is no node's child); a second or later child of i
+    coloured c is more[i * nh + c].  On a cycle wrap no node has a second
+    child, so more stays empty.
     """
 
-    __slots__ = ("label", "up", "child", "nh")
+    __slots__ = ("label", "up", "kid", "more", "nh")
 
     def __init__(self, nh: int, walk: Walk):
         """The trie of the one reduced walk `walk`; node i is walk[: i + 1]."""
@@ -174,7 +177,8 @@ class _Cover:
         self.nh = nh
         self.label = list(walk)
         self.up = [0] + list(range(m - 1))
-        self.child = {i * nh + walk[i + 1]: i + 1 for i in range(m - 1)}
+        self.kid = list(range(1, m)) + [0]
+        self.more: dict[int, int] = {}
 
     def lift(
         self,
@@ -190,10 +194,10 @@ class _Cover:
 
         order[0] goes to node 0 under phi and to node hi_root under psi.  A
         step to colour c stays on a node coloured c, goes up when the parent
-        is coloured c, and otherwise goes down to the child c.  Only the
-        entries of the tree's vertices are written.
+        is coloured c, and otherwise goes down to the child c, made when
+        missing.  Only the entries of the tree's vertices are written.
         """
-        label, up, child, nh = self.label, self.up, self.child, self.nh
+        label, up, kid, more, nh = self.label, self.up, self.kid, self.more, self.nh
         for colours, nodes, x in ((phi, lo, 0), (psi, hi, hi_root)):
             nodes[order[0]] = x
             for v in islice(order, 1, None):
@@ -204,12 +208,20 @@ class _Cover:
                     if label[q] == c:
                         x = q
                     else:
-                        key = x * nh + c
-                        y = child.get(key)
-                        if y is None:
-                            y = child[key] = len(label)
+                        y = kid[x]
+                        if not y:  # x's first child
+                            y = kid[x] = len(label)
                             label.append(c)
                             up.append(x)
+                            kid.append(0)
+                        elif label[y] != c:  # a second or later child
+                            key = x * nh + c
+                            y = more.get(key, 0)
+                            if not y:
+                                y = more[key] = len(label)
+                                label.append(c)
+                                up.append(x)
+                                kid.append(0)
                         x = y
                 nodes[v] = x
 

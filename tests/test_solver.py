@@ -432,6 +432,9 @@ def test_verify_witness_same_on_list_and_tuple_moves(bad_at):
         expected = (True, None) if witness is flat else (False, len(witness) // 2)
         assert check == (expected if bad_at is None else (False, bad_at))
     assert verify_witness(inst, [[0, 1, 2]]) == verify_witness(inst, [(0, 1, 2)]) == (False, 0)
+    assert verify_witness(inst, [(0,)]) == (False, 0)
+    # after a good first move, a move that is no pair fails at its own index
+    assert verify_witness(inst, [solve(inst).moves[:2], [0, 1, 2]]) == (False, 1)
 
 
 def test_verify_witness_neighbour_violation():
@@ -601,7 +604,8 @@ def test_solve_memory_of_the_100k_tight_rotation():
     # walks in one flat list and a deadlock scan that marks visited vertices
     # in the scratch: a tuple per walk in a dict, and two vertex-keyed dicts
     # for the deadlock cycle, took 33 MiB at the peak; a depth list in the
-    # cover trie, beside its label and up lists, took 23.4 MiB
+    # cover trie, beside its label and up lists, took 23.4 MiB, and a dict
+    # entry per cover node for its child 20.1 MiB (a first-child list: 12.7)
     n = 100_000
     inst = tight_rotation(n)
     tracemalloc.start()
@@ -612,7 +616,7 @@ def test_solve_memory_of_the_100k_tight_rotation():
         tracemalloc.stop()
     assert verdict.obstruction.kind == "frozen-mismatch"
     assert verdict.obstruction.vertex == 0 and len(verdict.obstruction.cycle) == n + 1
-    assert peak <= 22 * 2**20, peak
+    assert peak <= 16 * 2**20, peak
 
 
 def test_solve_and_dump_memory_of_the_100k_wrap():

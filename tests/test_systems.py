@@ -176,7 +176,7 @@ def test_cover_ids_lifts_and_meets():
     # two nodes by stepping the larger id up: check the lifts against walks
     # reduced down the BFS tree, and node pairs against their root paths
     rng = random.Random(39)
-    lifted = pairs = 0
+    lifted = pairs = seconds = 0
     for inst in _cover_instances():
         g, h, phi, psi = inst.g, inst.h, inst.phi, inst.psi
         for comp in connected_components(g):
@@ -187,8 +187,15 @@ def test_cover_ids_lifts_and_meets():
             cover = _Cover(h.n, w_root)
             lo, hi = [0] * g.n, [0] * g.n
             cover.lift(order, parent, phi, psi, lo, hi, len(w_root) - 1)
-            up = cover.up
+            up, label = cover.up, cover.label
             assert all(up[i] < i for i in range(1, len(up)))
+            # a trie: no node has two children of one colour, and each
+            # child is found from its parent, as the first or a later one
+            assert len({(up[i], label[i]) for i in range(1, len(up))}) == len(up) - 1
+            for i in range(1, len(up)):
+                x = up[i]
+                assert cover.kid[x] == i or cover.more[x * h.n + label[i]] == i
+            seconds += len(cover.more)
             walks = {order[0]: w_root}
             for v in order[1:]:
                 walks[v] = reduce_walk((phi[v],) + walks[parent[v]] + (psi[v],))
@@ -200,7 +207,7 @@ def test_cover_ids_lifts_and_meets():
                 assert cover.walk(a, b) == path, (a, b)
                 pairs += a != b
             lifted += 1
-    assert lifted > 200 and pairs > 5000, (lifted, pairs)
+    assert lifted > 200 and pairs > 5000 and seconds > 100, (lifted, pairs, seconds)
 
 
 def _benchmark_workloads():
