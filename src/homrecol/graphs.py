@@ -23,17 +23,25 @@ class Graph:
     """Immutable undirected graph with optional loops."""
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]], reflexive: bool = False):
-        """The graph on 0..n-1 with the given edges, checked and built in one pass.
+        """The graph on 0..n-1 with the given edges, checked and built in two passes.
 
         Each edge must be a list or tuple of two ints (not bools) in range;
         the InvalidInputError for one that is not names it as edges[i].
         Each endpoint goes into the other's row as ids[x], one int per
         vertex id, not as the int the caller made for that occurrence of it.
+
+        The first pass checks the edges in order and keeps their endpoints,
+        as ids[u], ids[v], in one flat list; the second files them into the
+        rows.  The n row lists are made only after the last edge is drawn:
+        a loader that frees each edge as it hands it over (jsonio does) has
+        freed them all by then, so the rows reuse that memory rather than
+        adding to it.
         """
         if n < 0:
             raise InvalidInputError("vertex count must be nonnegative")
         ids = list(range(n))
-        rows: list[list[int]] = [[] for _ in ids]
+        ends: list[int] = []
+        push = ends.append
         # per-element checks build their message only on failure
         for i, e in enumerate(edges):
             if not (
@@ -46,8 +54,14 @@ class Graph:
             u, v = e
             if not (0 <= u < n and 0 <= v < n):
                 raise InvalidInputError(f"edges[{i}] out of range")
-            rows[u].append(ids[v])
-            rows[v].append(ids[u])
+            push(ids[u])
+            push(ids[v])
+        rows: list[list[int]] = [[] for _ in ids]
+        it = iter(ends)
+        for u, v in zip(it, it):
+            rows[u].append(v)
+            rows[v].append(u)
+        del it, ends, push
         # one row at a time, in place: sort, then drop repeats only from a
         # row that has some; no set is built for any row.  Rows with repeats
         # are rare, and the scan costs less than dict.fromkeys on every row
@@ -190,17 +204,21 @@ class Scratch:
     reads it for every neighbour it checks.  queued marks the work list
     while the scheduler runs and, once the drained queue has cleared it,
     the vertices a deadlock scan has visited.
+
+    While generate_system checks a system, left and cur hold the cover
+    lifts of phi and psi instead, and it zeroes them again before it
+    returns.  The lifts and the scheduler's state are never live at once:
+    schedule sets left and cur at every vertex of its system before it
+    reads them.
     """
 
-    __slots__ = ("lo", "hi", "start", "end", "left", "cur", "queued")
+    __slots__ = ("start", "end", "left", "cur", "queued")
 
     def __init__(self, n: int):
-        self.lo = [0] * n  # cover lifts of phi and psi
-        self.hi = [0] * n
         self.start = [0] * n  # each walk's slice of the system's flat list
         self.end = [0] * n
-        self.left = [0] * n  # scheduler: the steps still to go,
-        self.cur = [0] * n  # the colour now,
+        self.left = [0] * n  # scheduler: the steps still to go (or phi's lift),
+        self.cur = [0] * n  # the colour now (or psi's lift),
         self.queued = bytearray(n)  # and membership of the work list
 
 

@@ -34,10 +34,10 @@ def _num_vertices(obj: Any, name: str) -> int:
 
 
 def graph_from_dict(obj: Any, name: str = "graph") -> Graph:
-    """The graph obj describes, built by Graph in its one pass over the edges.
+    """The graph obj describes, built by Graph from one pass over the edges.
 
     The edges are handed to Graph in order, and each leaves obj["edges"]
-    once its row entries exist: the document's edge list is empty
+    as Graph draws it: the document's edge list is empty
     afterwards, or, when an edge is rejected, holds the edges after it in
     reverse order.  The rest of obj is left as it is.
     """
@@ -47,7 +47,7 @@ def graph_from_dict(obj: Any, name: str = "graph") -> Graph:
     reflexive = obj.get("reflexive", False)
     # the edges are checked first, the flag and the keys after them; popped
     # from the reversed list at C level, each [u, v] is freed with its two
-    # ints as soon as Graph has filed it, not after the whole graph is built
+    # ints once Graph has checked it, before Graph makes any row
     edges.reverse()
     try:
         g = Graph(n, map(edges.pop, repeat(-1, len(edges))), reflexive is True)

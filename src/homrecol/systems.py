@@ -21,7 +21,9 @@ A valid system is laid out flat: every walk, in BFS order, in one list of
 colours, with its start and end index in the solve's Scratch.  Of the
 several candidate base walks a search may find valid, only the one chosen
 is written out, so a system holds its component's walks and nothing
-n-sized.
+n-sized.  The lifts need two vertex-indexed lists only while a system is
+checked, so they borrow the scheduler's left and cur in the Scratch rather
+than keeping two of their own.
 """
 
 from __future__ import annotations
@@ -117,9 +119,10 @@ def generate_system(
     endpoints, and its two walks are built only when its lifts are not
     adjacent on both sides.  The witness for a failing edge uv is the closed
     walk tree-path(root, u) . uv . tree-path(v, root).  On success every walk
-    is built once, from its parent's walk.  scratch holds the lift arrays
-    and the system's start and end indices; a solve passes one for all its
-    calls.
+    is built once, from its parent's walk.  scratch holds the system's
+    start and end indices and, while the system is checked, the lifts, in
+    its left and cur (zeroed again before this returns); a solve passes
+    one for all its calls.
     """
     witness = _failing_cycle(g, h, phi, psi, tree, w_root, scratch)
     if witness is not None:
@@ -145,8 +148,8 @@ def _failing_cycle(
         raise InternalError("base walk must be reduced")
     failing = _failing_edge(g, h, phi, psi, order, parent, w_root, scratch)
     # Drop the lifts: their cover node ids would otherwise stay allocated
-    # through the schedule.
-    lo, hi = scratch.lo, scratch.hi
+    # through _carry_walks and the schedule.
+    lo, hi = scratch.left, scratch.cur
     for v in order:
         lo[v] = hi[v] = 0
     if failing is None:
@@ -257,7 +260,7 @@ def _failing_edge(
 ) -> tuple[int, int] | None:
     """The first non-tree edge uv (u < v) the system does not preserve, if any."""
     cover = _Cover(h.n, w_root)
-    lo, hi = scratch.lo, scratch.hi
+    lo, hi = scratch.left, scratch.cur  # borrowed from the scheduler
     cover.lift(order, parent, phi, psi, lo, hi, len(w_root) - 1)
     up = cover.up
     for u in sorted(order):

@@ -10,11 +10,14 @@ from conftest import (
     tight_vertices,
     walks_of,
 )
+from homrecol import solver, systems
 from homrecol.errors import InternalError
 from homrecol.families import (
     cycle_graph,
     make_cycle_wrap,
+    make_double_turn,
     make_locked_link,
+    make_twisted_loop,
     path_graph,
     random_graph,
     random_hom,
@@ -273,3 +276,69 @@ def test_shared_scratch_matches_reference():
                     assert schedule(g, h, system, scratch=scratch) == brute_schedule(g, h, system)
                     runs += 1
     assert runs > 200
+
+
+@pytest.mark.parametrize(
+    "make, calls, checks, outcome",
+    [
+        # a failing candidate's lifts, then the valid one's, then a failing one's
+        (make_double_turn, ["find", "schedule"], "FFFFFTF", "yes"),
+        # the retry's lifts are written over a deadlocked schedule's state
+        (make_locked_link, ["find", "schedule", "generate", "schedule"], "TT", "unrealizable"),
+        (make_twisted_loop, ["find", "schedule", "generate"], "FFTFF", "unrealizable"),
+    ],
+)
+def test_shared_scratch_on_the_solvers_paths(monkeypatch, make, calls, checks, outcome):
+    # the cover lifts borrow the scheduler's left and cur: every call the
+    # solver makes in its one Scratch must give what the same call gives in
+    # a fresh one, and what the reference gives, and a system's check must
+    # zero the lifts again
+    inst = make()
+    n = inst.g.n
+    seen, checked = [], []
+    real_failing_cycle = systems._failing_cycle
+    real_find, real_generate = solver.find_valid_base_walk, solver.generate_system
+
+    def zeroed(scratch, order):
+        assert all(scratch.left[v] == 0 and scratch.cur[v] == 0 for v in order)
+
+    def failing_cycle(*args):
+        out = real_failing_cycle(*args)
+        checked.append((args[-1], "FT"[out is None]))
+        return out
+
+    def find(g, h, phi, psi, tree, scratch):
+        out = real_find(g, h, phi, psi, tree, scratch)
+        seen.append("find")
+        zeroed(scratch, tree[0])
+        assert isinstance(out, WalkSystem)
+        root = tree[0][0]
+        walks = walks_of(out)
+        assert walks == walks_of(real_find(g, h, phi, psi, tree, Scratch(n)))
+        assert walks == walks_of(brute_generate_system(g, h, phi, psi, root, walks[root]))
+        return out
+
+    def generate(g, h, phi, psi, tree, w_root, scratch):
+        out = real_generate(g, h, phi, psi, tree, w_root, scratch)
+        seen.append("generate")
+        zeroed(scratch, tree[0])
+        walks = walks_of(out)
+        assert walks == walks_of(real_generate(g, h, phi, psi, tree, w_root, Scratch(n)))
+        assert walks == walks_of(brute_generate_system(g, h, phi, psi, tree[0][0], w_root))
+        return out
+
+    def run(g, h, system, scratch):
+        out = schedule(g, h, system, scratch)
+        seen.append("schedule")
+        assert out == schedule(g, h, system, Scratch(n)) == brute_schedule(g, h, system)
+        return out
+
+    monkeypatch.setattr(systems, "_failing_cycle", failing_cycle)
+    monkeypatch.setattr(solver, "find_valid_base_walk", find)
+    monkeypatch.setattr(solver, "generate_system", generate)
+    monkeypatch.setattr(solver, "schedule", run)
+    verdict = solver.solve(inst)
+    assert seen == calls
+    # each system checked in the solver's scratch, the first one used
+    assert "".join(c for scratch, c in checked if scratch is checked[0][0]) == checks
+    assert (verdict.answer if verdict.yes else verdict.obstruction.kind) == outcome
