@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import argparse
 import gc
-import random
 import sys
 
-from . import families, jsonio
+from . import jsonio
 from .errors import InternalError, InvalidInputError
 from .graphs import connected_components, validate_host
 from .oracle import Answer, hom_graph_bfs
@@ -90,6 +89,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    # the generators load here, not with the module: no other command runs them
+    import random
+
+    from . import families
+
     if args.family == "cycle-wrap":
         inst = families.make_cycle_wrap(args.g_len, args.h_len, args.shift)
     elif args.family == "figure-eight":

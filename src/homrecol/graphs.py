@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidInputError
 
@@ -114,8 +113,7 @@ class Graph:
         return f"Graph(n={self.n}, edges={m // 2 + loops})"
 
 
-@dataclass(frozen=True)
-class HostReport:
+class HostReport(NamedTuple):
     is_reflexive: bool
     is_triangle_free: bool
     girth_at_least_5: bool

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import gc
 import json
+import sys
 from itertools import repeat
 from typing import Any
 
@@ -30,6 +31,9 @@ def _num_vertices(obj: Any, name: str) -> int:
     n = obj["num_vertices"]
     # type(x) is int also rejects bool
     _require(type(n) is int and n >= 0, f"{name}.num_vertices must be a nonnegative integer")
+    # no list has more than sys.maxsize items: Graph's range(n) would raise
+    # OverflowError, an internal error, for what is invalid input
+    _require(n <= sys.maxsize, f"{name}.num_vertices must be at most {sys.maxsize}")
     return n
 
 

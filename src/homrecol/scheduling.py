@@ -13,8 +13,7 @@ the cycle's steps are edges of G because each is a waits_for arc.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InternalError
 from .graphs import Graph, Scratch
@@ -22,8 +21,7 @@ from .systems import WalkSystem
 from .walks import Walk, is_cyclically_reduced
 
 
-@dataclass(frozen=True)
-class TightWalkWitness:
+class TightWalkWitness(NamedTuple):
     """A deadlock: a closed walk of the instance graph, built from waits_for
     arcs, whose image under the start colours is cyclically reduced."""
 

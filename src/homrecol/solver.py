@@ -13,7 +13,6 @@ instance has the same answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InternalError, InvalidInputError
@@ -43,8 +42,7 @@ REFLEXIVE = "reflexive"
 GIRTH5 = "girth5"
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     g: Graph
     h: Graph
     phi: tuple[int, ...]
@@ -52,8 +50,7 @@ class Instance:
     mode: str = REFLEXIVE
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     answer: str  # "yes" | "no"
     # a YES witness as one flat list [v0, c0, v1, c1, ...]: move i takes
     # vertex v_i to colour c_i

@@ -28,9 +28,8 @@ than keeping two of their own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InternalError
 from .graphs import Graph, Scratch, shortest_walk, tree_path
@@ -52,8 +51,7 @@ FROZEN_MISMATCH = "frozen-mismatch"
 UNREALIZABLE = "unrealizable"
 
 
-@dataclass(frozen=True)
-class Obstruction:
+class Obstruction(NamedTuple):
     """A NO certificate: one of the four kinds above, on a closed walk of G."""
 
     kind: str
@@ -62,8 +60,7 @@ class Obstruction:
     cores: tuple[Walk, Walk] | None = None
 
 
-@dataclass(frozen=True, eq=False)
-class WalkSystem:
+class WalkSystem(NamedTuple):
     """A valid system: v's walk is flat[start[v]:end[v]] for each v of order.
 
     order is the component in the BFS order its walks were written in.
@@ -78,8 +75,7 @@ class WalkSystem:
     flat: list[int]
 
 
-@dataclass(frozen=True)
-class CycleWitness:
+class CycleWitness(NamedTuple):
     """A closed walk of the instance graph on which the base walk fails."""
 
     cycle: Walk

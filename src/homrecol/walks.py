@@ -9,8 +9,7 @@ questions plain sequence comparisons after reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InternalError, InvalidInputError
 from .graphs import Graph
@@ -77,8 +76,7 @@ def reduce_walk(x: Sequence[int]) -> Walk:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class FreeDecomposition:
+class FreeDecomposition(NamedTuple):
     """Split of a closed walk into a tail and a cyclically reduced core.
 
     tail runs from the original basepoint to the core's first vertex; core is

@@ -226,6 +226,21 @@ def run_child(argv, stdin=b"", env=None):
     )
 
 
+@pytest.mark.parametrize("command", ["solve", "check-input", "oracle", "reduce-walk"])
+@pytest.mark.parametrize("n", [sys.maxsize + 1, 10**30])
+def test_host_vertex_count_past_maxsize_exit_two(tmp_path, command, n):
+    # no list can have that many rows: the count is invalid input, not an
+    # OverflowError from the builder
+    doc = c5_instance([0] * 5)
+    doc["H"]["num_vertices"] = n
+    if command == "reduce-walk":
+        doc = {"H": doc["H"], "walk": [0]}
+    out = run_child([command, write(tmp_path, "inst.json", doc)])
+    assert out.returncode == 2, out.stderr
+    assert out.stdout == b""
+    assert out.stderr.decode() == f"error: H.num_vertices must be at most {sys.maxsize}\n"
+
+
 @pytest.mark.parametrize("case", ["directory", "not-utf8-file", "not-utf8-stdin"])
 def test_unreadable_input_exit_two(tmp_path, case):
     # unreadable input is invalid input: one error line, no traceback

@@ -11,7 +11,9 @@ that shows up here as never run, or a parameter never set, is either dead
 or serves only the tests, whose helpers live in tests/.  Every field a class
 there declares is read somewhere in the package, and no module there
 imports a sibling's underscore name.  README's Library section lists the
-exports, exactly `homrecol.__all__`.
+exports, exactly `homrecol.__all__`.  Importing the CLI loads neither the
+generators of `gen` nor `dataclasses`: each process pays for the modules
+it imports, and only `gen` runs the generators.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import json
 import os
 import random
 import re
+import subprocess
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -30,6 +33,7 @@ from pathlib import Path
 import pytest
 
 import homrecol
+from conftest import child_env
 from homrecol import families
 from homrecol.cli import run
 from homrecol.jsonio import dumps, instance_to_dict
@@ -259,3 +263,36 @@ def test_no_module_imports_a_private_name_from_a_sibling():
                     if alias.name.startswith("_")
                 ]
     assert private == [], f"private names imported across src/homrecol: {private}"
+
+
+def _loaded_in_a_fresh_interpreter(code: str, names: list[str]) -> dict[str, bool]:
+    probe = f"{code}\nimport json, sys\nprint(json.dumps({{n: n in sys.modules for n in {names!r}}}))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env(), check=True
+    )
+    return json.loads(out.stdout)
+
+
+def test_importing_the_cli_loads_neither_families_nor_dataclasses():
+    loaded = _loaded_in_a_fresh_interpreter("import homrecol.cli", ["homrecol.families", "dataclasses"])
+    assert not loaded["homrecol.families"]
+    # an interpreter whose startup already loads dataclasses (a site hook,
+    # say) has it whatever homrecol imports
+    bare = _loaded_in_a_fresh_interpreter("pass", ["dataclasses"])
+    assert not loaded["dataclasses"] or bare["dataclasses"]
+
+
+def test_no_module_imports_dataclasses():
+    # the result types are NamedTuples: dataclasses costs every process the
+    # import of inspect and the code it generates per class
+    importing = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            importing += [path.stem for m in modules if m.split(".")[0] == "dataclasses"]
+    assert importing == [], f"modules importing dataclasses: {importing}"

@@ -3,7 +3,6 @@ import random
 import time
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -264,16 +263,16 @@ def test_recheck_rejects_a_corrupted_tight_cycle():
         assert recheck_obstruction(inst, ob)
         kinds.add(ob.kind)
         # not closed
-        assert not recheck_obstruction(inst, replace(ob, cycle=cycle[:-1]))
-        assert not recheck_obstruction(inst, replace(ob, cycle=cycle + (cycle[1],)))
+        assert not recheck_obstruction(inst, ob._replace(cycle=cycle[:-1]))
+        assert not recheck_obstruction(inst, ob._replace(cycle=cycle + (cycle[1],)))
         # a step that is not an edge: the cycle skips its third vertex, and
         # its image may well stay cyclically reduced
         assert not g.adjacent(cycle[1], cycle[3])
-        assert not recheck_obstruction(inst, replace(ob, cycle=cycle[:2] + cycle[3:]))
+        assert not recheck_obstruction(inst, ob._replace(cycle=cycle[:2] + cycle[3:]))
         # a vertex off the cycle, where phi and psi differ if one does
         off = [x for x in range(g.n) if x not in cycle]
         off.sort(key=lambda x: inst.phi[x] == inst.psi[x])
-        assert not recheck_obstruction(inst, replace(ob, vertex=off[0]))
+        assert not recheck_obstruction(inst, ob._replace(vertex=off[0]))
     assert kinds == {"frozen-mismatch", "unrealizable"}
 
 
