@@ -70,7 +70,12 @@ def schedule(
     per-vertex arrays; a solve passes one for all its calls.
 
     The moves come as one flat list [v0, c0, v1, c1, ...]: move i takes
-    vertex v_i to colour c_i, and no object is built per move.
+    vertex v_i to colour c_i, and no object is built per move.  Each vertex
+    moves once per step of its walk, so the system fixes the number of
+    moves, len(flat) - len(order), before the first one: the list is made
+    at that size at the first move and written by index.  A schedule that
+    succeeds returns it exactly full; a deadlock discards it, and one
+    before the first move never makes it.
     """
     start, end, flat = system.start, system.end, system.flat
     adj, hs = g.adj, h.adj_sets
@@ -79,12 +84,13 @@ def schedule(
         s = start[v]
         left[v] = end[v] - s - 1
         cur[v] = flat[s]
+    steps = len(flat) - len(system.order)
     moves: list[int] = []
+    i = 0
     queue = deque(v for v in sorted(system.order) if left[v])
     for v in queue:
         queued[v] = 1
     popleft, push = queue.popleft, queue.append
-    emit = moves.append
     while queue:
         u = popleft()
         queued[u] = 0
@@ -100,8 +106,11 @@ def schedule(
         else:
             cur[u] = nxt
             left[u] = k - 1
-            emit(u)
-            emit(nxt)
+            if not i:
+                moves = [0] * (2 * steps)
+            moves[i] = u
+            moves[i + 1] = nxt
+            i += 2
             if k != 1:
                 push(u)
                 queued[u] = 1
@@ -110,10 +119,10 @@ def schedule(
                     push(x)
                     queued[x] = 1
 
-    first = min((v for v in system.order if left[v]), default=None)
-    if first is None:
+    if i == 2 * steps:  # every walk has run to its end
         return moves
     # the drained queue has cleared every queued flag
+    first = min(v for v in system.order if left[v])
     return _extract_tight_cycle(g, h, system, scratch, first)
 
 

@@ -9,6 +9,8 @@ questions plain sequence comparisons after reduction.
 
 from __future__ import annotations
 
+from itertools import islice
+from operator import ne
 from typing import NamedTuple, Sequence
 
 from .errors import InternalError, InvalidInputError
@@ -41,9 +43,11 @@ def reverse(x: Walk) -> Walk:
 
 
 def is_reduced(seq: Sequence[int]) -> bool:
-    return all(seq[i] != seq[i + 1] for i in range(len(seq) - 1)) and all(
-        seq[i] != seq[i + 2] for i in range(len(seq) - 2)
-    )
+    """True iff seq has no immediate repeat (x, x) and no backtrack (x, y, x).
+
+    Both scans read seq in place, against itself shifted by one and by two.
+    """
+    return all(map(ne, seq, islice(seq, 1, None))) and all(map(ne, seq, islice(seq, 2, None)))
 
 
 def is_cyclically_reduced(c: Walk) -> bool:
@@ -52,9 +56,13 @@ def is_cyclically_reduced(c: Walk) -> bool:
 
     This is the tightness rule: a cycle of G whose image is cyclically
     reduced is tight, so frozen.  It reads colours only; the caller has
-    checked that c is a closed walk.
+    checked that c is a closed walk.  Read round the cycle, c continues
+    with c[1], c[2], ...; the pairs that cross the closing vertex are
+    tested directly, so c is never copied.
     """
-    return len(c) > 1 and is_reduced(c + c[1:3])
+    if len(c) < 2 or c[-1] == c[1] or not is_reduced(c):
+        return False
+    return len(c) < 3 or (c[-2] != c[1] and c[-1] != c[2])
 
 
 def reduce_walk(x: Sequence[int]) -> Walk:

@@ -162,6 +162,20 @@ def cyclic_shift(c: Walk, k: int) -> Walk:
     return body + (body[0],)
 
 
+def is_reduced_by_index(seq: Sequence[int]) -> bool:
+    """The reduced-walk rule written index by index: no seq[i] equals
+    seq[i + 1] or seq[i + 2]."""
+    return all(seq[i] != seq[i + 1] for i in range(len(seq) - 1)) and all(
+        seq[i] != seq[i + 2] for i in range(len(seq) - 2)
+    )
+
+
+def is_cyclically_reduced_by_copy(c: Walk) -> bool:
+    """The tightness rule read on a copy of c extended round the cycle by
+    c[1] and c[2]."""
+    return len(c) > 1 and is_reduced_by_index(c + c[1:3])
+
+
 def is_contractible(c: Walk) -> bool:
     if c[0] != c[-1]:
         raise InternalError("contractibility is for closed walks")

@@ -6,6 +6,7 @@ import pytest
 from conftest import brute_has_square, brute_has_triangle, small_hosts
 from homrecol.errors import InvalidInputError
 from homrecol.families import cycle_graph, path_graph, random_graph, random_hom, star_graph
+from homrecol import graphs
 from homrecol.graphs import (
     Graph,
     bfs_tree,
@@ -110,6 +111,42 @@ def test_validate_host_matches_brute_force():
         tri = brute_has_triangle(g)
         assert report.is_triangle_free == (not tri)
         assert report.girth_at_least_5 == (not tri and not brute_has_square(g))
+
+
+def _reflexive_complete_bipartite(a: int) -> Graph:
+    return Graph(2 * a, [(u, a + v) for u in range(a) for v in range(a)], reflexive=True)
+
+
+def test_validate_host_two_colours_a_bipartite_host(monkeypatch):
+    # a host that 2-colours needs no triangle scan: reflexive K_{400,400}
+    # took 1.4-1.5 s in the set-intersection scan
+    def no_scan(g):
+        raise AssertionError("triangle scan run on a bipartite host")
+
+    monkeypatch.setattr(graphs, "_has_triangle", no_scan)
+    assert validate_host(_reflexive_complete_bipartite(400)) == (True, True, False)
+    assert validate_host(cycle_graph(6)) == (True, True, True)
+    assert validate_host(cycle_graph(4, reflexive=False)) == (False, True, False)
+    assert validate_host(path_graph(1)) == (True, True, True)
+
+
+def test_validate_host_scans_hosts_with_an_odd_cycle(monkeypatch):
+    scanned = []
+
+    def counted(g):
+        scanned.append(g.n)
+        return has_triangle(g)
+
+    has_triangle = graphs._has_triangle
+    monkeypatch.setattr(graphs, "_has_triangle", counted)
+    k3 = Graph(3, [(0, 1), (1, 2), (0, 2)], reflexive=True)
+    assert validate_host(cycle_graph(5)) == (True, True, True)
+    assert validate_host(cycle_graph(7)) == (True, True, True)
+    assert validate_host(k3) == (True, False, False)
+    # K_{3,3} and an edge inside one side: triangles, and odd cycles
+    k33 = [(u, 3 + v) for u in range(3) for v in range(3)]
+    assert validate_host(Graph(6, k33 + [(0, 1)], reflexive=True)) == (True, False, False)
+    assert scanned == [5, 7, 3, 6]
 
 
 def test_validate_host_memory_linear_in_a_star():

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -67,6 +68,23 @@ def test_movable_and_arcs_on_path_host():
     assert _start_arcs(g, h, system) == [(1, 0)]
     out = schedule(g, h, system, Scratch(g.n))
     assert out == [0, 1, 1, 2]
+
+
+def test_schedule_fills_a_move_list_sized_once_from_the_system():
+    # one move per step of each walk: the list is made at its full length,
+    # so it carries no spare room that growing by append would leave
+    inst = make_cycle_wrap(2000, 4, 40)
+    scratch = Scratch(inst.g.n)
+    system = find_valid_base_walk(inst.g, inst.h, inst.phi, inst.psi, bfs_tree(inst.g, 0), scratch)
+    out = schedule(inst.g, inst.h, system, scratch)
+    assert len(out) == 2 * (len(system.flat) - len(system.order)) > 0
+    assert sys.getsizeof(out) == sys.getsizeof([0] * len(out))
+
+
+def test_schedule_of_constant_walks_is_empty():
+    g = Graph(3, [(0, 1), (1, 2)], reflexive=True)
+    system = system_of({0: (0,), 1: (1,), 2: (2,)})
+    assert schedule(g, path_graph(3), system, Scratch(g.n)) == []
 
 
 def test_waits_for_lowest_unfinished_vertex():

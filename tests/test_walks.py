@@ -1,8 +1,9 @@
 import random
+import tracemalloc
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_walk, small_hosts
@@ -33,6 +34,8 @@ from reference import (
     enumerate_walk_class,
     homotopic,
     is_contractible,
+    is_cyclically_reduced_by_copy,
+    is_reduced_by_index,
     move_neighbours,
     random_expand,
     random_order_reduce,
@@ -304,6 +307,32 @@ def test_is_cyclically_reduced_agrees_with_free_decomposition():
         assert is_cyclically_reduced(c) == (bool(core) and len(core) == len(c) - 1), c
         tight += is_cyclically_reduced(c)
     assert 100 < tight < len(walks) - 100
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.integers(0, 3), max_size=10), st.booleans())
+# the open pair (0, 1) is reduced, but read round as a cycle 1 meets 1
+@example([0, 1], False)
+def test_in_place_walk_rules_match_the_copying_references(seq, closed):
+    # a closed walk replaces the last colour by the first, so both kinds
+    # run over lengths 0-10
+    c = (*seq[:-1], seq[0]) if closed and seq else tuple(seq)
+    assert is_reduced(c) == is_reduced_by_index(c)
+    assert is_cyclically_reduced(c) == is_cyclically_reduced_by_copy(c)
+
+
+def test_walk_rules_read_a_long_cycle_in_place():
+    # the 100k-vertex pentagon wrap: a copy extended round the cycle would
+    # hold 800 KB of references
+    c = tuple(i % 5 for i in range(100_001))
+    tracemalloc.start()
+    try:
+        tight = is_cyclically_reduced(c) and is_reduced(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tight
+    assert peak < 64 * 2**10, peak
 
 
 # --- property tests ----------------------------------------------------------
