@@ -50,8 +50,12 @@ def _emit(doc: dict) -> None:
 
 
 def _cmd_solve(args) -> int:
+    """Solve the instance file and print the verdict.  The instance is
+    dropped once it is solved: the dump of a YES holds its text twice (the
+    chunks and their join), and G's rows are freed before, not under it."""
     inst = jsonio.parse_instance(_read(args.instance))
     verdict = solve(inst)
+    del inst
     _emit(jsonio.verdict_to_dict(verdict))
     return EXIT_YES if verdict.yes else EXIT_NO
 

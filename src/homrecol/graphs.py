@@ -10,6 +10,7 @@ loopless vertices.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from collections import deque
 from functools import cached_property
@@ -215,6 +216,31 @@ def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(comps)
 
 
+# (item size in bytes, typecode) of the unsigned array types below "Q"
+_UNSIGNED = tuple((array(code).itemsize, code) for code in "BHI")
+
+
+def id_code(n: int, least: int = 1) -> str:
+    """The typecode of the narrowest unsigned array.array, of at least
+    `least` bytes an item, whose items hold every id below n: "B", "H",
+    "I", or "Q", whose 8 bytes hold every id a list can index.
+
+    A walk system's colours take id_code(h.n): one byte each up to 256
+    colours.  A witness's flat moves take move_code, never narrower than "I".
+    """
+    for size, code in _UNSIGNED:
+        if size >= least and n <= 1 << 8 * size:
+            return code
+    return "Q"
+
+
+def move_code(g: Graph, h: Graph) -> str:
+    """The typecode of a witness's flat moves [v0, c0, v1, c1, ...] from g
+    into h: "I", 4 bytes an entry, or "Q" when a vertex id or a colour
+    needs more."""
+    return id_code(max(g.n, h.n), 4)
+
+
 class Scratch:
     """Vertex-indexed arrays for one solve, allocated once and shared by its components.
 
@@ -223,13 +249,18 @@ class Scratch:
     costs their total size, not n per component.  A recheck of a NO
     certificate allocates one for the calls it makes.  generate_system
     writes the valid system it returns into start and end: v's walk is
-    flat[start[v]:end[v]] of that system's one flat list.  The scheduler's
-    one progress counter is left[v], the steps v has still to go: its
-    colour is flat[end[v] - left[v] - 1] and its next colour
+    flat[start[v]:end[v]] of that system's one flat array of colours.  The
+    scheduler's one progress counter is left[v], the steps v has still to
+    go: its colour is flat[end[v] - left[v] - 1] and its next colour
     flat[end[v] - left[v]].  cur[v] caches the colour, because the hot loop
     reads it for every neighbour it checks.  queued marks the work list
     while the scheduler runs and, once the drained queue has cleared it,
     the vertices a deadlock scan has visited.
+
+    start, end, left and cur are lists, not typed arrays like the system's
+    colours and the witness: CPython specialises list indexing and not
+    array indexing, and the scheduler and the cover lift index them in
+    their hot loops.
 
     While generate_system checks a system, left and cur hold the cover
     lifts of phi and psi instead, and it zeroes them again before it

@@ -153,7 +153,7 @@ def _obstruction_to_dict(o: Obstruction) -> dict:
 
 class _YesResult(dict):
     """The document of a YES verdict.  Its witness moves are the verdict's
-    flat list [v0, c0, v1, c1, ...], which dumps writes as the result
+    flat array [v0, c0, v1, c1, ...], which dumps writes as the result
     file's [[v0, c0], [v1, c1], ...] without building a pair per move."""
 
 

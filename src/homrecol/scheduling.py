@@ -7,59 +7,36 @@ closes a cycle whose images form a cyclically reduced closed walk — the
 tight-cycle certificate that the system is unrealizable.  A tight cycle is
 frozen, so none of its vertices has left its starting colour.  Tightness is
 the one walk rule walks.is_cyclically_reduced, read on the cycle's colours;
-the cycle's steps are edges of G because each is a waits_for arc.
+the cycle's steps are edges of G because each is a waits-for arc.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import InternalError
-from .graphs import Graph, Scratch
+from .graphs import Graph, Scratch, move_code
 from .systems import WalkSystem
 from .walks import Walk, is_cyclically_reduced
 
+# moves gathered in a list before they are copied into the witness array:
+# the hot loop stores into a list, which CPython specialises, and one slice
+# assignment per buffer fills the array
+BUFFER = 2048
+
 
 class TightWalkWitness(NamedTuple):
-    """A deadlock: a closed walk of the instance graph, built from waits_for
+    """A deadlock: a closed walk of the instance graph, built from waits-for
     arcs, whose image under the start colours is cyclically reduced."""
 
     cycle: Walk
 
 
-def waits_for(g: Graph, h: Graph, system: WalkSystem, left: Sequence[int], u: int) -> int | None:
-    """The lowest-id vertex u waits for, or None.
-
-    left[v] is the number of steps v has still to go, for u and its
-    neighbours, in the scheduler's vertex-indexed list.  With
-    k = left[v] and e = system.end[v], v's colour is system.flat[e - k - 1],
-    its next colour system.flat[e - k], and v is unfinished while k is
-    nonzero.  u waits for v when both are unfinished, v's next colour is
-    u's colour and v's colour clashes with u's next: u cannot move before v
-    does.
-    """
-    k = left[u]
-    if not k:
-        return None
-    flat, end = system.flat, system.end
-    e = end[u] - k
-    cur_u, nxt_u = flat[e - 1], flat[e]
-    hs = h.adj_sets
-    for v in g.adj[u]:
-        if v == u:
-            continue
-        kv = left[v]
-        if kv:
-            ev = end[v] - kv
-            if flat[ev] == cur_u and nxt_u not in hs[flat[ev - 1]]:
-                return v
-    return None
-
-
 def schedule(
     g: Graph, h: Graph, system: WalkSystem, scratch: Scratch
-) -> list[int] | TightWalkWitness:
+) -> array | TightWalkWitness:
     """Run the system to completion or extract a tight-cycle witness.
 
     Vertices are tried from a FIFO work list (seeded in ascending id
@@ -69,13 +46,17 @@ def schedule(
     of every neighbour, its own loop included.  scratch holds the
     per-vertex arrays; a solve passes one for all its calls.
 
-    The moves come as one flat list [v0, c0, v1, c1, ...]: move i takes
-    vertex v_i to colour c_i, and no object is built per move.  Each vertex
-    moves once per step of its walk, so the system fixes the number of
-    moves, len(flat) - len(order), before the first one: the list is made
-    at that size at the first move and written by index.  A schedule that
-    succeeds returns it exactly full; a deadlock discards it, and one
-    before the first move never makes it.
+    The moves come as one flat array.array [v0, c0, v1, c1, ...] of type
+    graphs.move_code(g, h), 4 bytes per entry up to 2**32 vertices and
+    colours: move i takes vertex v_i to colour c_i, and no object is built
+    per move.  Each vertex moves once per step of its walk, so the system
+    fixes the number of moves, len(flat) - len(order), before the first
+    one.  The moves are written into a list of BUFFER entries, or of just
+    the moves when there are fewer, and the array is made at its exact
+    size when the first full buffer is copied in; a schedule that
+    succeeds returns it exactly full, and one with fewer moves than
+    BUFFER returns an array of the buffer.  A deadlock discards both, and
+    one before the first buffer is full never makes the array.
     """
     start, end, flat = system.start, system.end, system.flat
     adj, hs = g.adj, h.adj_sets
@@ -85,8 +66,10 @@ def schedule(
         left[v] = end[v] - s - 1
         cur[v] = flat[s]
     steps = len(flat) - len(system.order)
-    moves: list[int] = []
-    i = 0
+    code = move_code(g, h)
+    # no longer than the moves: a schedule with fewer never fills it
+    buf = [0] * min(BUFFER, 2 * steps)
+    i = j = 0  # entries copied into the array of moves, and held in buf
     queue = deque(v for v in sorted(system.order) if left[v])
     for v in queue:
         queued[v] = 1
@@ -106,11 +89,15 @@ def schedule(
         else:
             cur[u] = nxt
             left[u] = k - 1
-            if not i:
-                moves = [0] * (2 * steps)
-            moves[i] = u
-            moves[i + 1] = nxt
-            i += 2
+            buf[j] = u
+            buf[j + 1] = nxt
+            j += 2
+            if j == BUFFER:
+                if not i:
+                    moves = array(code, [0]) * (2 * steps)
+                moves[i : i + BUFFER] = array(code, buf)
+                i += BUFFER
+                j = 0
             if k != 1:
                 push(u)
                 queued[u] = 1
@@ -119,36 +106,58 @@ def schedule(
                     push(x)
                     queued[x] = 1
 
-    if i == 2 * steps:  # every walk has run to its end
-        return moves
-    # the drained queue has cleared every queued flag
-    first = min(v for v in system.order if left[v])
-    return _extract_tight_cycle(g, h, system, scratch, first)
+    if i + j != 2 * steps:
+        # the drained queue has cleared every queued flag
+        first = min(filter(left.__getitem__, system.order))
+        return _extract_tight_cycle(g, h, system, scratch, first)
+    # every walk has run to its end
+    if not i:  # fewer moves than BUFFER: they fill buf
+        return array(code, buf)
+    moves[i:] = array(code, buf[:j])
+    return moves
 
 
 def _extract_tight_cycle(
     g: Graph, h: Graph, system: WalkSystem, scratch: Scratch, first: int
 ) -> TightWalkWitness:
-    """Follow waits_for arcs from first until a vertex repeats.
+    """Follow waits-for arcs from the unfinished vertex first until a vertex repeats.
 
-    scratch.left and scratch.cur hold the scheduler's state, read as in
-    waits_for, and scratch.queued must be all 0: it marks the vertices
-    visited, and is cleared again before this returns.  The cycle closed
-    must be tight, so frozen: each of its vertices must still be at the
-    start of its walk, and its image under scratch.cur must be cyclically
-    reduced.  Its steps are arcs, so edges of G, and are not checked again.
-    Either failing means the system was not staggered, and raises
-    InternalError.
+    scratch.left and scratch.cur hold the scheduler's state: v has left[v]
+    steps still to go, its colour is cur[v] and its next colour
+    system.flat[system.end[v] - left[v]].  An unfinished u waits for its
+    lowest-id neighbour v that is unfinished, whose next colour is u's
+    colour and whose colour clashes with u's next: u cannot move before v
+    does.  u never waits for itself through its loop: its next colour
+    would be its colour, and no colour of a reflexive host clashes with
+    itself.  scratch.queued must be all 0: it marks the vertices visited,
+    and is cleared again before this returns.  The cycle closed must be
+    tight, so frozen: each of its vertices must still be at the start of
+    its walk, and its image under scratch.cur must be cyclically reduced.
+    Its steps are arcs, so edges of G, and are not checked again.  Either
+    failing, or a vertex that waits for none, means the system was not
+    staggered, and raises InternalError.
     """
-    left, marked = scratch.left, scratch.queued
+    left, cur, marked = scratch.left, scratch.cur, scratch.queued
+    start, end, flat = system.start, system.end, system.flat
+    adj, hs = g.adj, h.adj_sets
     chain = [first]
     marked[first] = 1
+    u = first
     while True:
-        v = waits_for(g, h, system, left, chain[-1])
+        # every vertex of the chain is unfinished: first is, and so is
+        # each vertex waited for
+        cur_u, allowed = cur[u], hs[flat[end[u] - left[u]]]
+        for v in adj[u]:
+            k = left[v]
+            if k and flat[end[v] - k] == cur_u and cur[v] not in allowed:
+                break
+        else:
+            v = None
         if v is None or marked[v]:
             break
         marked[v] = 1
         chain.append(v)
+        u = v
     for x in chain:
         marked[x] = 0
     if v is None:
@@ -156,10 +165,9 @@ def _extract_tight_cycle(
     del chain[: chain.index(v)]
     chain.append(v)
 
-    start, end, cur = system.start, system.end, scratch.cur
     for x in chain:
         if left[x] != end[x] - start[x] - 1:
             raise InternalError(f"deadlock cycle vertex {x} has moved (system not staggered)")
-    if not is_cyclically_reduced(tuple(cur[x] for x in chain)):
+    if not is_cyclically_reduced(tuple(map(cur.__getitem__, chain))):
         raise InternalError("deadlock cycle is not tight (system not staggered)")
     return TightWalkWitness(cycle=tuple(chain))

@@ -13,6 +13,9 @@ instance has the same answer.
 
 from __future__ import annotations
 
+from array import array
+from itertools import compress
+from operator import ne
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InternalError, InvalidInputError
@@ -21,6 +24,7 @@ from .graphs import (
     Scratch,
     bfs_tree,
     is_homomorphism,
+    move_code,
     shortest_walk,
     tree_path,
     validate_host,
@@ -52,9 +56,9 @@ class Instance(NamedTuple):
 
 class Verdict(NamedTuple):
     answer: str  # "yes" | "no"
-    # a YES witness as one flat list [v0, c0, v1, c1, ...]: move i takes
-    # vertex v_i to colour c_i
-    moves: list[int] | None = None
+    # a YES witness as one flat array.array [v0, c0, v1, c1, ...] of type
+    # graphs.move_code(g, h): move i takes vertex v_i to colour c_i
+    moves: array | None = None
     obstruction: Obstruction | None = None
 
     @property
@@ -88,17 +92,18 @@ def validate_instance(inst: Instance) -> None:
             raise InvalidInputError("host must have girth at least 5 in girth5 mode")
 
 
-def preprocess_girth5(inst: Instance) -> tuple[Instance, list[int], Obstruction | None]:
+def preprocess_girth5(inst: Instance) -> tuple[Instance, array, Obstruction | None]:
     """Recolour isolated vertices directly, then add all loops.
 
     Looped isolated vertices walk through the host (their two colours must
     share a component); loopless ones jump.  The reflexive instance returned
     has the same answer as the original.  The moves made are the prefix, a
-    flat list [v0, c0, v1, c1, ...] as Verdict.moves.
+    flat array [v0, c0, v1, c1, ...] of the type of Verdict.moves.
     """
     if inst.mode != GIRTH5:
         raise InvalidInputError("preprocessing applies to girth5 mode")
-    prefix: list[int] = []
+    code = move_code(inst.g, inst.h)
+    prefix = array(code)
     phi = list(inst.phi)
     for v in range(inst.g.n):
         if any(u != v for u in inst.g.adj[v]):
@@ -108,11 +113,11 @@ def preprocess_girth5(inst: Instance) -> tuple[Instance, list[int], Obstruction 
         if inst.g.adjacent(v, v):
             walk = shortest_walk(inst.h, phi[v], inst.psi[v])
             if walk is None:
-                return inst, [], Obstruction(kind=NO_VALID_WALK, cycle=(v,))
+                return inst, array(code), Obstruction(kind=NO_VALID_WALK, cycle=(v,))
             for c in walk[1:]:
-                prefix += v, c
+                prefix.extend((v, c))
         else:
-            prefix += v, inst.psi[v]
+            prefix.extend((v, inst.psi[v]))
         phi[v] = inst.psi[v]
     reflexive = Instance(
         g=inst.g.with_all_loops(), h=inst.h, phi=tuple(phi), psi=inst.psi, mode=REFLEXIVE
@@ -127,18 +132,20 @@ def _solve_component(
     psi: Sequence[int],
     tree: tuple[list[int], list[int]],
     scratch: Scratch,
-) -> list[int] | Obstruction:
+) -> array | Obstruction:
     system = find_valid_base_walk(g, h, phi, psi, tree, scratch)
     if isinstance(system, Obstruction):
         return system
     unrealizable = None
     while True:
         outcome = schedule(g, h, system, scratch)
-        if isinstance(outcome, list):
+        if not isinstance(outcome, TightWalkWitness):
             return outcome
         # The tight cycle is frozen at phi (the scheduler checked that none
         # of its vertices moved), so a vertex where psi differs is stuck.
-        stuck = min((v for v in outcome.cycle if phi[v] != psi[v]), default=None)
+        cycle = outcome.cycle
+        differs = map(ne, map(phi.__getitem__, cycle), map(psi.__getitem__, cycle))
+        stuck = min(compress(cycle, differs), default=None)
         if stuck is not None:
             return Obstruction(kind=FROZEN_MISMATCH, cycle=outcome.cycle, vertex=stuck)
         if unrealizable is not None:
@@ -160,7 +167,7 @@ def _solve_component(
 def solve(inst: Instance) -> Verdict:
     """Decide the instance and return a verified witness or a typed obstruction."""
     validate_instance(inst)
-    moves: list[int] = []
+    moves = array(move_code(inst.g, inst.h))
     work = inst
     if inst.mode == GIRTH5:
         work, moves, early = preprocess_girth5(inst)
@@ -179,7 +186,7 @@ def solve(inst: Instance) -> Verdict:
         outcome = _solve_component(g, work.h, work.phi, work.psi, tree, scratch)
         if isinstance(outcome, Obstruction):
             return Verdict(answer="no", obstruction=outcome)
-        # an empty list takes a component's moves as they are: a copy would
+        # an empty array takes a component's moves as they are: a copy would
         # hold the witness twice
         if moves:
             moves += outcome

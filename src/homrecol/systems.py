@@ -17,7 +17,7 @@ whole system once it is known to be valid.  A system that fails costs the
 size of its component plus the walks of those few edges, not the total
 length of all its walks, which grows quadratically on a mirrored cycle wrap.
 
-A valid system is laid out flat: every walk, in BFS order, in one list of
+A valid system is laid out flat: every walk, in BFS order, in one array of
 colours, with its start and end index in the solve's Scratch.  Of the
 several candidate base walks a search may find valid, only the one chosen
 is written out, so a system holds its component's walks and nothing
@@ -28,11 +28,12 @@ than keeping two of their own.
 
 from __future__ import annotations
 
+from array import array
 from itertools import islice
 from typing import NamedTuple, Sequence
 
 from .errors import InternalError
-from .graphs import Graph, Scratch, shortest_walk, tree_path
+from .graphs import Graph, Scratch, id_code, shortest_walk, tree_path
 from .walks import (
     Walk,
     concat,
@@ -66,13 +67,16 @@ class WalkSystem(NamedTuple):
     order is the component in the BFS order its walks were written in.
     start and end are the vertex-indexed lists of the Scratch the system
     was generated in, read only at order's vertices; generating another
-    system of the same component in that scratch overwrites them.
+    system of the same component in that scratch overwrites them.  flat
+    is an array.array of the narrowest unsigned type that holds a colour
+    of the host, graphs.id_code(h.n): one byte per colour up to 256 colours,
+    where a list would hold an 8-byte pointer.
     """
 
     order: list[int]
     start: list[int]
     end: list[int]
-    flat: list[int]
+    flat: array
 
 
 class CycleWitness(NamedTuple):
@@ -123,7 +127,7 @@ def generate_system(
     witness = _failing_cycle(g, h, phi, psi, tree, w_root, scratch)
     if witness is not None:
         return witness
-    return _carry_walks(phi, psi, tree, w_root, scratch)
+    return _carry_walks(h, phi, psi, tree, w_root, scratch)
 
 
 def _failing_cycle(
@@ -280,6 +284,7 @@ def _failing_edge(
 
 
 def _carry_walks(
+    h: Graph,
     phi: Sequence[int],
     psi: Sequence[int],
     tree: tuple[list[int], list[int]],
@@ -288,15 +293,17 @@ def _carry_walks(
 ) -> WalkSystem:
     """Every walk of the system, each the reduction of (phi(v),) + w_parent + (psi(v),).
 
-    The walks go into one flat list in tree order, each after its parent's,
-    and their bounds into scratch.start and scratch.end.  The parent's walk
-    is reduced, so the reduction changes at most one vertex at each end: it
-    keeps, drops or adds the end vertex.  Each walk starts where the one
-    before it ends, and both bounds are the same int object.
+    The walks go into one flat array in tree order, each after its
+    parent's, and their bounds into scratch.start and scratch.end.  The
+    array's type is the narrowest that holds h's colours, id_code(h.n), and
+    it grows in place by append, extend and pop as a list would.  The
+    parent's walk is reduced, so the reduction changes at most one vertex at
+    each end: it keeps, drops or adds the end vertex.  Each walk starts
+    where the one before it ends, and both bounds are the same int object.
     """
     order, parent = tree
     start, end = scratch.start, scratch.end
-    flat = list(w_root)
+    flat = array(id_code(h.n), w_root)
     e = len(flat)
     start[order[0]] = 0
     end[order[0]] = e
@@ -395,6 +402,6 @@ def find_valid_base_walk(
                 results[cand] = _failing_cycle(g, h, phi, psi, tree, cand, scratch)
         valid = [c for c in candidates if results[c] is None]
         if valid:
-            return _carry_walks(phi, psi, tree, min(valid, key=len), scratch)
+            return _carry_walks(h, phi, psi, tree, min(valid, key=len), scratch)
         cycle = results[candidates[1]].cycle
     return Obstruction(kind=NO_VALID_WALK, cycle=first_cycle)

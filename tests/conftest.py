@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import random
+from array import array
 from collections import deque
 from itertools import combinations
 from pathlib import Path
@@ -171,6 +172,12 @@ def pairs(flat) -> list[tuple[int, int]]:
     """The (vertex, colour) moves of a flat move list [v0, c0, v1, c1, ...]."""
     it = iter(flat)
     return list(zip(it, it))
+
+
+def listed(outcome):
+    """A schedule's move array as a list, to compare with brute_schedule's;
+    a deadlock as it is."""
+    return list(outcome) if isinstance(outcome, array) else outcome
 
 
 class BruteScheduleState:

@@ -15,6 +15,7 @@ from typing import Sequence
 from homrecol.errors import InternalError, InvalidInputError
 from homrecol.graphs import Graph
 from homrecol.oracle import Answer
+from homrecol.systems import WalkSystem
 from homrecol.walks import FreeDecomposition, Walk, reduce_walk
 
 
@@ -232,3 +233,32 @@ def set_rows(n: int, edges: Sequence[tuple[int, int]], reflexive: bool = False) 
         for v in range(n):
             neigh[v].add(v)
     return tuple(tuple(sorted(s)) for s in neigh)
+
+
+def waits_for(g: Graph, h: Graph, system: WalkSystem, left: Sequence[int], u: int) -> int | None:
+    """The lowest-id vertex u waits for, or None: the waits-for rule that
+    scheduling's deadlock scan applies in place, read here on system.flat
+    alone.
+
+    left[v] is the number of steps v has still to go.  With k = left[v] and
+    e = system.end[v], v's colour is system.flat[e - k - 1], its next
+    colour system.flat[e - k], and v is unfinished while k is nonzero.  u
+    waits for v when both are unfinished, v's next colour is u's colour and
+    v's colour clashes with u's next: u cannot move before v does.
+    """
+    k = left[u]
+    if not k:
+        return None
+    flat, end = system.flat, system.end
+    e = end[u] - k
+    cur_u, nxt_u = flat[e - 1], flat[e]
+    hs = h.adj_sets
+    for v in g.adj[u]:
+        if v == u:
+            continue
+        kv = left[v]
+        if kv:
+            ev = end[v] - kv
+            if flat[ev] == cur_u and nxt_u not in hs[flat[ev - 1]]:
+                return v
+    return None

@@ -5,10 +5,12 @@ import resource
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import pytest
 
 from conftest import child_env, disjoint_union
+from homrecol import cli, jsonio
 from homrecol.cli import run
 from homrecol.errors import InvalidInputError
 from homrecol.families import (
@@ -176,6 +178,34 @@ def test_parse_memory_of_the_100k_wrap(wrap_100k_text):
     assert inst.g.n == 100_000
     assert peak <= 22 * 2**20, peak
     assert live <= 14 * 2**20
+
+
+@pytest.mark.parametrize(
+    "make, code",
+    [(lambda: instance_to_dict(make_cycle_wrap(13, 4, 1)), 0), (lambda: c5_instance([1, 2, 3, 4, 0]), 1)],
+    ids=["yes", "no"],
+)
+def test_solve_frees_the_instance_before_the_dump(tmp_path, monkeypatch, capsys, make, code):
+    # the dump of a YES holds its text twice, the chunks and their join:
+    # G's rows must be freed by then, not lie under it
+    path = write(tmp_path, "inst.json", make())
+    real_parse, real_emit = jsonio.parse_instance, cli._emit
+    parsed, alive = [], []
+
+    def parse(text):
+        inst = real_parse(text)
+        parsed.append(weakref.ref(inst.g))
+        return inst
+
+    def emit(doc):
+        alive.append(parsed[0]() is not None)
+        real_emit(doc)
+
+    monkeypatch.setattr(jsonio, "parse_instance", parse)
+    monkeypatch.setattr(cli, "_emit", emit)
+    assert run(["solve", path]) == code
+    assert alive == [False]
+    assert json.loads(capsys.readouterr().out)["answer"] == ("yes", "no")[code]
 
 
 def test_huge_num_vertices_rejected_before_allocating(tmp_path):

@@ -1,13 +1,16 @@
 import random
 import sys
+from array import array
 
 import pytest
 
 from conftest import (
     brute_generate_system,
     brute_schedule,
+    listed,
     pairs,
     system_of,
+    tight_rotation,
     tight_vertices,
     walks_of,
 )
@@ -30,19 +33,17 @@ from homrecol.graphs import (
     Scratch,
     bfs_tree,
     connected_components,
+    id_code,
     is_homomorphism,
+    move_code,
     shortest_walk,
 )
 from homrecol.oracle import Answer, hom_graph_bfs
-from homrecol.scheduling import (
-    TightWalkWitness,
-    _extract_tight_cycle,
-    schedule,
-    waits_for,
-)
+from homrecol.scheduling import BUFFER, TightWalkWitness, _extract_tight_cycle, schedule
+from homrecol.solver import Instance, solve, verify_witness
 from homrecol.systems import WalkSystem, find_valid_base_walk, generate_system
 from homrecol.walks import is_cyclically_reduced
-from reference import hom_adjacent
+from reference import hom_adjacent, waits_for
 
 C5 = cycle_graph(5)
 ID5 = (0, 1, 2, 3, 4)
@@ -67,24 +68,69 @@ def test_movable_and_arcs_on_path_host():
     # 1 waits for 0: 2 is not adjacent to 0's current colour 0
     assert _start_arcs(g, h, system) == [(1, 0)]
     out = schedule(g, h, system, Scratch(g.n))
-    assert out == [0, 1, 1, 2]
+    assert list(out) == [0, 1, 1, 2]
 
 
 def test_schedule_fills_a_move_list_sized_once_from_the_system():
-    # one move per step of each walk: the list is made at its full length,
+    # one move per step of each walk: the array is made at its full length,
     # so it carries no spare room that growing by append would leave
     inst = make_cycle_wrap(2000, 4, 40)
     scratch = Scratch(inst.g.n)
     system = find_valid_base_walk(inst.g, inst.h, inst.phi, inst.psi, bfs_tree(inst.g, 0), scratch)
     out = schedule(inst.g, inst.h, system, scratch)
     assert len(out) == 2 * (len(system.flat) - len(system.order)) > 0
-    assert sys.getsizeof(out) == sys.getsizeof([0] * len(out))
+    assert sys.getsizeof(out) == sys.getsizeof(array(out.typecode, [0]) * len(out))
+
+
+@pytest.mark.parametrize("colours, itemsize", [(256, 1), (257, 2), (65_536, 2), (65_537, 4)])
+def test_walks_take_the_narrowest_array_that_holds_a_colour(colours, itemsize):
+    # a 3-vertex path that walks two steps round a reflexive cycle host,
+    # from its three highest colours across the highest, colours - 1, to 0
+    h = cycle_graph(colours)
+    g = path_graph(3)
+    top = colours - 1
+    inst = Instance(g=g, h=h, phi=(top - 2, top - 1, top), psi=(top, 0, 1))
+    scratch = Scratch(g.n)
+    system = find_valid_base_walk(g, h, inst.phi, inst.psi, bfs_tree(g, 0), scratch)
+    assert type(system.flat) is array and system.flat.itemsize == itemsize
+    walks = walks_of(system)
+    assert walks == walks_of(brute_generate_system(g, h, inst.phi, inst.psi, 0, walks[0]))
+    assert walks[0] == (top - 2, top - 1, top) and walks[2] == (top, 0, 1)
+    out = schedule(g, h, system, scratch)
+    assert type(out) is array and out.itemsize == 4
+    assert listed(out) == brute_schedule(g, h, system)
+    verdict = solve(inst)
+    assert verdict.moves.typecode == out.typecode and len(verdict.moves) == 12
+    assert verify_witness(inst, pairs(verdict.moves)).ok
+
+
+def test_width_rule_thresholds():
+    # n ids are 0..n-1: 256 fit a byte, 2**32 fit 4 bytes, and anything
+    # larger takes 8; a witness is never narrower than "I"
+    sizes = {code: array(code).itemsize for code in "BHIQ"}
+    assert sizes["B"] == 1 and sizes["H"] == 2 and sizes["I"] == 4 and sizes["Q"] == 8
+    assert [id_code(n) for n in (0, 256, 257, 2**16, 2**16 + 1, 2**32, 2**32 + 1)] == list(
+        "BBHHIIQ"
+    )
+    assert id_code(1, 4) == id_code(2**32, 4) == "I" and id_code(2**32 + 1, 4) == "Q"
+    assert move_code(path_graph(3), cycle_graph(65_537)) == "I"
+
+
+@pytest.mark.parametrize("steps", [1, BUFFER // 2 - 1, BUFFER // 2, BUFFER // 2 + 1, BUFFER + 1])
+def test_schedule_fills_the_array_across_buffer_bounds(steps):
+    # one looped vertex walking a path host end to end: one move a step,
+    # so the moves fill less than one buffer, exactly one, or spill over
+    g, h = Graph(1, [], reflexive=True), path_graph(steps + 1)
+    system = system_of({0: tuple(range(steps + 1))})
+    out = schedule(g, h, system, Scratch(1))
+    assert list(out) == [x for c in range(1, steps + 1) for x in (0, c)]
+    assert sys.getsizeof(out) == sys.getsizeof(array(out.typecode, [0]) * len(out))
 
 
 def test_schedule_of_constant_walks_is_empty():
     g = Graph(3, [(0, 1), (1, 2)], reflexive=True)
     system = system_of({0: (0,), 1: (1,), 2: (2,)})
-    assert schedule(g, path_graph(3), system, Scratch(g.n)) == []
+    assert list(schedule(g, path_graph(3), system, Scratch(g.n))) == []
 
 
 def test_waits_for_lowest_unfinished_vertex():
@@ -101,7 +147,7 @@ def test_no_arcs_when_all_constant():
     h = path_graph(3)
     system = system_of({0: (0,), 1: (1,)})
     assert _start_arcs(g, h, system) == []
-    assert schedule(g, h, system, Scratch(g.n)) == []
+    assert list(schedule(g, h, system, Scratch(g.n))) == []
 
 
 def test_rotation_deadlocks_with_tight_pentagon():
@@ -157,7 +203,7 @@ def test_cycle_wrap_schedule_replays():
     search = find_valid_base_walk(inst.g, inst.h, inst.phi, inst.psi, bfs_tree(inst.g, 0), scratch)
     assert isinstance(search, WalkSystem)
     out = schedule(inst.g, inst.h, search, scratch)
-    assert isinstance(out, list)
+    assert isinstance(out, array)
     assert len(out) == 2 * sum(len(w) - 1 for w in walks_of(search).values())
     _replay(inst.g, inst.h, inst.phi, inst.psi, out)
 
@@ -179,7 +225,7 @@ def test_schedule_order_independent():
             order = sorted(search.order)
             rng.shuffle(order)
             alt = brute_schedule(g, h, search, order=order)
-            assert isinstance(alt, list) == isinstance(base, list)
+            assert isinstance(alt, list) == isinstance(base, array)
             if isinstance(alt, list):
                 _replay(g, h, phi, _apply(g, phi, alt), alt)
                 assert _apply(g, phi, alt) == _apply(g, phi, base)
@@ -218,9 +264,113 @@ def test_deadlock_tight_under_current_and_original():
     assert seen > 5
 
 
+def _reference_cycle(g, h, system, left):
+    """The cycle reference.waits_for closes from the lowest unfinished vertex."""
+    chain = [min(v for v in system.order if left[v])]
+    while True:
+        v = waits_for(g, h, system, left, chain[-1])
+        assert v is not None
+        if v in chain:
+            return tuple(chain[chain.index(v) :]) + (v,)
+        chain.append(v)
+
+
+def test_deadlock_scan_closes_the_reference_waits_for_cycle():
+    # the scan applies the waits-for rule in place, reading colours from the
+    # scheduler's cur; reference.waits_for reads them from the system's flat
+    # walks, one call per vertex.  On the state a deadlock leaves, both
+    # close the same cycle.
+    rng = random.Random(46)
+    cases = [tight_rotation(9), make_locked_link(), make_twisted_loop()]
+    for _ in range(300):
+        cases.append(random_instance(rng, rng.randrange(2, 9), rng.randrange(4, 9)))
+    for _ in range(300):
+        k = rng.randrange(4, 7)
+        g = cycle_graph(rng.randrange(k, 10))
+        wraps = (g.n // k) * k
+        phi = tuple(i % k if i < wraps else 0 for i in range(g.n))
+        shift = rng.randrange(g.n)
+        psi = tuple(phi[(i - shift) % g.n] for i in range(g.n))
+        cases.append(Instance(g=g, h=cycle_graph(k), phi=phi, psi=psi))
+    seen = 0
+    for inst in cases:
+        g, h = inst.g, inst.h
+        for comp in connected_components(g):
+            scratch = Scratch(g.n)
+            system = find_valid_base_walk(g, h, inst.phi, inst.psi, bfs_tree(g, comp[0]), scratch)
+            if not isinstance(system, WalkSystem):
+                continue
+            out = schedule(g, h, system, scratch)
+            if isinstance(out, TightWalkWitness):
+                assert out.cycle == _reference_cycle(g, h, system, scratch.left)
+                seen += 1
+    assert seen > 50, seen
+
+
+def test_deadlock_scan_applies_the_reference_rule_on_any_state():
+    # arbitrary walks and progress, where a vertex often has several
+    # neighbours whose next colour is its own, clashing or not: the scan
+    # must follow reference.waits_for arc by arc, and refuse what it closes
+    # for the reason the reference cycle gives
+    rng = random.Random(47)
+    outcomes = {"cycle": 0, "no arc": 0, "moved": 0, "not tight": 0}
+    for _ in range(6000):
+        k = rng.randrange(4, 7)
+        # few colours clash on a cycle host, all but equal ones on a host
+        # of loops alone
+        h = cycle_graph(k) if rng.random() < 0.5 else Graph(k, [], reflexive=True)
+        g = random_graph(rng, rng.randrange(2, 8), 0.7)
+        colour = [rng.randrange(k) for _ in range(g.n)]
+        walks, scratch = {}, Scratch(g.n)
+        for v in range(g.n):
+            # v at its colour, mostly still at the start of its walk, and
+            # mostly with one step to go, often to a neighbour's colour: the
+            # scan reads colours only, so a step need not be an edge of h,
+            # and a repeat, which no reduced walk has, makes a cycle that
+            # is not tight
+            c = colour[v]
+            others = [colour[u] for u in g.adj[v] if colour[u] != c]
+            nxt = rng.choice(others) if others and rng.random() < 0.8 else (c + 1) % k
+            if rng.random() < 0.1:
+                nxt = c
+            ahead = (nxt,) if rng.random() < 0.9 else ()
+            behind = ((c + 1) % k,) if rng.random() < 0.1 else ()
+            walks[v] = behind + (c,) + ahead
+            scratch.left[v] = len(ahead)
+            scratch.cur[v] = c
+        system = system_of(walks)
+        unfinished = [v for v in range(g.n) if scratch.left[v]]
+        if not unfinished:
+            continue
+        first = rng.choice(unfinished)
+        chain = [first]
+        while (v := waits_for(g, h, system, scratch.left, chain[-1])) is not None and v not in chain:
+            chain.append(v)
+        try:
+            out = _extract_tight_cycle(g, h, system, scratch, first)
+        except InternalError as exc:
+            out = str(exc)
+        assert scratch.queued == bytearray(g.n)
+        if v is None:
+            assert "without a blocking arc" in out
+            outcomes["no arc"] += 1
+            continue
+        cycle = tuple(chain[chain.index(v) :]) + (v,)
+        if any(scratch.left[x] != len(walks[x]) - 1 for x in cycle):
+            assert "has moved" in out
+            outcomes["moved"] += 1
+        elif not is_cyclically_reduced(tuple(walks[x][0] for x in cycle)):
+            assert "not tight" in out
+            outcomes["not tight"] += 1
+        else:
+            assert out == TightWalkWitness(cycle=cycle)
+            outcomes["cycle"] += 1
+    assert min(outcomes.values()) >= 8, outcomes
+
+
 def _assert_same_outcome(g, h, system):
     out = schedule(g, h, system, Scratch(g.n))
-    assert out == brute_schedule(g, h, system)
+    assert listed(out) == brute_schedule(g, h, system)
     return out
 
 
@@ -236,14 +386,14 @@ def test_schedule_matches_reference_on_random_instances():
             if not isinstance(search, WalkSystem):
                 continue
             out = _assert_same_outcome(inst.g, inst.h, search)
-            kinds["moves" if isinstance(out, list) else "deadlock"] += 1
+            kinds["moves" if isinstance(out, array) else "deadlock"] += 1
             order = list(comp)
             rng.shuffle(order)
             # the reference in a shuffled order: the same outcome kind and,
             # when every walk is run, the same final colouring
             alt = brute_schedule(inst.g, inst.h, search, order=order)
-            assert isinstance(alt, list) == isinstance(out, list)
-            if isinstance(out, list):
+            assert isinstance(alt, list) == isinstance(out, array)
+            if isinstance(out, array):
                 assert _apply(inst.g, inst.phi, alt) == _apply(inst.g, inst.phi, out)
     assert kinds["moves"] > 100 and kinds["deadlock"] > 0
 
@@ -291,7 +441,8 @@ def test_shared_scratch_matches_reference():
             if isinstance(system, WalkSystem):
                 # the second run starts on the arrays the first one left behind
                 for _ in range(2):
-                    assert schedule(g, h, system, scratch=scratch) == brute_schedule(g, h, system)
+                    out = schedule(g, h, system, scratch=scratch)
+                    assert listed(out) == brute_schedule(g, h, system)
                     runs += 1
     assert runs > 200
 
@@ -348,7 +499,8 @@ def test_shared_scratch_on_the_solvers_paths(monkeypatch, make, calls, checks, o
     def run(g, h, system, scratch):
         out = schedule(g, h, system, scratch)
         seen.append("schedule")
-        assert out == schedule(g, h, system, Scratch(n)) == brute_schedule(g, h, system)
+        assert out == schedule(g, h, system, Scratch(n))
+        assert listed(out) == brute_schedule(g, h, system)
         return out
 
     monkeypatch.setattr(systems, "_failing_cycle", failing_cycle)

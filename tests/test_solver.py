@@ -2,6 +2,7 @@ import inspect
 import random
 import time
 import tracemalloc
+from array import array
 from collections import Counter
 
 import pytest
@@ -70,7 +71,7 @@ def test_validate_instance_checks_phi_before_psi(phi, psi, message):
 
 def test_solve_identity_yields_empty_witness():
     v = solve(Instance(g=C5, h=C5, phi=ID5, psi=ID5))
-    assert v.yes and v.moves == []
+    assert v.yes and list(v.moves) == []
 
 
 def test_solve_rotation_frozen_mismatch():
@@ -182,7 +183,7 @@ def test_preprocess_isolated_loopless_jump():
     inst = Instance(g=g, h=C5, phi=(0, 0, 1), psi=(3, 0, 1), mode="girth5")
     work, prefix, early = preprocess_girth5(inst)
     assert early is None
-    assert prefix == [0, 3]
+    assert list(prefix) == [0, 3]
     assert work.phi == (3, 0, 1)
     assert work.g.is_reflexive() and work.mode == "reflexive"
     assert solve(inst).yes
@@ -193,7 +194,7 @@ def test_preprocess_isolated_looped_walks():
     inst = Instance(g=g, h=C5, phi=(0, 0), psi=(2, 2), mode="girth5")
     work, prefix, early = preprocess_girth5(inst)
     assert early is None
-    assert prefix == [0, 1, 0, 2, 1, 2]
+    assert list(prefix) == [0, 1, 0, 2, 1, 2]
     v = solve(inst)
     assert v.yes and verify_witness(inst, pairs(v.moves)).ok
 
@@ -210,7 +211,7 @@ def test_preprocess_isolated_looped_separated_host():
     g2 = Graph(1, [], reflexive=False)
     inst2 = Instance(g=g2, h=h, phi=(0,), psi=(3,), mode="girth5")
     v2 = solve(inst2)
-    assert v2.yes and v2.moves == [0, 3]
+    assert v2.yes and list(v2.moves) == [0, 3]
 
 
 def test_recheck_girth5_one_vertex_needs_looped_isolated_vertex():
@@ -329,7 +330,7 @@ def test_preprocess_noop_for_reflexive_no_isolated():
     g = cycle_graph(6, reflexive=False)
     inst = Instance(g=g, h=C5, phi=(0,) * 6, psi=(1,) * 6, mode="girth5")
     work, prefix, early = preprocess_girth5(inst)
-    assert prefix == [] and early is None
+    assert list(prefix) == [] and early is None
     assert all(work.g.adjacent(v, v) for v in range(6))
 
 
@@ -372,7 +373,7 @@ def test_solver_matches_oracle_on_random_instances():
 
 def test_solve_empty_graph():
     v = solve(Instance(g=Graph(0, [], reflexive=True), h=C5, phi=(), psi=()))
-    assert v.yes and v.moves == []
+    assert v.yes and list(v.moves) == []
 
 
 def test_solve_single_vertex_long_host_walk():
@@ -624,11 +625,13 @@ def test_solve_memory_of_the_100k_tight_rotation():
 
 
 def test_solve_and_dump_memory_of_the_100k_wrap():
-    # the 399,840 moves as one flat list of shared ints, written in chunks:
-    # a (vertex, colour) tuple per move took the solve's peak to 37.8 MiB;
-    # two scratch lists of cover lifts beside the scheduler's left and cur
-    # took 19.51 MiB (the lifts in left and cur: 17.98), and the move list
-    # grown by append 17.98 MiB (sized once from the system: 17.72)
+    # the 399,840 moves as one flat array, written in chunks: a (vertex,
+    # colour) tuple per move took the solve's peak to 37.8 MiB; two scratch
+    # lists of cover lifts beside the scheduler's left and cur took
+    # 19.51 MiB (the lifts in left and cur: 17.98), the move list grown by
+    # append 17.98 MiB (sized once from the system: 17.72), and the walks
+    # and the moves as lists of 8-byte pointers 17.72 MiB (a byte array of
+    # colours and a 4-byte array of moves: 11.92)
     inst = make_cycle_wrap(100_000, 4, 40)
     tracemalloc.start()
     try:
@@ -639,12 +642,22 @@ def test_solve_and_dump_memory_of_the_100k_wrap():
         tracemalloc.stop()
     assert verdict.yes and len(verdict.moves) == 2 * 399_840
     assert text.startswith('{"answer":"yes","witness":{"moves":[[')
-    assert peak <= 18.6 * 2**20, peak
+    assert peak <= 12.8 * 2**20, peak
+
+
+def test_the_100k_wrap_holds_a_byte_per_colour_and_four_per_move_entry():
+    # a fall-back to lists, 8 bytes of pointer an entry, must fail here
+    inst = make_cycle_wrap(100_000, 4, 40)
+    scratch = Scratch(inst.g.n)
+    system = find_valid_base_walk(inst.g, inst.h, inst.phi, inst.psi, bfs_tree(inst.g, 0), scratch)
+    assert type(system.flat) is array and system.flat.itemsize == 1
+    moves = schedule(inst.g, inst.h, system, scratch)
+    assert type(moves) is array and moves.itemsize == 4 and len(moves) == 2 * 399_840
 
 
 def test_solve_takes_a_components_moves_uncopied(monkeypatch):
-    # the scheduler's flat list is the witness itself: copying it into a
-    # fresh list holds two of them at once
+    # the scheduler's flat array is the witness itself: copying it into a
+    # fresh array holds two of them at once
     emitted = []
 
     def kept(*args):
@@ -676,7 +689,7 @@ def _walk_vertices_and_moves(inst):
     scratch = Scratch(inst.g.n)
     system = find_valid_base_walk(inst.g, inst.h, inst.phi, inst.psi, bfs_tree(inst.g, 0), scratch)
     out = schedule(inst.g, inst.h, system, scratch)
-    return len(system.flat), len(out) // 2 if isinstance(out, list) else 0
+    return len(system.flat), len(out) // 2 if isinstance(out, array) else 0
 
 
 @pytest.mark.parametrize(
