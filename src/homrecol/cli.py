@@ -13,8 +13,8 @@ import sys
 
 from . import jsonio
 from .errors import InternalError, InvalidInputError
-from .graphs import connected_components, validate_host
-from .oracle import Answer, hom_graph_bfs
+from .graphs import component_trees, validate_host
+from .oracle import MAX_STATES, Answer, hom_graph_bfs
 from .solver import recheck_obstruction, solve, validate_instance, verify_witness
 from .walks import check_walk, reduce_walk
 
@@ -132,7 +132,7 @@ def _cmd_check_input(args) -> int:
             "reflexive": report.is_reflexive,
             "triangle_free": report.is_triangle_free,
             "girth_at_least_5": report.girth_at_least_5,
-            "components": len(connected_components(inst.h)),
+            "components": sum(1 for _ in component_trees(inst.h)),
         },
         "mode": inst.mode,
     }
@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force the answer by BFS")
     p.add_argument("instance")
-    p.add_argument("--max-states", type=int, default=10**6)
+    p.add_argument("--max-states", type=int, default=MAX_STATES)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("verify", help="check a result's certificate against an instance")

@@ -14,7 +14,7 @@ from array import array
 from bisect import bisect_left
 from collections import deque
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidInputError
 
@@ -206,16 +206,6 @@ def is_homomorphism(g: Graph, h: Graph, f: Sequence[int]) -> bool:
     return True
 
 
-def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """Components as sorted vertex tuples, ordered by smallest vertex."""
-    parent = [-1] * g.n  # one list for every tree: a filled entry is reached
-    comps: list[tuple[int, ...]] = []
-    for r in range(g.n):
-        if parent[r] < 0:
-            comps.append(tuple(sorted(bfs_tree(g, r, parent=parent)[0])))
-    return tuple(comps)
-
-
 # (item size in bytes, typecode) of the unsigned array types below "Q"
 _UNSIGNED = tuple((array(code).itemsize, code) for code in "BHI")
 
@@ -247,11 +237,14 @@ class Scratch:
     A call uses only the entries of its own component's vertices and leaves
     queued all 0, as it found it, so one solve over many small components
     costs their total size, not n per component.  A recheck of a NO
-    certificate allocates one for the calls it makes.  generate_system
-    writes the valid system it returns into start and end: v's walk is
-    flat[start[v]:end[v]] of that system's one flat array of colours.  The
-    scheduler's one progress counter is left[v], the steps v has still to
-    go: its colour is flat[end[v] - left[v] - 1] and its next colour
+    certificate allocates one for the calls it makes.
+
+    start and end belong to generate_system.  It checks a system with the
+    cover lifts of phi and psi in them, and writes the valid system it
+    returns over them: v's walk is flat[start[v]:end[v]] of that system's
+    one flat array of colours.  left, cur and queued belong to the
+    scheduler.  Its one progress counter is left[v], the steps v has still
+    to go: its colour is flat[end[v] - left[v] - 1] and its next colour
     flat[end[v] - left[v]].  cur[v] caches the colour, because the hot loop
     reads it for every neighbour it checks.  queued marks the work list
     while the scheduler runs and, once the drained queue has cleared it,
@@ -261,21 +254,15 @@ class Scratch:
     colours and the witness: CPython specialises list indexing and not
     array indexing, and the scheduler and the cover lift index them in
     their hot loops.
-
-    While generate_system checks a system, left and cur hold the cover
-    lifts of phi and psi instead, and it zeroes them again before it
-    returns.  The lifts and the scheduler's state are never live at once:
-    schedule sets left and cur at every vertex of its system before it
-    reads them.
     """
 
     __slots__ = ("start", "end", "left", "cur", "queued")
 
     def __init__(self, n: int):
         self.start = [0] * n  # each walk's slice of the system's flat list
-        self.end = [0] * n
-        self.left = [0] * n  # scheduler: the steps still to go (or phi's lift),
-        self.cur = [0] * n  # the colour now (or psi's lift),
+        self.end = [0] * n  # (or, while the system is checked, the lifts)
+        self.left = [0] * n  # scheduler: the steps still to go,
+        self.cur = [0] * n  # the colour now,
         self.queued = bytearray(n)  # and membership of the work list
 
 
@@ -299,6 +286,18 @@ def bfs_tree(g: Graph, root: int, parent: list[int] | None = None) -> tuple[list
                 parent[v] = u
                 order.append(v)
     return order, parent
+
+
+def component_trees(g: Graph) -> Iterator[tuple[list[int], list[int]]]:
+    """Each component's bfs_tree, rooted at its smallest vertex, in root order.
+
+    The trees share one parent list, whose filled entries are the vertices
+    already yielded, so the components cost O(n + m) together.
+    """
+    parent = [-1] * g.n
+    for r in range(g.n):
+        if parent[r] < 0:
+            yield bfs_tree(g, r, parent=parent)
 
 
 def tree_path(parent: Sequence[int] | Mapping[int, int], x: int) -> list[int]:

@@ -24,8 +24,12 @@ class Answer(Enum):
     BUDGET_EXCEEDED = "budget-exceeded"
 
 
+# the default budget of visited states, `homrecol oracle --max-states` included
+MAX_STATES = 10**6
+
+
 def hom_graph_path(
-    g: Graph, h: Graph, phi: Sequence[int], psi: Sequence[int], max_states: int = 10**6
+    g: Graph, h: Graph, phi: Sequence[int], psi: Sequence[int], max_states: int = MAX_STATES
 ) -> list[tuple[int, ...]] | Answer:
     """A shortest move-by-move path from phi to psi, by BFS over single-vertex moves.
 
@@ -95,7 +99,7 @@ def hom_graph_path(
 
 
 def hom_graph_bfs(
-    g: Graph, h: Graph, phi: Sequence[int], psi: Sequence[int], max_states: int = 10**6
+    g: Graph, h: Graph, phi: Sequence[int], psi: Sequence[int], max_states: int = MAX_STATES
 ) -> Answer:
     """Exact reconfiguration answer: hom_graph_path without the path."""
     path = hom_graph_path(g, h, phi, psi, max_states)

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from typing import NamedTuple
 
 from .errors import InternalError
 from .graphs import Graph, Scratch, move_code
-from .systems import WalkSystem
-from .walks import Walk, is_cyclically_reduced
+from .systems import CycleWitness, WalkSystem
+from .walks import is_cyclically_reduced
 
 # moves gathered in a list before they are copied into the witness array:
 # the hot loop stores into a list, which CPython specialises, and one slice
@@ -27,24 +26,18 @@ from .walks import Walk, is_cyclically_reduced
 BUFFER = 2048
 
 
-class TightWalkWitness(NamedTuple):
-    """A deadlock: a closed walk of the instance graph, built from waits-for
-    arcs, whose image under the start colours is cyclically reduced."""
-
-    cycle: Walk
-
-
 def schedule(
     g: Graph, h: Graph, system: WalkSystem, scratch: Scratch
-) -> array | TightWalkWitness:
-    """Run the system to completion or extract a tight-cycle witness.
+) -> array | CycleWitness:
+    """Run the system to completion, or return the tight cycle it deadlocks on.
 
     Vertices are tried from a FIFO work list (seeded in ascending id
     order); moving a vertex re-queues itself and then its unfinished
     neighbours.  A drained queue with unfinished vertices is a deadlock.  A
     vertex may move when its next colour is adjacent to the current colour
-    of every neighbour, its own loop included.  scratch holds the
-    per-vertex arrays; a solve passes one for all its calls.
+    of every neighbour, its own loop included.  scratch.left and
+    scratch.cur are set at every vertex of the system before they are
+    read, so a solve passes one scratch for all its calls.
 
     The moves come as one flat array.array [v0, c0, v1, c1, ...] of type
     graphs.move_code(g, h), 4 bytes per entry up to 2**32 vertices and
@@ -119,7 +112,7 @@ def schedule(
 
 def _extract_tight_cycle(
     g: Graph, h: Graph, system: WalkSystem, scratch: Scratch, first: int
-) -> TightWalkWitness:
+) -> CycleWitness:
     """Follow waits-for arcs from the unfinished vertex first until a vertex repeats.
 
     scratch.left and scratch.cur hold the scheduler's state: v has left[v]
@@ -135,7 +128,8 @@ def _extract_tight_cycle(
     its walk, and its image under scratch.cur must be cyclically reduced.
     Its steps are arcs, so edges of G, and are not checked again.  Either
     failing, or a vertex that waits for none, means the system was not
-    staggered, and raises InternalError.
+    staggered, and raises InternalError.  The tight cycle is returned as
+    the CycleWitness on which the system fails.
     """
     left, cur, marked = scratch.left, scratch.cur, scratch.queued
     start, end, flat = system.start, system.end, system.flat
@@ -170,4 +164,4 @@ def _extract_tight_cycle(
             raise InternalError(f"deadlock cycle vertex {x} has moved (system not staggered)")
     if not is_cyclically_reduced(tuple(map(cur.__getitem__, chain))):
         raise InternalError("deadlock cycle is not tight (system not staggered)")
-    return TightWalkWitness(cycle=tuple(chain))
+    return CycleWitness(cycle=tuple(chain))

@@ -23,13 +23,14 @@ from .graphs import (
     Graph,
     Scratch,
     bfs_tree,
+    component_trees,
     is_homomorphism,
     move_code,
     shortest_walk,
     tree_path,
     validate_host,
 )
-from .scheduling import TightWalkWitness, schedule
+from .scheduling import schedule
 from .systems import (
     CLASS_MISMATCH,
     FROZEN_MISMATCH,
@@ -139,7 +140,7 @@ def _solve_component(
     unrealizable = None
     while True:
         outcome = schedule(g, h, system, scratch)
-        if not isinstance(outcome, TightWalkWitness):
+        if not isinstance(outcome, CycleWitness):
             return outcome
         # The tight cycle is frozen at phi (the scheduler checked that none
         # of its vertices moved), so a vertex where psi differs is stuck.
@@ -178,11 +179,7 @@ def solve(inst: Instance) -> Verdict:
     # per component would make many small components quadratic
     g = work.g
     scratch = Scratch(g.n)
-    parent = [-1] * g.n  # every component's tree; a filled entry is solved
-    for r in range(g.n):
-        if parent[r] >= 0:
-            continue
-        tree = bfs_tree(g, r, parent=parent)
+    for tree in component_trees(g):
         outcome = _solve_component(g, work.h, work.phi, work.psi, tree, scratch)
         if isinstance(outcome, Obstruction):
             return Verdict(answer="no", obstruction=outcome)
@@ -285,7 +282,7 @@ def recheck_obstruction(inst: Instance, obstruction: Obstruction) -> bool:
         retry = generate_system(g, h, phi, psi, bfs_tree(g, v), (phi[v],), scratch)
         if isinstance(retry, CycleWitness):
             return True
-        return isinstance(schedule(g, h, retry, scratch), TightWalkWitness)
+        return isinstance(schedule(g, h, retry, scratch), CycleWitness)
 
     if obstruction.kind == NO_VALID_WALK:
         if len(cycle) == 1:

@@ -21,9 +21,8 @@ A valid system is laid out flat: every walk, in BFS order, in one array of
 colours, with its start and end index in the solve's Scratch.  Of the
 several candidate base walks a search may find valid, only the one chosen
 is written out, so a system holds its component's walks and nothing
-n-sized.  The lifts need two vertex-indexed lists only while a system is
-checked, so they borrow the scheduler's left and cur in the Scratch rather
-than keeping two of their own.
+n-sized.  While a system is checked, the same start and end lists hold
+the lifts of phi and psi; writing out a valid system overwrites them.
 """
 
 from __future__ import annotations
@@ -80,7 +79,9 @@ class WalkSystem(NamedTuple):
 
 
 class CycleWitness(NamedTuple):
-    """A closed walk of the instance graph on which the base walk fails."""
+    """A closed walk of G on which the system fails: a non-tree edge that
+    generate_system finds unpreserved, or a tight cycle that schedule finds
+    deadlocked."""
 
     cycle: Walk
 
@@ -119,10 +120,9 @@ def generate_system(
     endpoints, and its two walks are built only when its lifts are not
     adjacent on both sides.  The witness for a failing edge uv is the closed
     walk tree-path(root, u) . uv . tree-path(v, root).  On success every walk
-    is built once, from its parent's walk.  scratch holds the system's
-    start and end indices and, while the system is checked, the lifts, in
-    its left and cur (zeroed again before this returns); a solve passes
-    one for all its calls.
+    is built once, from its parent's walk.  scratch.start and scratch.end
+    hold the lifts while the system is checked, and the bounds of its walks
+    once it is valid; a solve passes one scratch for all its calls.
     """
     witness = _failing_cycle(g, h, phi, psi, tree, w_root, scratch)
     if witness is not None:
@@ -139,7 +139,10 @@ def _failing_cycle(
     w_root: Walk,
     scratch: Scratch,
 ) -> CycleWitness | None:
-    """The failing cycle of w_root's system, or None when the system is valid."""
+    """The failing cycle of w_root's system, or None when the system is valid.
+
+    The lifts are left in scratch.start and scratch.end, where _carry_walks
+    writes over them at every vertex of a valid system."""
     order, parent = tree
     root = order[0]
     if w_root[0] != phi[root] or w_root[-1] != psi[root]:
@@ -147,11 +150,6 @@ def _failing_cycle(
     if not is_reduced(w_root):
         raise InternalError("base walk must be reduced")
     failing = _failing_edge(g, h, phi, psi, order, parent, w_root, scratch)
-    # Drop the lifts: their cover node ids would otherwise stay allocated
-    # through _carry_walks and the schedule.
-    lo, hi = scratch.left, scratch.cur
-    for v in order:
-        lo[v] = hi[v] = 0
     if failing is None:
         return None
     u, v = failing
@@ -260,7 +258,7 @@ def _failing_edge(
 ) -> tuple[int, int] | None:
     """The first non-tree edge uv (u < v) the system does not preserve, if any."""
     cover = _Cover(h.n, w_root)
-    lo, hi = scratch.left, scratch.cur  # borrowed from the scheduler
+    lo, hi = scratch.start, scratch.end
     cover.lift(order, parent, phi, psi, lo, hi, len(w_root) - 1)
     up = cover.up
     for u in sorted(order):

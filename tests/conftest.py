@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import random
 from array import array
@@ -22,7 +23,6 @@ from homrecol.families import (
 )
 from homrecol.graphs import Graph, bfs_tree
 from homrecol.oracle import Answer
-from homrecol.scheduling import TightWalkWitness
 from homrecol.solver import REFLEXIVE, Instance
 from homrecol.systems import CycleWitness, WalkSystem, edge_preserved
 from homrecol.walks import is_cyclically_reduced, reduce_walk
@@ -49,6 +49,15 @@ def child_env() -> dict[str, str]:
     src = str(Path(homrecol.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     return {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+
+
+def benchmark_workloads():
+    """recolbench's instance generators, for their random triangle-free hosts."""
+    path = Path(__file__).resolve().parents[1] / "recolbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("recolbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def small_hosts(max_n: int = 10) -> list[Graph]:
@@ -239,7 +248,7 @@ def brute_schedule(g, h, system, order=None):
     return _brute_tight_cycle(state, unfinished[0])
 
 
-def _brute_tight_cycle(state: BruteScheduleState, start: int) -> TightWalkWitness:
+def _brute_tight_cycle(state: BruteScheduleState, start: int) -> CycleWitness:
     g, hs = state.g, state.h.adj_sets
 
     def out_arc(u: int) -> int:
@@ -266,7 +275,7 @@ def _brute_tight_cycle(state: BruteScheduleState, start: int) -> TightWalkWitnes
         raise InternalError("deadlock cycle vertex has moved (system not staggered)")
     if not is_cyclically_reduced(tuple(state.current(x) for x in cycle)):
         raise InternalError("deadlock cycle is not tight (system not staggered)")
-    return TightWalkWitness(cycle=cycle)
+    return CycleWitness(cycle=cycle)
 
 
 def brute_hom_graph_path(g, h, phi, psi, max_states=10**6):

@@ -13,7 +13,7 @@ from collections import deque
 from typing import Sequence
 
 from homrecol.errors import InternalError, InvalidInputError
-from homrecol.graphs import Graph
+from homrecol.graphs import Graph, bfs_tree
 from homrecol.oracle import Answer
 from homrecol.systems import WalkSystem
 from homrecol.walks import FreeDecomposition, Walk, reduce_walk
@@ -220,6 +220,19 @@ def bfs_tree_by(g: Graph, root: int, key: Sequence[int]) -> tuple[list[int], lis
                 parent[v] = u
                 order.append(v)
     return order, parent
+
+
+def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Components as sorted vertex tuples, ordered by smallest vertex: one
+    bfs_tree, with its own parent list, from each vertex not yet reached."""
+    seen: set[int] = set()
+    comps = []
+    for r in range(g.n):
+        if r not in seen:
+            order = bfs_tree(g, r)[0]
+            seen.update(order)
+            comps.append(tuple(sorted(order)))
+    return tuple(comps)
 
 
 def set_rows(n: int, edges: Sequence[tuple[int, int]], reflexive: bool = False) -> tuple[tuple[int, ...], ...]:

@@ -10,13 +10,13 @@ from homrecol import graphs
 from homrecol.graphs import (
     Graph,
     bfs_tree,
-    connected_components,
+    component_trees,
     is_homomorphism,
     shortest_walk,
     validate_host,
 )
 from homrecol.jsonio import dumps, graph_from_dict, loads
-from reference import bfs_tree_by, hom_adjacent, set_rows
+from reference import bfs_tree_by, connected_components, hom_adjacent, set_rows
 
 
 def test_loops_live_in_adjacency():
@@ -219,8 +219,22 @@ def test_single_move_soundness():
 
 
 def test_components_partition():
+    # each component's bfs_tree from its smallest vertex, in root order, over
+    # one shared parent list: the same trees as one bfs_tree per component
     g = Graph(5, [(0, 1), (3, 4)], reflexive=True)
-    assert connected_components(g) == ((0, 1), (2,), (3, 4))
+    trees = list(component_trees(g))
+    assert [order for order, _ in trees] == [[0, 1], [2], [3, 4]]
+    assert trees[-1][1] == [0, 0, 2, 3, 3]
+    rng = random.Random(9)
+    for _ in range(200):
+        g = random_graph(rng, rng.randrange(0, 12), rng.uniform(0.0, 0.4))
+        comps = connected_components(g)
+        trees = list(component_trees(g))
+        assert tuple(tuple(sorted(order)) for order, _ in trees) == comps
+        for (order, parent), comp in zip(trees, comps):
+            own_order, own_parent = bfs_tree(g, comp[0])
+            assert order == own_order
+            assert all(parent[v] == own_parent[v] for v in comp)
 
 
 def test_bfs_tree_path():

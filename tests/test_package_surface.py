@@ -9,9 +9,10 @@ families.py (the tests and the benchmark import its generators), dunder
 methods and `cli.main` (it only wraps `run` in `sys.exit`).  A function
 that shows up here as never run, or a parameter never set, is either dead
 or serves only the tests, whose helpers live in tests/.  Every field a class
-there declares is read somewhere in the package, and no module there
-imports a sibling's underscore name.  README's Library section lists the
-exports, exactly `homrecol.__all__`.  Importing the CLI loads neither the
+there declares is read somewhere in the package, no two classes there
+declare the same fields, and no module there imports a sibling's
+underscore name.  README's Library section lists the exports, exactly
+`homrecol.__all__`.  Importing the CLI loads neither the
 generators of `gen` nor `dataclasses`: each process pays for the modules
 it imports, and only `gen` runs the generators.
 """
@@ -248,6 +249,19 @@ def test_every_declared_field_is_read():
                 read.add(node.attr)
     unread = sorted(f for f in _declared_fields() if f.split(".", 1)[1] not in read)
     assert unread == [], f"fields declared in src/homrecol but never read: {unread}"
+
+
+def test_no_two_classes_declare_the_same_fields():
+    # two classes with one set of fields are one type under two names
+    fields: dict[str, set[str]] = {}
+    for name in _declared_fields():
+        cls, field = name.split(".", 1)
+        fields.setdefault(cls, set()).add(field)
+    classes: dict[frozenset[str], list[str]] = {}
+    for cls, names in sorted(fields.items()):
+        classes.setdefault(frozenset(names), []).append(cls)
+    twins = sorted(group for group in classes.values() if len(group) > 1)
+    assert twins == [], f"classes in src/homrecol with the same fields: {twins}"
 
 
 def test_no_module_imports_a_private_name_from_a_sibling():

@@ -32,18 +32,18 @@ from homrecol.graphs import (
     Graph,
     Scratch,
     bfs_tree,
-    connected_components,
     id_code,
     is_homomorphism,
     move_code,
     shortest_walk,
+    tree_path,
 )
 from homrecol.oracle import Answer, hom_graph_bfs
-from homrecol.scheduling import BUFFER, TightWalkWitness, _extract_tight_cycle, schedule
+from homrecol.scheduling import BUFFER, _extract_tight_cycle, schedule
 from homrecol.solver import Instance, solve, verify_witness
-from homrecol.systems import WalkSystem, find_valid_base_walk, generate_system
-from homrecol.walks import is_cyclically_reduced
-from reference import hom_adjacent, waits_for
+from homrecol.systems import CycleWitness, WalkSystem, find_valid_base_walk, generate_system
+from homrecol.walks import is_cyclically_reduced, reduce_walk
+from reference import connected_components, hom_adjacent, waits_for
 
 C5 = cycle_graph(5)
 ID5 = (0, 1, 2, 3, 4)
@@ -155,7 +155,7 @@ def test_rotation_deadlocks_with_tight_pentagon():
     assert isinstance(system, WalkSystem)
     assert _start_arcs(C5, C5, system) == [(u, (u - 1) % 5) for u in range(5)]
     out = schedule(C5, C5, system, Scratch(5))
-    assert isinstance(out, TightWalkWitness)
+    assert isinstance(out, CycleWitness)
     assert out.cycle == (0, 4, 3, 2, 1, 0)
     assert is_cyclically_reduced(tuple(ID5[x] for x in out.cycle))
     # oracle: the rotation really is unreachable (component has 3125 potential states)
@@ -171,7 +171,7 @@ def test_extract_tight_cycle_rejects_a_moved_vertex():
         _extract_tight_cycle(C5, C5, *_one_step_left(walks), 0)
     walks[2] = (2, 3)
     system, scratch = _one_step_left(walks)
-    assert _extract_tight_cycle(C5, C5, system, scratch, 0) == TightWalkWitness(
+    assert _extract_tight_cycle(C5, C5, system, scratch, 0) == CycleWitness(
         cycle=(0, 4, 3, 2, 1, 0)
     )
     # the marks of the visited vertices are cleared again
@@ -257,7 +257,7 @@ def test_deadlock_tight_under_current_and_original():
         if not isinstance(search, WalkSystem):
             continue
         out = schedule(g, h, search, scratch)
-        if isinstance(out, TightWalkWitness):
+        if isinstance(out, CycleWitness):
             assert is_cyclically_reduced(tuple(phi[x] for x in out.cycle))
             assert set(out.cycle) <= tight_vertices(g, h, phi)
             seen += 1
@@ -301,7 +301,7 @@ def test_deadlock_scan_closes_the_reference_waits_for_cycle():
             if not isinstance(system, WalkSystem):
                 continue
             out = schedule(g, h, system, scratch)
-            if isinstance(out, TightWalkWitness):
+            if isinstance(out, CycleWitness):
                 assert out.cycle == _reference_cycle(g, h, system, scratch.left)
                 seen += 1
     assert seen > 50, seen
@@ -363,7 +363,7 @@ def test_deadlock_scan_applies_the_reference_rule_on_any_state():
             assert "not tight" in out
             outcomes["not tight"] += 1
         else:
-            assert out == TightWalkWitness(cycle=cycle)
+            assert out == CycleWitness(cycle=cycle)
             outcomes["cycle"] += 1
     assert min(outcomes.values()) >= 8, outcomes
 
@@ -409,18 +409,18 @@ def test_schedule_matches_reference_on_wrap():
 
 def test_schedule_matches_reference_on_deadlocks():
     system = generate_system(C5, C5, ID5, ROT5, bfs_tree(C5, 0), (0, 1), Scratch(5))
-    assert isinstance(_assert_same_outcome(C5, C5, system), TightWalkWitness)
+    assert isinstance(_assert_same_outcome(C5, C5, system), CycleWitness)
     # both the first system and the constant-walk retry of the locked link deadlock
     inst = make_locked_link()
     scratch = Scratch(inst.g.n)
     search = find_valid_base_walk(inst.g, inst.h, inst.phi, inst.psi, bfs_tree(inst.g, 0), scratch)
     out = _assert_same_outcome(inst.g, inst.h, search)
-    assert isinstance(out, TightWalkWitness)
+    assert isinstance(out, CycleWitness)
     root = min(out.cycle)
     retry = generate_system(
         inst.g, inst.h, inst.phi, inst.psi, bfs_tree(inst.g, root), (inst.phi[root],), scratch
     )
-    assert isinstance(_assert_same_outcome(inst.g, inst.h, retry), TightWalkWitness)
+    assert isinstance(_assert_same_outcome(inst.g, inst.h, retry), CycleWitness)
 
 
 def test_shared_scratch_matches_reference():
@@ -452,24 +452,19 @@ def test_shared_scratch_matches_reference():
     [
         # a failing candidate's lifts, then the valid one's, then a failing one's
         (make_double_turn, ["find", "schedule"], "FFFFFTF", "yes"),
-        # the retry's lifts are written over a deadlocked schedule's state
+        # the retry's lifts are written over the bounds of a deadlocked system
         (make_locked_link, ["find", "schedule", "generate", "schedule"], "TT", "unrealizable"),
         (make_twisted_loop, ["find", "schedule", "generate"], "FFTFF", "unrealizable"),
     ],
 )
 def test_shared_scratch_on_the_solvers_paths(monkeypatch, make, calls, checks, outcome):
-    # the cover lifts borrow the scheduler's left and cur: every call the
-    # solver makes in its one Scratch must give what the same call gives in
-    # a fresh one, and what the reference gives, and a system's check must
-    # zero the lifts again
+    # every call the solver makes in its one Scratch must give what the
+    # same call gives in a fresh one, and what the reference gives
     inst = make()
     n = inst.g.n
     seen, checked = [], []
     real_failing_cycle = systems._failing_cycle
     real_find, real_generate = solver.find_valid_base_walk, solver.generate_system
-
-    def zeroed(scratch, order):
-        assert all(scratch.left[v] == 0 and scratch.cur[v] == 0 for v in order)
 
     def failing_cycle(*args):
         out = real_failing_cycle(*args)
@@ -479,7 +474,6 @@ def test_shared_scratch_on_the_solvers_paths(monkeypatch, make, calls, checks, o
     def find(g, h, phi, psi, tree, scratch):
         out = real_find(g, h, phi, psi, tree, scratch)
         seen.append("find")
-        zeroed(scratch, tree[0])
         assert isinstance(out, WalkSystem)
         root = tree[0][0]
         walks = walks_of(out)
@@ -490,7 +484,6 @@ def test_shared_scratch_on_the_solvers_paths(monkeypatch, make, calls, checks, o
     def generate(g, h, phi, psi, tree, w_root, scratch):
         out = real_generate(g, h, phi, psi, tree, w_root, scratch)
         seen.append("generate")
-        zeroed(scratch, tree[0])
         walks = walks_of(out)
         assert walks == walks_of(real_generate(g, h, phi, psi, tree, w_root, Scratch(n)))
         assert walks == walks_of(brute_generate_system(g, h, phi, psi, tree[0][0], w_root))
@@ -512,3 +505,32 @@ def test_shared_scratch_on_the_solvers_paths(monkeypatch, make, calls, checks, o
     # each system checked in the solver's scratch, the first one used
     assert "".join(c for scratch, c in checked if scratch is checked[0][0]) == checks
     assert (verdict.answer if verdict.yes else verdict.obstruction.kind) == outcome
+
+
+def test_system_checks_leave_the_schedulers_arrays_alone():
+    # the cover lifts live in start and end, which generate_system owns:
+    # checking a system, failing or valid, writes nothing into left, cur or
+    # queued, whatever the scheduler left there
+    def run(inst, check):
+        scratch = Scratch(inst.g.n)
+        scratch.left[:] = range(7, 7 + inst.g.n)
+        scratch.cur[:] = range(-1, -1 - inst.g.n, -1)
+        before = list(scratch.left), list(scratch.cur), bytes(scratch.queued)
+        out = check(inst.g, inst.h, inst.phi, inst.psi, bfs_tree(inst.g, 0), scratch)
+        assert (list(scratch.left), list(scratch.cur), bytes(scratch.queued)) == before
+        return out
+
+    # the shortest walk and every candidate of the first family fail, then
+    # one of the second family is valid
+    assert isinstance(run(make_double_turn(), find_valid_base_walk), WalkSystem)
+    # the twisted loop's retry, from the constant walk at its tight cycle
+    inst = make_twisted_loop()
+    obstruction = solve(inst).obstruction
+    assert obstruction.kind == "unrealizable"
+    chain = tree_path(bfs_tree(inst.g, 0)[1], obstruction.vertex)
+    phi, psi = inst.phi, inst.psi
+    w_root = reduce_walk(tuple(phi[x] for x in reversed(chain)) + tuple(psi[x] for x in chain))
+    retry = run(
+        inst, lambda g, h, phi, psi, tree, scratch: generate_system(g, h, phi, psi, tree, w_root, scratch)
+    )
+    assert isinstance(retry, CycleWitness)

@@ -8,11 +8,13 @@ from collections import Counter
 import pytest
 
 from conftest import (
+    benchmark_workloads,
     brute_generate_system,
     disjoint_union,
     mirrored_wrap,
     pairs,
     relabel,
+    simple_cycles,
     tight_rotation,
     tight_vertices,
     walks_of,
@@ -33,7 +35,7 @@ from homrecol.families import (
 from homrecol.graphs import Graph, Scratch, bfs_tree, shortest_walk, tree_path
 from homrecol.jsonio import dumps, verdict_to_dict
 from homrecol.oracle import Answer, hom_graph_bfs, hom_graph_path
-from homrecol import solver
+from homrecol import graphs, solver
 from homrecol.solver import (
     GIRTH5,
     Instance,
@@ -371,6 +373,55 @@ def test_solver_matches_oracle_on_random_instances():
             assert recheck_obstruction(inst, v.obstruction)
 
 
+def _wrap_round_a_host_cycle(rng, workloads):
+    """A cycle of G wrapped round a cycle of a random triangle-free host, the
+    vertices past the last whole turn left at its start, and psi the wrap
+    rotated, reversed or a random homomorphism."""
+    cycles = []
+    while not cycles:
+        h = workloads.random_triangle_free_host(rng, rng.randrange(4, 9))
+        cycles = simple_cycles(h)
+    ring = rng.choice(cycles)[:-1]
+    k = len(ring)
+    g = cycle_graph(rng.randrange(k, 10))
+    turns = g.n - g.n % k
+    phi = tuple(ring[i % k] if i < turns else ring[0] for i in range(g.n))
+    how = rng.randrange(3)
+    if how == 0:
+        shift = rng.randrange(1, g.n)
+        psi = tuple(phi[(i - shift) % g.n] for i in range(g.n))
+    elif how == 1:
+        psi = tuple(phi[-i % g.n] for i in range(g.n))
+    else:
+        psi = random_hom(rng, g, h)
+    return Instance(g=g, h=h, phi=phi, psi=psi)
+
+
+def test_solver_matches_oracle_on_random_triangle_free_hosts():
+    # hosts outside families.host_catalogue, from recolbench's generator:
+    # wherever the oracle decides, solve agrees, and its certificate checks
+    workloads = benchmark_workloads()
+    rng = random.Random(56)
+    decided, kinds = 0, Counter()
+    for i in range(600):
+        if i % 2:
+            inst = workloads.random_tf_instance(rng, rng.randrange(2, 8), rng.randrange(4, 9))
+        else:
+            inst = _wrap_round_a_host_cycle(rng, workloads)
+        o = hom_graph_bfs(inst.g, inst.h, inst.phi, inst.psi, max_states=100_000)
+        if o is Answer.BUDGET_EXCEEDED:
+            continue
+        v = solve(inst)
+        assert o is (Answer.YES if v.yes else Answer.NO), i
+        if v.yes:
+            assert verify_witness(inst, pairs(v.moves)).ok, i
+        else:
+            assert recheck_obstruction(inst, v.obstruction), i
+            kinds[v.obstruction.kind] += 1
+        decided += 1
+    assert decided >= 100 and sum(kinds.values()) >= 20 and len(kinds) >= 2, (decided, kinds)
+
+
 def test_solve_empty_graph():
     v = solve(Instance(g=Graph(0, [], reflexive=True), h=C5, phi=(), psi=()))
     assert v.yes and list(v.moves) == []
@@ -485,7 +536,7 @@ def test_solve_builds_one_tree_per_component(monkeypatch):
         calls.append(root)
         return bfs_tree(g, root, *args, **kwargs)
 
-    monkeypatch.setattr(solver, "bfs_tree", counted)
+    monkeypatch.setattr(graphs, "bfs_tree", counted)
     v = solve(inst)
     link = 30 + 41  # the locked link's first vertex
     assert v.obstruction == Obstruction(

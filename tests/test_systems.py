@@ -1,11 +1,10 @@
-import importlib.util
 import random
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
 from conftest import (
+    benchmark_workloads,
     brute_generate_system,
     mirrored_wrap,
     random_walk,
@@ -23,7 +22,7 @@ from homrecol.families import (
     random_walk_hom,
     two_squares_shared,
 )
-from homrecol.graphs import Scratch, bfs_tree, connected_components, shortest_walk, tree_path
+from homrecol.graphs import Scratch, bfs_tree, shortest_walk, tree_path
 from homrecol.oracle import Answer, hom_graph_bfs
 from homrecol.systems import (
     CLASS_MISMATCH,
@@ -38,7 +37,7 @@ from homrecol.systems import (
     generate_system,
 )
 from homrecol.walks import reduce_walk, reverse
-from reference import basepoint_change, bfs_tree_by, reduce_via_cover
+from reference import basepoint_change, bfs_tree_by, connected_components, reduce_via_cover
 
 C5 = cycle_graph(5)
 ID5 = (0, 1, 2, 3, 4)
@@ -210,21 +209,12 @@ def test_cover_ids_lifts_and_meets():
     assert lifted > 200 and pairs > 5000 and seconds > 100, (lifted, pairs, seconds)
 
 
-def _benchmark_workloads():
-    """recolbench's instance generators, for their random triangle-free hosts."""
-    path = Path(__file__).resolve().parents[1] / "recolbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("recolbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_walk_carried_to_the_root_generates_the_same_system():
     # a valid system is fixed by any one vertex's walk, so v's shortest walk
     # carried up to the component root gives the system generated from v
     # along v's own tree, or both fail; this is what lets the constant-walk
     # retry reuse the component's tree
-    random_tf_instance = _benchmark_workloads().random_tf_instance
+    random_tf_instance = benchmark_workloads().random_tf_instance
     rng = random.Random(37)
     kinds = {WalkSystem: 0, CycleWitness: 0}
     for i in range(300):
