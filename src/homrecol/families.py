@@ -40,7 +40,7 @@ def two_squares_shared(trim: int = 0) -> Graph:
 
 def make_cycle_wrap(g_len: int, h_len: int, shift: int) -> Instance:
     """Reflexive g_len-cycle wrapping a reflexive h_len-cycle, with the
-    leftover vertices parked on colour 0; psi is the pattern rotated by shift.
+    leftover vertices parked on colour 0; psi is phi rotated by shift.
     """
     if h_len < 4:
         raise InvalidInputError("host cycle must have length at least 4")
@@ -48,12 +48,8 @@ def make_cycle_wrap(g_len: int, h_len: int, shift: int) -> Instance:
         raise InvalidInputError("instance cycle must be longer than the host cycle")
     slack = g_len % h_len or h_len
     wrapped = g_len - slack
-
-    def pattern(i: int) -> int:
-        return i % h_len if i < wrapped else 0
-
-    phi = tuple(pattern(i) for i in range(g_len))
-    psi = tuple(pattern((i - shift) % g_len) for i in range(g_len))
+    phi = tuple(i % h_len if i < wrapped else 0 for i in range(g_len))
+    psi = tuple(phi[(i - shift) % g_len] for i in range(g_len))
     return Instance(
         g=cycle_graph(g_len), h=cycle_graph(h_len), phi=phi, psi=psi, mode=REFLEXIVE
     )
@@ -243,17 +239,13 @@ def random_instance(rng: random.Random, gv: int, hv: int) -> Instance:
         h = cycle_graph(k)
         g = cycle_graph(gv)
         wraps = (gv // k) * k
-
-        def pattern(i: int) -> int:
-            return i % k if i < wraps else 0
-
-        phi = tuple(pattern(i) for i in range(gv))
+        phi = tuple(i % k if i < wraps else 0 for i in range(gv))
         r = rng.random()
         if r < 0.4:
             shift = rng.randrange(gv)
-            psi = tuple(pattern((i - shift) % gv) for i in range(gv))
+            psi = tuple(phi[(i - shift) % gv] for i in range(gv))
         elif r < 0.7:
-            psi = tuple(pattern((-i) % gv) for i in range(gv))  # reversed wrap
+            psi = tuple(phi[(-i) % gv] for i in range(gv))  # reversed wrap
         else:
             psi = random_hom(rng, g, h)
         return Instance(g=g, h=h, phi=phi, psi=psi, mode=REFLEXIVE)
@@ -281,16 +273,12 @@ def random_girth5_instance(rng: random.Random, gv: int) -> Instance:
         h = cycle_graph(k)
         g = cycle_graph(gv, reflexive=False)
         wraps = (gv // k) * k
-
-        def pattern(i: int) -> int:
-            return i % k if i < wraps else 0
-
-        phi = tuple(pattern(i) for i in range(gv))
+        phi = tuple(i % k if i < wraps else 0 for i in range(gv))
         shift = rng.randrange(gv)
         if rng.random() < 0.5:
-            psi = tuple(pattern((i - shift) % gv) for i in range(gv))
+            psi = tuple(phi[(i - shift) % gv] for i in range(gv))
         else:
-            psi = tuple(pattern((-i) % gv) for i in range(gv))
+            psi = tuple(phi[(-i) % gv] for i in range(gv))
         return Instance(g=g, h=h, phi=phi, psi=psi, mode=GIRTH5)
     h = rng.choice(girth5_hosts(6, rng))
     g = random_graph(rng, gv, rng.uniform(0.15, 0.6), reflexive=False)

@@ -5,7 +5,11 @@ valid when every edge of the instance graph is preserved, i.e. prepending the
 phi-image of the edge and appending the reversed psi-image to one endpoint's
 walk reduces to the other endpoint's walk.  Along a BFS spanning tree this
 rule fixes every walk from the root's; the non-tree edges are then checked,
-and a failing edge yields a closed-walk witness through the tree.
+and the first failing edge closes a witness cycle through the tree.  Each
+step of the base-walk search returns its answer or the certificate that
+ends it: _failing_cycle the failing cycle or None, _candidate_family the
+candidates a cycle pins or the free-class-mismatch on it, and
+find_valid_base_walk a valid system or an Obstruction.
 
 The check runs in the host's universal cover.  In a triangle-free reflexive
 host the reduced walks from one colour form a tree, so a reduced walk is a
@@ -107,53 +111,23 @@ def generate_system(
     w_root: Walk,
     scratch: Scratch,
 ) -> WalkSystem | CycleWitness:
-    """Build the unique reduced system containing w_root, or a failing cycle.
+    """Build the unique reduced system containing w_root, or its failing cycle.
 
     tree is the (order, parent) BFS tree of one component, as bfs_tree
     returns it, and w_root the walk of its root order[0].  Each vertex's
     walk is the reduction of (phi(v),) + w_parent + (psi(v),) down the tree,
     so w_root fixes the system; a valid system is the same along any
     spanning tree, so one tree serves every system of the component.
-    To check it, phi and psi are lifted into the host's universal cover from
-    the two ends of w_root; w_v is the cover path between v's two lifts.
-    Every non-tree, non-loop edge is checked, in ascending order of its
-    endpoints, and its two walks are built only when its lifts are not
-    adjacent on both sides.  The witness for a failing edge uv is the closed
-    walk tree-path(root, u) . uv . tree-path(v, root).  On success every walk
-    is built once, from its parent's walk.  scratch.start and scratch.end
-    hold the lifts while the system is checked, and the bounds of its walks
-    once it is valid; a solve passes one scratch for all its calls.
+    _failing_cycle checks the system in the host's universal cover; on
+    success every walk is built once, from its parent's walk.  scratch.start
+    and scratch.end hold the lifts while the system is checked, and the
+    bounds of its walks once it is valid; a solve passes one scratch for all
+    its calls.
     """
     witness = _failing_cycle(g, h, phi, psi, tree, w_root, scratch)
     if witness is not None:
         return witness
     return _carry_walks(h, phi, psi, tree, w_root, scratch)
-
-
-def _failing_cycle(
-    g: Graph,
-    h: Graph,
-    phi: Sequence[int],
-    psi: Sequence[int],
-    tree: tuple[list[int], list[int]],
-    w_root: Walk,
-    scratch: Scratch,
-) -> CycleWitness | None:
-    """The failing cycle of w_root's system, or None when the system is valid.
-
-    The lifts are left in scratch.start and scratch.end, where _carry_walks
-    writes over them at every vertex of a valid system."""
-    order, parent = tree
-    root = order[0]
-    if w_root[0] != phi[root] or w_root[-1] != psi[root]:
-        raise InternalError("base walk endpoints do not match the maps")
-    if not is_reduced(w_root):
-        raise InternalError("base walk must be reduced")
-    failing = _failing_edge(g, h, phi, psi, order, parent, w_root, scratch)
-    if failing is None:
-        return None
-    u, v = failing
-    return CycleWitness(cycle=tuple(reversed(tree_path(parent, u))) + tuple(tree_path(parent, v)))
 
 
 class _Cover:
@@ -246,17 +220,31 @@ class _Cover:
         return tuple(left)
 
 
-def _failing_edge(
+def _failing_cycle(
     g: Graph,
     h: Graph,
     phi: Sequence[int],
     psi: Sequence[int],
-    order: list[int],
-    parent: list[int],
+    tree: tuple[list[int], list[int]],
     w_root: Walk,
     scratch: Scratch,
-) -> tuple[int, int] | None:
-    """The first non-tree edge uv (u < v) the system does not preserve, if any."""
+) -> CycleWitness | None:
+    """The failing cycle of w_root's system, or None when the system is valid.
+
+    phi and psi are lifted into the host's universal cover from the two ends
+    of w_root, so w_v is the cover path between v's two lifts.  Every
+    non-tree, non-loop edge uv (u < v) is checked in ascending order of u,
+    and its two walks are built only when its lifts are not adjacent on both
+    sides.  The first edge that fails closes the cycle tree-path(root, u) .
+    uv . tree-path(v, root).  The lifts are left in scratch.start and
+    scratch.end, where _carry_walks writes over them at every vertex of a
+    valid system."""
+    order, parent = tree
+    root = order[0]
+    if w_root[0] != phi[root] or w_root[-1] != psi[root]:
+        raise InternalError("base walk endpoints do not match the maps")
+    if not is_reduced(w_root):
+        raise InternalError("base walk must be reduced")
     cover = _Cover(h.n, w_root)
     lo, hi = scratch.start, scratch.end
     cover.lift(order, parent, phi, psi, lo, hi, len(w_root) - 1)
@@ -277,7 +265,9 @@ def _failing_edge(
             w_u = cover.walk(lo_u, hi_u)
             w_v = cover.walk(lo_v, hi_v)
             if not edge_preserved(phi, psi, u, v, w_u, w_v):
-                return u, v
+                return CycleWitness(
+                    cycle=tuple(reversed(tree_path(parent, u))) + tuple(tree_path(parent, v))
+                )
     return None
 
 
@@ -330,28 +320,25 @@ def _carry_walks(
 
 def _candidate_family(
     phi: Sequence[int], psi: Sequence[int], cycle: Walk
-) -> tuple[list[Walk] | None, tuple[Walk, Walk] | None]:
-    """Candidate base walks that preserve the witness cycle.
-
-    Returns (candidates, None), or (None, the two free cores) when the cycle's
-    images are not freely homotopic, in which case no base walk exists.
-    """
+) -> list[Walk] | Obstruction:
+    """Candidate base walks that preserve the witness cycle, or the
+    free-class-mismatch obstruction on it when the cycle's images are not
+    freely homotopic, in which case no base walk exists."""
     da = free_decomposition(tuple(phi[x] for x in cycle))
     db = free_decomposition(tuple(psi[x] for x in cycle))
     k = shift_match(da.core, db.core)
     if k is None:
-        return None, (da.core, db.core)
+        return Obstruction(kind=CLASS_MISMATCH, cycle=cycle, cores=(da.core, db.core))
     if not da.core:
         raise InternalError("witness cycle with both images contractible")
     prefix = da.core[: k + 1]
     root = primitive_root(da.core)
     root_loop = root + (root[0],)
     # the root loop turned -1, 0 and 1 times, so candidates[1] is the zero power
-    out = [
+    return [
         reduce_walk(concat(concat(concat(da.tail, turn), prefix), reverse(db.tail)))
         for turn in (reverse(root_loop), root_loop[:1], root_loop)
     ]
-    return out, None
 
 
 def find_valid_base_walk(
@@ -392,9 +379,9 @@ def find_valid_base_walk(
     # each candidate's failing cycle, or None when its system is valid
     results: dict[Walk, CycleWitness | None] = {}
     for _ in range(2):
-        candidates, cores = _candidate_family(phi, psi, cycle)
-        if candidates is None:
-            return Obstruction(kind=CLASS_MISMATCH, cycle=cycle, cores=cores)
+        candidates = _candidate_family(phi, psi, cycle)
+        if isinstance(candidates, Obstruction):
+            return candidates
         for cand in candidates:
             if cand not in results:
                 results[cand] = _failing_cycle(g, h, phi, psi, tree, cand, scratch)

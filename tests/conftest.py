@@ -14,34 +14,18 @@ import pytest
 
 import homrecol
 from homrecol.errors import InternalError
-from homrecol.families import (
-    cycle_graph,
-    cycle_with_pendant,
-    host_catalogue,
-    make_cycle_wrap,
-    two_squares_shared,
-)
+from homrecol.families import cycle_graph, host_catalogue, make_cycle_wrap
 from homrecol.graphs import Graph, bfs_tree
 from homrecol.oracle import Answer
 from homrecol.solver import REFLEXIVE, Instance
 from homrecol.systems import CycleWitness, WalkSystem, edge_preserved
 from homrecol.walks import is_cyclically_reduced, reduce_walk
-from reference import bfs_tree_by
+from reference import bfs_tree_by, waits_for
 
 
 @pytest.fixture
 def c5():
     return cycle_graph(5)
-
-
-@pytest.fixture
-def pendant_c5():
-    return cycle_with_pendant(5)
-
-
-@pytest.fixture
-def figure_eight_host():
-    return two_squares_shared()
 
 
 def child_env() -> dict[str, str]:
@@ -81,11 +65,6 @@ def random_walk(rng: random.Random, h: Graph, length: int, start: int | None = N
     for _ in range(length):
         walk.append(rng.choice(h.adj[walk[-1]]))
     return tuple(walk)
-
-
-def random_walk_between(rng, h, a, length):
-    """Random walk from a, of roughly the requested length (ends wherever)."""
-    return random_walk(rng, h, length, start=a)
 
 
 def brute_has_triangle(g: Graph) -> bool:
@@ -224,7 +203,7 @@ class BruteScheduleState:
 
 def brute_schedule(g, h, system, order=None):
     """schedule through BruteScheduleState: a method call per check and per
-    move, and a closure for the blocking arc of tight-cycle extraction."""
+    move; tight-cycle extraction follows reference.waits_for."""
     state = BruteScheduleState(g, h, system)
     seed = sorted(state.walks) if order is None else list(order)
     queue = deque(v for v in seed if not state.finished(v))
@@ -245,26 +224,19 @@ def brute_schedule(g, h, system, order=None):
     unfinished = sorted(v for v in state.walks if not state.finished(v))
     if not unfinished:
         return state.moves
-    return _brute_tight_cycle(state, unfinished[0])
+    return _brute_tight_cycle(state, system, unfinished[0])
 
 
-def _brute_tight_cycle(state: BruteScheduleState, start: int) -> CycleWitness:
-    g, hs = state.g, state.h.adj_sets
-
-    def out_arc(u: int) -> int:
-        cur_u = state.current(u)
-        nxt_u = state.next_colour(u)
-        for v in g.adj[u]:
-            if v == u or state.finished(v):
-                continue
-            if state.walks[v][state.pos[v] + 1] == cur_u and nxt_u not in hs[state.current(v)]:
-                return v
-        raise InternalError("deadlocked vertex without a blocking arc (system not staggered)")
-
+def _brute_tight_cycle(state: BruteScheduleState, system: WalkSystem, start: int) -> CycleWitness:
+    left = [0] * state.g.n
+    for v, w in state.walks.items():
+        left[v] = len(w) - 1 - state.pos[v]
     chain = [start]
     seen_at = {start: 0}
     while True:
-        v = out_arc(chain[-1])
+        v = waits_for(state.g, state.h, system, left, chain[-1])
+        if v is None:
+            raise InternalError("deadlocked vertex without a blocking arc (system not staggered)")
         if v in seen_at:
             cycle = tuple(chain[seen_at[v] :]) + (v,)
             break

@@ -7,7 +7,9 @@ default sizes), the five constructions and 20 seeded girth5 instances
 two disjoint unions (see `conftest.disjoint_union`), the last four kinds
 written with `instance_to_dict`.  The unions share one solve across
 components, so state carried over from one component to the next shows here
-too.
+too.  Five more digests cover recolbench's instances (corpus seeds 1-2 and
+the three wrap instances): the instance text the benchmark writes followed
+by the verdict, as `homrecol solve` prints it.
 A change to the solver that alters any move list or obstruction shows here;
 if the change is intended, recompute the digests and say why in CHANGES.md.
 """
@@ -17,11 +19,11 @@ import random
 
 import pytest
 
-from conftest import disjoint_union
+from conftest import benchmark_workloads, disjoint_union
 from homrecol import families
 from homrecol.cli import run
-from homrecol.jsonio import dumps, instance_to_dict
-from homrecol.solver import Instance
+from homrecol.jsonio import dumps, instance_to_dict, parse_instance, verdict_to_dict
+from homrecol.solver import Instance, solve
 
 GEN = {
     "cycle-wrap-2000-4-40": ["--family", "cycle-wrap", "--g-len", "2000", "--h-len", "4", "--shift", "40"],
@@ -165,3 +167,36 @@ def _union(name: str) -> Instance:
 def test_union_solve_output_pinned(name, tmp_path, capsys):
     text = dumps(instance_to_dict(_union(name)))
     assert _solve_digest(tmp_path, capsys, text) == DIGESTS[name]
+
+
+# recolbench's instances: each digest covers the instance text the benchmark
+# writes followed by the verdict `homrecol solve` prints for it; a corpus has
+# one digest over its instances in order
+BENCHMARK_DIGESTS = {
+    "corpus-1": "7a2bdaac7d1214c765f223a53a40354d810a14435d50e4d93194862fbba21c2d",
+    "corpus-2": "f813d9df2e5f016a5a333124d05b3e5fffc986e2c7067973d87218815b9df825",
+    "wrap-100k-shift40": "633432118689d3ae0ead02594286731df5e2b8f1f203c22c1b72b3bd4888fee4",
+    "tight-100k-rot1": "422a44b5cc3ca6bd6924034d1a8de89919a5a0397db148fd988721fee0dec2e1",
+    "mirror-6k": "eabc991bbc22aa5166b0996c63da316893788389cabd03a12d35805389fff535",
+}
+
+
+def _benchmark_instances(name: str) -> list[Instance]:
+    workloads = benchmark_workloads()
+    if name.startswith("corpus-"):
+        return [inst for _, inst in workloads.corpus(int(name[len("corpus-") :]))]
+    for workload in ("wrap-yes", "wrap-no"):
+        for label, inst in workloads.instances(workload, 1):
+            if label == name:
+                return [inst]
+    raise KeyError(name)
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_DIGESTS))
+def test_benchmark_solve_output_pinned(name):
+    digest = hashlib.sha256()
+    for inst in _benchmark_instances(name):
+        text = dumps(instance_to_dict(inst))
+        digest.update(text.encode())
+        digest.update(dumps(verdict_to_dict(solve(parse_instance(text)))).encode())
+    assert digest.hexdigest() == BENCHMARK_DIGESTS[name]

@@ -105,8 +105,9 @@ def _base_walks(rng, g, h, phi, psi, root):
     walks = [w0]
     first = brute_generate_system(g, h, phi, psi, root, w0)
     if isinstance(first, CycleWitness):
-        candidates, _ = _candidate_family(phi, psi, first.cycle)
-        walks.extend(candidates or [])
+        candidates = _candidate_family(phi, psi, first.cycle)
+        if not isinstance(candidates, Obstruction):
+            walks.extend(candidates)
     for _ in range(2):
         detour = random_walk(rng, h, rng.randrange(0, 15), start=phi[root])
         walks.append(reduce_walk(detour + shortest_walk(h, detour[-1], psi[root])[1:]))
@@ -336,12 +337,13 @@ def test_find_base_walk_rotation():
 
 def test_find_base_walk_class_mismatch():
     h = two_squares_shared()
-    search = find_valid_base_walk(
-        C5, h, (0, 1, 2, 3, 0), (0, 4, 5, 6, 0), bfs_tree(C5, 0), Scratch(5)
-    )
+    phi, psi = (0, 1, 2, 3, 0), (0, 4, 5, 6, 0)
+    search = find_valid_base_walk(C5, h, phi, psi, bfs_tree(C5, 0), Scratch(5))
     assert isinstance(search, Obstruction)
     assert search.kind == CLASS_MISMATCH
     assert search.cores == ((0, 1, 2, 3), (0, 4, 5, 6))
+    # the candidate step returns the obstruction whole, and the search passes it on
+    assert _candidate_family(phi, psi, search.cycle) == search
 
 
 def test_find_base_walk_separated_endpoints():
@@ -357,7 +359,6 @@ def test_find_base_walk_second_witness_family():
     # the only valid walk turns twice around a square, which the first
     # witness's single-turn candidates miss; the second witness supplies it
     from homrecol.families import make_double_turn
-    from homrecol.systems import _candidate_family
 
     inst = make_double_turn()
     target = (0, 1, 2, 3, 0, 1, 2, 3, 0, 6, 5, 4, 0)
@@ -365,7 +366,7 @@ def test_find_base_walk_second_witness_family():
     w0 = shortest_walk(inst.h, 0, 0)
     first = generate_system(inst.g, inst.h, inst.phi, inst.psi, tree, w0, Scratch(inst.g.n))
     assert isinstance(first, CycleWitness)
-    cands, _ = _candidate_family(inst.phi, inst.psi, first.cycle)
+    cands = _candidate_family(inst.phi, inst.psi, first.cycle)
     assert target not in cands
     search = find_valid_base_walk(inst.g, inst.h, inst.phi, inst.psi, tree, Scratch(inst.g.n))
     assert walks_of(search)[0] == target
