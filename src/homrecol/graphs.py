@@ -30,17 +30,20 @@ class Graph:
         Each endpoint goes into the other's row as ids[x], one int per
         vertex id, not as the int the caller made for that occurrence of it.
 
-        The first pass checks the edges in order and keeps their endpoints,
-        as ids[u], ids[v], in one flat list; the second files them into the
-        rows.  The n row lists are made only after the last edge is drawn:
+        The first pass checks the edges in order and keeps their endpoints
+        in one flat array of type id_code(n, 4), 4 bytes each below 2**32
+        vertices; the second files them into the rows as ids[x].  The n
+        ids and the n row lists are made only after the last edge is drawn:
         a loader that frees each edge as it hands it over (jsonio does) has
-        freed them all by then, so the rows reuse that memory rather than
-        adding to it.
+        freed them all by then, so they reuse that memory rather than adding
+        to it.  The checks come before the push, so an endpoint the array
+        cannot hold is never pushed.  The 4-byte floor is for speed: an
+        append to a "B" or "H" array parses its item through a format
+        string and costs 2.6 list appends, an "I" append 1.3 (CPython 3.11).
         """
         if n < 0:
             raise InvalidInputError("vertex count must be nonnegative")
-        ids = list(range(n))
-        ends: list[int] = []
+        ends = array(id_code(n, 4))
         push = ends.append
         # per-element checks build their message only on failure
         for i, e in enumerate(edges):
@@ -54,13 +57,14 @@ class Graph:
             u, v = e
             if not (0 <= u < n and 0 <= v < n):
                 raise InvalidInputError(f"edges[{i}] out of range")
-            push(ids[u])
-            push(ids[v])
+            push(u)
+            push(v)
+        ids = list(range(n))
         rows: list[list[int]] = [[] for _ in ids]
         it = iter(ends)
         for u, v in zip(it, it):
-            rows[u].append(v)
-            rows[v].append(u)
+            rows[u].append(ids[v])
+            rows[v].append(ids[u])
         del it, ends, push
         # one row at a time, in place: sort, then drop repeats only from a
         # row that has some; no set is built for any row.  Rows with repeats
@@ -250,10 +254,19 @@ class Scratch:
     while the scheduler runs and, once the drained queue has cleared it,
     the vertices a deadlock scan has visited.
 
+    Each array exists only from the phase that reads it: start, end and
+    queued from the start, left and cur (None until then) from the first
+    scheduler_lists() call, which the solve's first schedule makes.  So
+    the base-walk search, whose cover trie sets a solve's peak, runs
+    without two n-sized lists it never reads.
+
     start, end, left and cur are lists, not typed arrays like the system's
     colours and the witness: CPython specialises list indexing and not
     array indexing, and the scheduler and the cover lift index them in
-    their hot loops.
+    their hot loops.  Measured on a 100k tight rotation (Python 3.11, in
+    process), typed start and end, with a typed cover trie, took the
+    base-walk search from 0.095 to 0.152 s and the schedule from 0.088 to
+    0.11-0.12 s: about a quarter more solve time (ROADMAP item 16).
     """
 
     __slots__ = ("start", "end", "left", "cur", "queued")
@@ -261,9 +274,16 @@ class Scratch:
     def __init__(self, n: int):
         self.start = [0] * n  # each walk's slice of the system's flat list
         self.end = [0] * n  # (or, while the system is checked, the lifts)
-        self.left = [0] * n  # scheduler: the steps still to go,
-        self.cur = [0] * n  # the colour now,
-        self.queued = bytearray(n)  # and membership of the work list
+        self.queued = bytearray(n)  # scheduler: membership of the work list,
+        self.left: list[int] | None = None  # the steps still to go,
+        self.cur: list[int] | None = None  # and the colour now
+
+    def scheduler_lists(self) -> tuple[list[int], list[int]]:
+        """left and cur, made n-sized at the first call and the same lists after."""
+        if self.left is None:
+            n = len(self.queued)
+            self.left, self.cur = [0] * n, [0] * n
+        return self.left, self.cur
 
 
 def bfs_tree(g: Graph, root: int, parent: list[int] | None = None) -> tuple[list[int], list[int]]:

@@ -36,8 +36,9 @@ def schedule(
     neighbours.  A drained queue with unfinished vertices is a deadlock.  A
     vertex may move when its next colour is adjacent to the current colour
     of every neighbour, its own loop included.  scratch.left and
-    scratch.cur are set at every vertex of the system before they are
-    read, so a solve passes one scratch for all its calls.
+    scratch.cur are made by the first call on the scratch
+    (Scratch.scheduler_lists), and are set at every vertex of the system
+    before they are read, so a solve passes one scratch for all its calls.
 
     The moves come as one flat array.array [v0, c0, v1, c1, ...] of type
     graphs.move_code(g, h), 4 bytes per entry up to 2**32 vertices and
@@ -53,7 +54,7 @@ def schedule(
     """
     start, end, flat = system.start, system.end, system.flat
     adj, hs = g.adj, h.adj_sets
-    left, cur, queued = scratch.left, scratch.cur, scratch.queued
+    (left, cur), queued = scratch.scheduler_lists(), scratch.queued
     for v in system.order:
         s = start[v]
         left[v] = end[v] - s - 1

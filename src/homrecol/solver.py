@@ -165,8 +165,35 @@ def _solve_component(
             return unrealizable
 
 
+def _solve_components(work: Instance, moves: array) -> array | Obstruction:
+    """The moves of every component of the reflexive instance work, after
+    moves, or the first component's obstruction.
+
+    One set of vertex-indexed arrays serves every component: allocating
+    them per component would make many small components quadratic.  They
+    and the last component tree are locals here, freed on return."""
+    g = work.g
+    scratch = Scratch(g.n)
+    for tree in component_trees(g):
+        outcome = _solve_component(g, work.h, work.phi, work.psi, tree, scratch)
+        if isinstance(outcome, Obstruction):
+            return outcome
+        # an empty array takes a component's moves as they are: a copy would
+        # hold the witness twice
+        if moves:
+            moves += outcome
+        else:
+            moves = outcome
+    return moves
+
+
 def solve(inst: Instance) -> Verdict:
-    """Decide the instance and return a verified witness or a typed obstruction."""
+    """Decide the instance and return a verified witness or a typed obstruction.
+
+    The components are solved in _solve_components, so the witness
+    self-check runs with no Scratch and no component tree alive: only the
+    instance and the moves.
+    """
     validate_instance(inst)
     moves = array(move_code(inst.g, inst.h))
     work = inst
@@ -174,27 +201,14 @@ def solve(inst: Instance) -> Verdict:
         work, moves, early = preprocess_girth5(inst)
         if early is not None:
             return Verdict(answer="no", obstruction=early)
-
-    # one set of vertex-indexed arrays for every component: allocating them
-    # per component would make many small components quadratic
-    g = work.g
-    scratch = Scratch(g.n)
-    for tree in component_trees(g):
-        outcome = _solve_component(g, work.h, work.phi, work.psi, tree, scratch)
-        if isinstance(outcome, Obstruction):
-            return Verdict(answer="no", obstruction=outcome)
-        # an empty array takes a component's moves as they are: a copy would
-        # hold the witness twice
-        if moves:
-            moves += outcome
-        else:
-            moves = outcome
-
-    it = iter(moves)
+    outcome = _solve_components(work, moves)
+    if isinstance(outcome, Obstruction):
+        return Verdict(answer="no", obstruction=outcome)
+    it = iter(outcome)
     check = verify_witness(inst, zip(it, it))
     if not check.ok:
         raise InternalError(f"emitted witness fails to replay at move {check.index}")
-    return Verdict(answer="yes", moves=moves)
+    return Verdict(answer="yes", moves=outcome)
 
 
 def verify_witness(inst: Instance, moves: Iterable[Sequence[int]]) -> WitnessCheck:

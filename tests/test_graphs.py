@@ -39,22 +39,27 @@ def test_edge_out_of_range_rejected():
 
 
 @pytest.mark.parametrize(
-    "edges, message",
+    "n, edges, message",
     [
-        ([(0, 1.0)], "edges[0] must be a pair of integers"),
-        ([(0, 1), (0, 1, 2)], "edges[1] must be a pair of integers"),
-        ([[0, 1], [1]], "edges[1] must be a pair of integers"),
-        ([0], "edges[0] must be a pair of integers"),
-        ([(0, True)], "edges[0] must be a pair of integers"),
-        ([(1, 1), [0, 1], (2, 0)], "edges[2] out of range"),
+        (2, [(0, 1.0)], "edges[0] must be a pair of integers"),
+        (2, [(0, 1), (0, 1, 2)], "edges[1] must be a pair of integers"),
+        (2, [[0, 1], [1]], "edges[1] must be a pair of integers"),
+        (2, [0], "edges[0] must be a pair of integers"),
+        (2, [(0, True)], "edges[0] must be a pair of integers"),
+        (2, [(1, 1), [0, 1], (2, 0)], "edges[2] out of range"),
+        # the endpoints wait in an unsigned array: an endpoint out of range
+        # is refused by name before it reaches it, where -1, or 256 in a
+        # one-byte array, would raise OverflowError
+        (2, [(0, 1), (0, -1)], "edges[1] out of range"),
+        (256, [(0, 255), (255, 256)], "edges[1] out of range"),
     ],
-    ids=["float", "triple", "single", "bare-int", "bool", "range"],
+    ids=["float", "triple", "single", "bare-int", "bool", "range", "range-negative", "range-256"],
 )
-def test_graph_names_the_bad_edge(edges, message):
+def test_graph_names_the_bad_edge(n, edges, message):
     # Graph is the one builder, the parser's included: a float endpoint
     # used to raise TypeError, a triple ValueError, and a bool passed as 1
     with pytest.raises(InvalidInputError) as exc:
-        Graph(2, edges)
+        Graph(n, edges)
     assert str(exc.value) == message
 
 
@@ -73,11 +78,22 @@ def _messy_edges(rng: random.Random, n: int) -> list[tuple[int, int]]:
 def test_row_build_matches_set_reference():
     # Graph(...) on tuples and, through the parser, on json's lists, against
     # the set-per-vertex construction; some graphs pass id 256, the last int
-    # that Python caches, so the parsed rows must share ids to pass
-    for seed in range(300):
+    # that Python caches, so the parsed rows must share ids to pass.  The
+    # endpoints wait in an array of at least 4 bytes an item; one sized by
+    # id_code(n) alone would widen from one byte to two past 256 vertices
+    # and to four past 65536, so a graph on each side of both steps has
+    # edges at n - 1, the largest id its array must hold
+    widths = [255, 256, 257, 65535, 65536, 65537]
+    for seed in range(300 + len(widths)):
         rng = random.Random(seed)
-        n = rng.randrange(40) if seed % 4 else rng.randrange(257, 400)
-        edges = _messy_edges(rng, n)
+        if seed < 300:
+            n = rng.randrange(40) if seed % 4 else rng.randrange(257, 400)
+            edges = _messy_edges(rng, n)
+        else:
+            n = widths[seed - 300]
+            edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(200)]
+            edges += [(n - 1, n - 1), (0, n - 1), (rng.randrange(n), n - 1)]
+            rng.shuffle(edges)
         reflexive = rng.random() < 0.5
         ref = set_rows(n, edges, reflexive)
         looped = all(v in ref[v] for v in range(n))

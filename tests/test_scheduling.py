@@ -181,9 +181,10 @@ def test_extract_tight_cycle_rejects_a_moved_vertex():
 def _one_step_left(walks):
     """The system of walks, and a scratch with every vertex one step from its end."""
     scratch = Scratch(len(walks))
+    left, cur = scratch.scheduler_lists()
     for v, w in walks.items():
-        scratch.left[v] = 1
-        scratch.cur[v] = w[-2]
+        left[v] = 1
+        cur[v] = w[-2]
     return system_of(walks), scratch
 
 
@@ -322,6 +323,7 @@ def test_deadlock_scan_applies_the_reference_rule_on_any_state():
         g = random_graph(rng, rng.randrange(2, 8), 0.7)
         colour = [rng.randrange(k) for _ in range(g.n)]
         walks, scratch = {}, Scratch(g.n)
+        left, cur = scratch.scheduler_lists()
         for v in range(g.n):
             # v at its colour, mostly still at the start of its walk, and
             # mostly with one step to go, often to a neighbour's colour: the
@@ -336,8 +338,8 @@ def test_deadlock_scan_applies_the_reference_rule_on_any_state():
             ahead = (nxt,) if rng.random() < 0.9 else ()
             behind = ((c + 1) % k,) if rng.random() < 0.1 else ()
             walks[v] = behind + (c,) + ahead
-            scratch.left[v] = len(ahead)
-            scratch.cur[v] = c
+            left[v] = len(ahead)
+            cur[v] = c
         system = system_of(walks)
         unfinished = [v for v in range(g.n) if scratch.left[v]]
         if not unfinished:
@@ -509,15 +511,22 @@ def test_shared_scratch_on_the_solvers_paths(monkeypatch, make, calls, checks, o
 
 def test_system_checks_leave_the_schedulers_arrays_alone():
     # the cover lifts live in start and end, which generate_system owns:
-    # checking a system, failing or valid, writes nothing into left, cur or
-    # queued, whatever the scheduler left there
+    # checking a system, failing or valid, makes no scheduler list in a
+    # fresh scratch, and writes nothing into left, cur or queued, whatever
+    # the scheduler left there
     def run(inst, check):
+        tree = bfs_tree(inst.g, 0)
+        fresh = Scratch(inst.g.n)
+        out = check(inst.g, inst.h, inst.phi, inst.psi, tree, fresh)
+        assert fresh.left is None and fresh.cur is None
         scratch = Scratch(inst.g.n)
-        scratch.left[:] = range(7, 7 + inst.g.n)
-        scratch.cur[:] = range(-1, -1 - inst.g.n, -1)
-        before = list(scratch.left), list(scratch.cur), bytes(scratch.queued)
-        out = check(inst.g, inst.h, inst.phi, inst.psi, bfs_tree(inst.g, 0), scratch)
-        assert (list(scratch.left), list(scratch.cur), bytes(scratch.queued)) == before
+        left, cur = scratch.scheduler_lists()
+        left[:] = range(7, 7 + inst.g.n)
+        cur[:] = range(-1, -1 - inst.g.n, -1)
+        before = list(left), list(cur), bytes(scratch.queued)
+        assert type(check(inst.g, inst.h, inst.phi, inst.psi, tree, scratch)) is type(out)
+        assert scratch.left is left and scratch.cur is cur
+        assert (list(left), list(cur), bytes(scratch.queued)) == before
         return out
 
     # the shortest walk and every candidate of the first family fail, then

@@ -47,7 +47,7 @@ from homrecol.solver import (
     verify_witness,
 )
 from homrecol.scheduling import schedule
-from homrecol.systems import CycleWitness, edge_preserved, find_valid_base_walk
+from homrecol.systems import CycleWitness, WalkSystem, edge_preserved, find_valid_base_walk
 from homrecol.walks import reduce_walk
 
 C5 = cycle_graph(5)
@@ -660,7 +660,9 @@ def test_solve_memory_of_the_100k_tight_rotation():
     # two scratch lists of the cover lifts beside the scheduler's left and
     # cur 12.72 MiB (the lifts in left and cur: 11.19), and the deadlock
     # test's copy of the cycle's colours extended round the cycle 11.19 MiB
-    # (read in place: 10.58).  The scheduler sizes its move list at the first
+    # (read in place: 10.58), and the scheduler's left and cur made with
+    # the scratch, before the base-walk search, 10.58 (made at the first
+    # schedule: 9.21).  The scheduler sizes its move list at the first
     # move, which never comes here: sized up front it adds 1.5 MiB
     n = 100_000
     inst = tight_rotation(n)
@@ -672,7 +674,26 @@ def test_solve_memory_of_the_100k_tight_rotation():
         tracemalloc.stop()
     assert verdict.obstruction.kind == "frozen-mismatch"
     assert verdict.obstruction.vertex == 0 and len(verdict.obstruction.cycle) == n + 1
-    assert peak <= 11.5 * 2**20, peak
+    assert peak <= 10 * 2**20, peak
+
+
+def test_base_walk_search_memory_of_the_100k_tight_rotation():
+    # the search runs with the scratch's start, end and queued alone: the
+    # scheduler's left and cur, made with the scratch, sat beside the
+    # cover trie at its full size and set the peak at 10.58 MiB (made at
+    # the first schedule: 9.06)
+    inst = tight_rotation(100_000)
+    tracemalloc.start()
+    try:
+        scratch = Scratch(inst.g.n)
+        system = find_valid_base_walk(
+            inst.g, inst.h, inst.phi, inst.psi, bfs_tree(inst.g, 0), scratch
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(system, WalkSystem) and scratch.left is None
+    assert peak <= 9.5 * 2**20, peak
 
 
 def test_solve_and_dump_memory_of_the_100k_wrap():
@@ -682,7 +703,9 @@ def test_solve_and_dump_memory_of_the_100k_wrap():
     # 19.51 MiB (the lifts in left and cur: 17.98), the move list grown by
     # append 17.98 MiB (sized once from the system: 17.72), and the walks
     # and the moves as lists of 8-byte pointers 17.72 MiB (a byte array of
-    # colours and a 4-byte array of moves: 11.92)
+    # colours and a 4-byte array of moves: 11.92), and the scratch and the
+    # last component tree alive through the witness self-check 11.92 (freed
+    # before it: 10.91)
     inst = make_cycle_wrap(100_000, 4, 40)
     tracemalloc.start()
     try:
@@ -693,7 +716,7 @@ def test_solve_and_dump_memory_of_the_100k_wrap():
         tracemalloc.stop()
     assert verdict.yes and len(verdict.moves) == 2 * 399_840
     assert text.startswith('{"answer":"yes","witness":{"moves":[[')
-    assert peak <= 12.8 * 2**20, peak
+    assert peak <= 11.5 * 2**20, peak
 
 
 def test_the_100k_wrap_holds_a_byte_per_colour_and_four_per_move_entry():
