@@ -103,9 +103,6 @@ class Graph:
         """All edges as (u, v) with u <= v; loops appear as (v, v)."""
         return [(u, v) for u in range(self.n) for v in self.adj[u] if u <= v]
 
-    def with_all_loops(self) -> "Graph":
-        return Graph(self.n, self.edge_list(), reflexive=True)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 

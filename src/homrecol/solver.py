@@ -7,8 +7,12 @@ the constant walk at a cycle vertex is the only possible base walk and the
 procedure retries once from it — a second failure is definitive.
 
 Girth-5 hosts admit arbitrary instance graphs: isolated vertices are
-recoloured up front and all loops are added; the transformed reflexive
-instance has the same answer.
+recoloured up front, and on the rest of G loops would not change the answer.
+No loop-added copy of G is built, as the core never reads a loop of G:
+bfs_tree passes over u in its own row, _failing_cycle skips v <= u, u's own
+loop test in schedule always passes (each step of a reduced walk is an edge
+of H), and _extract_tight_cycle never lets u wait for itself.  The witness
+is still replayed by verify_witness against the original G.
 """
 
 from __future__ import annotations
@@ -93,18 +97,18 @@ def validate_instance(inst: Instance) -> None:
             raise InvalidInputError("host must have girth at least 5 in girth5 mode")
 
 
-def preprocess_girth5(inst: Instance) -> tuple[Instance, array, Obstruction | None]:
-    """Recolour isolated vertices directly, then add all loops.
+def preprocess_girth5(inst: Instance) -> tuple[Instance, array] | Obstruction:
+    """Recolour the isolated vertices of a girth-5 instance.
 
     Looped isolated vertices walk through the host (their two colours must
-    share a component); loopless ones jump.  The reflexive instance returned
-    has the same answer as the original.  The moves made are the prefix, a
-    flat array [v0, c0, v1, c1, ...] of the type of Verdict.moves.
+    share a component), or are the no-valid-walk obstruction returned;
+    loopless ones jump.  Returns inst with their psi colours, on the same G
+    (see the module docstring), and the moves, a flat array [v0, c0, ...]
+    of the type of Verdict.moves.
     """
     if inst.mode != GIRTH5:
         raise InvalidInputError("preprocessing applies to girth5 mode")
-    code = move_code(inst.g, inst.h)
-    prefix = array(code)
+    prefix = array(move_code(inst.g, inst.h))
     phi = list(inst.phi)
     for v in range(inst.g.n):
         if any(u != v for u in inst.g.adj[v]):
@@ -114,16 +118,13 @@ def preprocess_girth5(inst: Instance) -> tuple[Instance, array, Obstruction | No
         if inst.g.adjacent(v, v):
             walk = shortest_walk(inst.h, phi[v], inst.psi[v])
             if walk is None:
-                return inst, array(code), Obstruction(kind=NO_VALID_WALK, cycle=(v,))
+                return Obstruction(kind=NO_VALID_WALK, cycle=(v,))
             for c in walk[1:]:
                 prefix.extend((v, c))
         else:
             prefix.extend((v, inst.psi[v]))
         phi[v] = inst.psi[v]
-    reflexive = Instance(
-        g=inst.g.with_all_loops(), h=inst.h, phi=tuple(phi), psi=inst.psi, mode=REFLEXIVE
-    )
-    return reflexive, prefix, None
+    return inst._replace(phi=tuple(phi)), prefix
 
 
 def _solve_component(
@@ -165,17 +166,17 @@ def _solve_component(
             return unrealizable
 
 
-def _solve_components(work: Instance, moves: array) -> array | Obstruction:
-    """The moves of every component of the reflexive instance work, after
-    moves, or the first component's obstruction.
+def _solve_components(inst: Instance, moves: array) -> array | Obstruction:
+    """The moves of every component of inst, after moves, or the first
+    component's obstruction.
 
     One set of vertex-indexed arrays serves every component: allocating
     them per component would make many small components quadratic.  They
     and the last component tree are locals here, freed on return."""
-    g = work.g
+    g = inst.g
     scratch = Scratch(g.n)
     for tree in component_trees(g):
-        outcome = _solve_component(g, work.h, work.phi, work.psi, tree, scratch)
+        outcome = _solve_component(g, inst.h, inst.phi, inst.psi, tree, scratch)
         if isinstance(outcome, Obstruction):
             return outcome
         # an empty array takes a component's moves as they are: a copy would
@@ -195,13 +196,12 @@ def solve(inst: Instance) -> Verdict:
     instance and the moves.
     """
     validate_instance(inst)
-    moves = array(move_code(inst.g, inst.h))
-    work = inst
     if inst.mode == GIRTH5:
-        work, moves, early = preprocess_girth5(inst)
-        if early is not None:
-            return Verdict(answer="no", obstruction=early)
-    outcome = _solve_components(work, moves)
+        outcome = preprocess_girth5(inst)
+    else:
+        outcome = inst, array(move_code(inst.g, inst.h))
+    if not isinstance(outcome, Obstruction):
+        outcome = _solve_components(*outcome)
     if isinstance(outcome, Obstruction):
         return Verdict(answer="no", obstruction=outcome)
     it = iter(outcome)
@@ -263,9 +263,8 @@ def recheck_obstruction(inst: Instance, obstruction: Obstruction) -> bool:
                 and shortest_walk(h, phi[v], psi[v]) is None
             )
         # Preprocessing recolours only isolated vertices, and a certificate
-        # elsewhere never reads their colours: check it on the loop-added
-        # instance, also when preprocessing stopped at some isolated vertex.
-        g = g.with_all_loops()
+        # elsewhere never reads their colours: check it on G as given (the
+        # core reads no loop of G), also when preprocessing stopped early.
     # the one check that the certificate's cycle is a closed walk of G; the
     # walk rules below read only its colours
     if len(cycle) > 1:

@@ -284,6 +284,11 @@ def brute_hom_graph_path(g, h, phi, psi, max_states=10**6):
     return Answer.NO
 
 
+def all_loops(g: Graph) -> Graph:
+    """g with a loop added at every vertex."""
+    return Graph(g.n, g.edge_list(), reflexive=True)
+
+
 def relabel(inst: Instance, label) -> Instance:
     """inst with G's vertex v renamed label[v]."""
     edges = [(label[u], label[v]) for u, v in inst.g.edge_list()]
@@ -312,6 +317,15 @@ def tight_rotation(n: int) -> Instance:
     phi = tuple(i % 4 for i in range(n))
     psi = tuple((i - 1) % 4 for i in range(n))
     return Instance(g=cycle_graph(n), h=cycle_graph(4), phi=phi, psi=psi)
+
+
+def girth5_rotation(n: int) -> Instance:
+    """Tight 5-wrap of a loopless n-cycle with psi rotated one step, in
+    girth5 mode: frozen-mismatch."""
+    phi = tuple(i % 5 for i in range(n))
+    psi = tuple((i - 1) % 5 for i in range(n))
+    g = cycle_graph(n, reflexive=False)
+    return Instance(g=g, h=cycle_graph(5), phi=phi, psi=psi, mode="girth5")
 
 
 def mirrored_wrap(n: int) -> Instance:

@@ -9,7 +9,9 @@ written with `instance_to_dict`.  The unions share one solve across
 components, so state carried over from one component to the next shows here
 too.  Five more digests cover recolbench's instances (corpus seeds 1-2 and
 the three wrap instances): the instance text the benchmark writes followed
-by the verdict, as `homrecol solve` prints it.
+by the verdict, as `homrecol solve` prints it.  Two cover the girth-5 mode
+at scale, a loopless 100k cycle into C5 (a YES wrap and a tight rotation):
+the verdict alone.
 A change to the solver that alters any move list or obstruction shows here;
 if the change is intended, recompute the digests and say why in CHANGES.md.
 """
@@ -19,7 +21,7 @@ import random
 
 import pytest
 
-from conftest import benchmark_workloads, disjoint_union
+from conftest import benchmark_workloads, disjoint_union, girth5_rotation
 from homrecol import families
 from homrecol.cli import run
 from homrecol.jsonio import dumps, instance_to_dict, parse_instance, verdict_to_dict
@@ -200,3 +202,21 @@ def test_benchmark_solve_output_pinned(name):
         digest.update(text.encode())
         digest.update(dumps(verdict_to_dict(solve(parse_instance(text)))).encode())
     assert digest.hexdigest() == BENCHMARK_DIGESTS[name]
+
+
+# girth5 mode on a loopless 100k cycle into C5: the maps of the 5-wrap with
+# shift 40 (YES), and a tight 5-wrap with psi rotated one step (NO)
+GIRTH5_100K_DIGESTS = {
+    "girth5-wrap-100k-shift40": "ecd21e3b44518bc7d863335c809ddc33be763e5679e828c0b387d4a9c3d17f42",
+    "girth5-tight-100k-rot1": "f61a36914698267ebd4b8a41f74c65b751c41862cec7651a4c66fbd2b56cfd01",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GIRTH5_100K_DIGESTS))
+def test_girth5_100k_solve_output_pinned(name):
+    inst = girth5_rotation(100_000)
+    if name == "girth5-wrap-100k-shift40":
+        wrap = families.make_cycle_wrap(100_000, 5, 40)
+        inst = inst._replace(phi=wrap.phi, psi=wrap.psi)
+    digest = hashlib.sha256(dumps(verdict_to_dict(solve(inst))).encode()).hexdigest()
+    assert digest == GIRTH5_100K_DIGESTS[name]
