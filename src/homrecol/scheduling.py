@@ -8,6 +8,10 @@ tight-cycle certificate that the system is unrealizable.  A tight cycle is
 frozen, so none of its vertices has left its starting colour.  Tightness is
 the one walk rule walks.is_cyclically_reduced, read on the cycle's colours;
 the cycle's steps are edges of G because each is a waits-for arc.
+
+The moves are written straight into the witness, one flat array made at
+its exact size at the first move: the system fixes the number of moves,
+and a system that deadlocks before any move allocates no witness at all.
 """
 
 from __future__ import annotations
@@ -19,11 +23,6 @@ from .errors import InternalError
 from .graphs import Graph, Scratch, move_code
 from .systems import CycleWitness, WalkSystem
 from .walks import is_cyclically_reduced
-
-# moves gathered in a list before they are copied into the witness array:
-# the hot loop stores into a list, which CPython specialises, and one slice
-# assignment per buffer fills the array
-BUFFER = 2048
 
 
 def schedule(
@@ -45,12 +44,12 @@ def schedule(
     colours: move i takes vertex v_i to colour c_i, and no object is built
     per move.  Each vertex moves once per step of its walk, so the system
     fixes the number of moves, len(flat) - len(order), before the first
-    one.  The moves are written into a list of BUFFER entries, or of just
-    the moves when there are fewer, and the array is made at its exact
-    size when the first full buffer is copied in; a schedule that
-    succeeds returns it exactly full, and one with fewer moves than
-    BUFFER returns an array of the buffer.  A deadlock discards both, and
-    one before the first buffer is full never makes the array.
+    one.  The hot loop writes each move straight into the array, which is
+    made at that exact size at the first move: a schedule that succeeds
+    returns it exactly full, and one that deadlocks before any move, as a
+    tight cycle frozen from the start does, never makes it.  Making it
+    before the loop would hold it beside the work list for nothing on such
+    a deadlock.  A system of constant walks returns an empty array.
     """
     start, end, flat = system.start, system.end, system.flat
     adj, hs = g.adj, h.adj_sets
@@ -61,9 +60,7 @@ def schedule(
         cur[v] = flat[s]
     steps = len(flat) - len(system.order)
     code = move_code(g, h)
-    # no longer than the moves: a schedule with fewer never fills it
-    buf = [0] * min(BUFFER, 2 * steps)
-    i = j = 0  # entries copied into the array of moves, and held in buf
+    i = 0  # entries written into moves
     queue = deque(v for v in sorted(system.order) if left[v])
     for v in queue:
         queued[v] = 1
@@ -83,15 +80,11 @@ def schedule(
         else:
             cur[u] = nxt
             left[u] = k - 1
-            buf[j] = u
-            buf[j + 1] = nxt
-            j += 2
-            if j == BUFFER:
-                if not i:
-                    moves = array(code, [0]) * (2 * steps)
-                moves[i : i + BUFFER] = array(code, buf)
-                i += BUFFER
-                j = 0
+            if not i:
+                moves = array(code, [0]) * (2 * steps)
+            moves[i] = u
+            moves[i + 1] = nxt
+            i += 2
             if k != 1:
                 push(u)
                 queued[u] = 1
@@ -100,15 +93,12 @@ def schedule(
                     push(x)
                     queued[x] = 1
 
-    if i + j != 2 * steps:
+    if i != 2 * steps:
         # the drained queue has cleared every queued flag
         first = min(filter(left.__getitem__, system.order))
         return _extract_tight_cycle(g, h, system, scratch, first)
     # every walk has run to its end
-    if not i:  # fewer moves than BUFFER: they fill buf
-        return array(code, buf)
-    moves[i:] = array(code, buf[:j])
-    return moves
+    return moves if i else array(code)
 
 
 def _extract_tight_cycle(

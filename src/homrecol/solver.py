@@ -104,26 +104,32 @@ def preprocess_girth5(inst: Instance) -> tuple[Instance, array] | Obstruction:
     share a component), or are the no-valid-walk obstruction returned;
     loopless ones jump.  Returns inst with their psi colours, on the same G
     (see the module docstring), and the moves, a flat array [v0, c0, ...]
-    of the type of Verdict.moves.
+    of the type of Verdict.moves.  phi is copied at the first vertex that
+    moves; when none does, inst itself comes back.
     """
     if inst.mode != GIRTH5:
         raise InvalidInputError("preprocessing applies to girth5 mode")
     prefix = array(move_code(inst.g, inst.h))
-    phi = list(inst.phi)
-    for v in range(inst.g.n):
-        if any(u != v for u in inst.g.adj[v]):
+    phi = None
+    for v, row in enumerate(inst.g.adj):
+        if row and row != (v,):
             continue  # not isolated
-        if phi[v] == inst.psi[v]:
+        a, b = inst.phi[v], inst.psi[v]
+        if a == b:
             continue
-        if inst.g.adjacent(v, v):
-            walk = shortest_walk(inst.h, phi[v], inst.psi[v])
+        if row:  # its loop
+            walk = shortest_walk(inst.h, a, b)
             if walk is None:
                 return Obstruction(kind=NO_VALID_WALK, cycle=(v,))
             for c in walk[1:]:
                 prefix.extend((v, c))
         else:
-            prefix.extend((v, inst.psi[v]))
-        phi[v] = inst.psi[v]
+            prefix.extend((v, b))
+        if phi is None:
+            phi = list(inst.phi)
+        phi[v] = b
+    if phi is None:
+        return inst, prefix
     return inst._replace(phi=tuple(phi)), prefix
 
 
@@ -253,13 +259,14 @@ def recheck_obstruction(inst: Instance, obstruction: Obstruction) -> bool:
     g, h, phi, psi = inst.g, inst.h, inst.phi, inst.psi
     if inst.mode == GIRTH5:
         v = cycle[0]
-        if not any(u != v for u in g.adj[v]):
+        row = g.adj[v]
+        if not row or row == (v,):
             # preprocess_girth5 walks a looped isolated vertex through the
             # host and lets a loopless one jump, so only a looped one is stuck
             return (
                 len(cycle) == 1
                 and obstruction.kind == NO_VALID_WALK
-                and g.adjacent(v, v)
+                and bool(row)
                 and shortest_walk(h, phi[v], psi[v]) is None
             )
         # Preprocessing recolours only isolated vertices, and a certificate

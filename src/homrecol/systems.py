@@ -355,11 +355,14 @@ def find_valid_base_walk(
     candidate system is generated along it.  Stage 1 tries the shortest walk
     between the endpoint colours.  On failure, the witness cycle pins every
     preserving walk to a finite candidate family (tail . core-root-power .
-    core-prefix . reversed tail); a second witness from the zero-power
-    candidate pins it further.  Every candidate is validated by generating
-    its system, so extra candidates can never cost soundness.  Among a
-    family's valid candidates the shortest wins, then the first, and only
-    its walks are built.  The one scratch serves every system checked.
+    core-prefix . reversed tail); a second witness, the failing cycle of
+    the zero-power candidate, pins it further.  Every candidate of a family
+    is checked in the cover, so extra candidates can never cost soundness;
+    no result is kept past its family, so a candidate both families hold
+    is checked twice, which only the rare search that reaches the second
+    family pays.  Among a family's valid candidates the shortest wins, then
+    the first, and only its walks are built.  The one scratch serves every
+    system checked.
 
     The obstruction is no-valid-walk on (root,) when the endpoint colours
     lie in different components of H, free-class-mismatch on a witness
@@ -376,17 +379,14 @@ def find_valid_base_walk(
     # At most two witness cycles each pin a candidate family; the second
     # comes from the first family's zero-power candidate.
     first_cycle = cycle = out.cycle
-    # each candidate's failing cycle, or None when its system is valid
-    results: dict[Walk, CycleWitness | None] = {}
     for _ in range(2):
         candidates = _candidate_family(phi, psi, cycle)
         if isinstance(candidates, Obstruction):
             return candidates
-        for cand in candidates:
-            if cand not in results:
-                results[cand] = _failing_cycle(g, h, phi, psi, tree, cand, scratch)
-        valid = [c for c in candidates if results[c] is None]
+        # each candidate's failing cycle, or None when its system is valid
+        failing = [_failing_cycle(g, h, phi, psi, tree, cand, scratch) for cand in candidates]
+        valid = [c for c, f in zip(candidates, failing) if f is None]
         if valid:
             return _carry_walks(h, phi, psi, tree, min(valid, key=len), scratch)
-        cycle = results[candidates[1]].cycle
+        cycle = failing[1].cycle
     return Obstruction(kind=NO_VALID_WALK, cycle=first_cycle)

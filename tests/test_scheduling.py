@@ -1,5 +1,6 @@
 import random
 import sys
+import tracemalloc
 from array import array
 
 import pytest
@@ -39,7 +40,7 @@ from homrecol.graphs import (
     tree_path,
 )
 from homrecol.oracle import Answer, hom_graph_bfs
-from homrecol.scheduling import BUFFER, _extract_tight_cycle, schedule
+from homrecol.scheduling import _extract_tight_cycle, schedule
 from homrecol.solver import Instance, solve, verify_witness
 from homrecol.systems import CycleWitness, WalkSystem, find_valid_base_walk, generate_system
 from homrecol.walks import is_cyclically_reduced, reduce_walk
@@ -116,15 +117,52 @@ def test_width_rule_thresholds():
     assert move_code(path_graph(3), cycle_graph(65_537)) == "I"
 
 
-@pytest.mark.parametrize("steps", [1, BUFFER // 2 - 1, BUFFER // 2, BUFFER // 2 + 1, BUFFER + 1])
+@pytest.mark.parametrize("steps", [0, 1, 2, 1023, 1024, 1025, 2049, 4097])
 def test_schedule_fills_the_array_across_buffer_bounds(steps):
     # one looped vertex walking a path host end to end: one move a step,
-    # so the moves fill less than one buffer, exactly one, or spill over
+    # each written straight into an array made at the first move.  The
+    # counts straddle 2,048 and 4,096 entries, where a list buffer that once
+    # sat between the loop and the array spilled; none leaves the array
+    # short or with spare room
     g, h = Graph(1, [], reflexive=True), path_graph(steps + 1)
     system = system_of({0: tuple(range(steps + 1))})
     out = schedule(g, h, system, Scratch(1))
+    assert len(out) == 2 * steps
     assert list(out) == [x for c in range(1, steps + 1) for x in (0, c)]
     assert sys.getsizeof(out) == sys.getsizeof(array(out.typecode, [0]) * len(out))
+
+
+def _schedule_peak(inst):
+    """The tracemalloc peak of one schedule of inst's system, in MiB, with
+    the system and the scheduler's lists made beforehand, and its outcome."""
+    scratch = Scratch(inst.g.n)
+    system = find_valid_base_walk(inst.g, inst.h, inst.phi, inst.psi, bfs_tree(inst.g, 0), scratch)
+    scratch.scheduler_lists()
+    tracemalloc.start()
+    try:
+        out = schedule(inst.g, inst.h, system, scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / 2**20, out
+
+
+def test_schedule_memory_of_the_100k_tight_rotation():
+    # the rotation deadlocks before any move, so the witness array, made at
+    # the first move, is never made: the peak is 1.66 MiB (made once the
+    # queue is seeded, the array took it to 2.42)
+    peak, out = _schedule_peak(tight_rotation(100_000))
+    assert isinstance(out, CycleWitness)
+    assert peak <= 2.0, peak
+
+
+def test_schedule_memory_of_the_100k_wrap():
+    # the 399,840 moves go straight into one exact array of 3.05 MiB, and
+    # the peak is 3.06 MiB; made once the queue is seeded, the array sat
+    # beside the whole work list and took it to 3.84
+    peak, out = _schedule_peak(make_cycle_wrap(100_000, 4, 40))
+    assert len(out) == 2 * 399_840
+    assert peak <= 3.45, peak
 
 
 def test_schedule_of_constant_walks_is_empty():

@@ -8,7 +8,8 @@ PARENT and CHANGE are the roots of two checkouts.  Pair i runs
 
 in both, one after the other, with the same seed; the parent goes first in
 even pairs and the change in odd ones, so a slow spell of the machine falls
-on both sides.  A run that exits nonzero, reads `correct` false or reports
+on both sides.  N must be at least 2, or the script exits with status 2
+before any run.  A run that exits nonzero, reads `correct` false or reports
 a failed operation stops the whole comparison with exit status 1.
 
 For each end-to-end metric of PARENT's BENCHMARK.json the table gives the
@@ -80,6 +81,10 @@ def main() -> int:
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--first-seed", type=int, required=True)
     args = parser.parse_args()
+    if args.pairs < 2:
+        # the quartiles of the parent's runs need at least two of them
+        print(f"error: --pairs must be at least 2, not {args.pairs}", file=sys.stderr)
+        return 2
     with open(os.path.join(args.parent, "BENCHMARK.json"), encoding="utf-8") as fh:
         metrics = json.load(fh)["end_to_end"]
     runs: dict[str, list[dict[str, float]]] = {"parent": [], "change": []}
