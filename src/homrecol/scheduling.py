@@ -20,24 +20,23 @@ from array import array
 from collections import deque
 
 from .errors import InternalError
-from .graphs import Graph, Scratch, move_code
+from .graphs import Graph, move_code
 from .systems import CycleWitness, WalkSystem
 from .walks import is_cyclically_reduced
 
 
-def schedule(
-    g: Graph, h: Graph, system: WalkSystem, scratch: Scratch
-) -> array | CycleWitness:
+def schedule(g: Graph, h: Graph, system: WalkSystem) -> array | CycleWitness:
     """Run the system to completion, or return the tight cycle it deadlocks on.
 
     Vertices are tried from a FIFO work list (seeded in ascending id
     order); moving a vertex re-queues itself and then its unfinished
     neighbours.  A drained queue with unfinished vertices is a deadlock.  A
     vertex may move when its next colour is adjacent to the current colour
-    of every neighbour, its own loop included.  scratch.left and
-    scratch.cur are made by the first call on the scratch
-    (Scratch.scheduler_lists), and are set at every vertex of the system
-    before they are read, so a solve passes one scratch for all its calls.
+    of every neighbour, its own loop included.  The bounds of the walks
+    and the scheduler's lists are those of system.scratch: its left and
+    cur are made by the first call on it (Scratch.scheduler_lists), and are
+    set at every vertex of the system before they are read, so one scratch
+    serves every system of a solve.
 
     The moves come as one flat array.array [v0, c0, v1, c1, ...] of type
     graphs.move_code(g, h), 4 bytes per entry up to 2**32 vertices and
@@ -51,9 +50,10 @@ def schedule(
     before the loop would hold it beside the work list for nothing on such
     a deadlock.  A system of constant walks returns an empty array.
     """
-    start, end, flat = system.start, system.end, system.flat
+    scratch, flat = system.scratch, system.flat
+    start, end, queued = scratch.start, scratch.end, scratch.queued
+    left, cur = scratch.scheduler_lists()
     adj, hs = g.adj, h.adj_sets
-    (left, cur), queued = scratch.scheduler_lists(), scratch.queued
     for v in system.order:
         s = start[v]
         left[v] = end[v] - s - 1
@@ -96,34 +96,33 @@ def schedule(
     if i != 2 * steps:
         # the drained queue has cleared every queued flag
         first = min(filter(left.__getitem__, system.order))
-        return _extract_tight_cycle(g, h, system, scratch, first)
+        return _extract_tight_cycle(g, h, system, first)
     # every walk has run to its end
     return moves if i else array(code)
 
 
-def _extract_tight_cycle(
-    g: Graph, h: Graph, system: WalkSystem, scratch: Scratch, first: int
-) -> CycleWitness:
+def _extract_tight_cycle(g: Graph, h: Graph, system: WalkSystem, first: int) -> CycleWitness:
     """Follow waits-for arcs from the unfinished vertex first until a vertex repeats.
 
-    scratch.left and scratch.cur hold the scheduler's state: v has left[v]
-    steps still to go, its colour is cur[v] and its next colour
-    system.flat[system.end[v] - left[v]].  An unfinished u waits for its
+    system.scratch holds the bounds and the scheduler's state: v has
+    left[v] steps still to go, its colour is cur[v] and its next colour
+    system.flat[end[v] - left[v]].  An unfinished u waits for its
     lowest-id neighbour v that is unfinished, whose next colour is u's
     colour and whose colour clashes with u's next: u cannot move before v
     does.  u never waits for itself through its loop: its next colour
     would be its colour, and no colour of a reflexive host clashes with
-    itself.  scratch.queued must be all 0: it marks the vertices visited,
-    and is cleared again before this returns.  The cycle closed must be
-    tight, so frozen: each of its vertices must still be at the start of
-    its walk, and its image under scratch.cur must be cyclically reduced.
+    itself.  The scratch's queued must be all 0: it marks the vertices
+    visited, and is cleared again before this returns.  The cycle closed
+    must be tight, so frozen: each of its vertices must still be at the
+    start of its walk, and its image under cur must be cyclically reduced.
     Its steps are arcs, so edges of G, and are not checked again.  Either
     failing, or a vertex that waits for none, means the system was not
     staggered, and raises InternalError.  The tight cycle is returned as
     the CycleWitness on which the system fails.
     """
-    left, cur, marked = scratch.left, scratch.cur, scratch.queued
-    start, end, flat = system.start, system.end, system.flat
+    scratch, flat = system.scratch, system.flat
+    start, end, left, cur = scratch.start, scratch.end, scratch.left, scratch.cur
+    marked = scratch.queued
     adj, hs = g.adj, h.adj_sets
     chain = [first]
     marked[first] = 1

@@ -13,6 +13,10 @@ bfs_tree passes over u in its own row, _failing_cycle skips v <= u, u's own
 loop test in schedule always passes (each step of a reduced walk is an edge
 of H), and _extract_tight_cycle never lets u wait for itself.  The witness
 is still replayed by verify_witness against the original G.
+recheck_obstruction adds one girth-5 rule: a loopless isolated vertex,
+which preprocessing lets jump, carries no certificate.  A looped one is
+judged by the general rules, which walk a one-vertex component along its
+shortest walk, as preprocessing does.
 """
 
 from __future__ import annotations
@@ -146,7 +150,7 @@ def _solve_component(
         return system
     unrealizable = None
     while True:
-        outcome = schedule(g, h, system, scratch)
+        outcome = schedule(g, h, system)
         if not isinstance(outcome, CycleWitness):
             return outcome
         # The tight cycle is frozen at phi (the scheduler checked that none
@@ -257,21 +261,10 @@ def recheck_obstruction(inst: Instance, obstruction: Obstruction) -> bool:
     if not cycle or min(cycle) < 0 or max(cycle) >= inst.g.n:
         return False
     g, h, phi, psi = inst.g, inst.h, inst.phi, inst.psi
-    if inst.mode == GIRTH5:
-        v = cycle[0]
-        row = g.adj[v]
-        if not row or row == (v,):
-            # preprocess_girth5 walks a looped isolated vertex through the
-            # host and lets a loopless one jump, so only a looped one is stuck
-            return (
-                len(cycle) == 1
-                and obstruction.kind == NO_VALID_WALK
-                and bool(row)
-                and shortest_walk(h, phi[v], psi[v]) is None
-            )
-        # Preprocessing recolours only isolated vertices, and a certificate
-        # elsewhere never reads their colours: check it on G as given (the
-        # core reads no loop of G), also when preprocessing stopped early.
+    if inst.mode == GIRTH5 and not g.adj[cycle[0]]:
+        # preprocess_girth5 lets a loopless isolated vertex jump; any other
+        # certificate is checked on G as given (the core reads no loop of G)
+        return False
     # the one check that the certificate's cycle is a closed walk of G; the
     # walk rules below read only its colours
     if len(cycle) > 1:
@@ -298,11 +291,10 @@ def recheck_obstruction(inst: Instance, obstruction: Obstruction) -> bool:
             return False
         # v is frozen, so the constant walk is the only admissible base walk;
         # the obstruction claims the system it generates (if any) deadlocks.
-        scratch = Scratch(g.n)
-        retry = generate_system(g, h, phi, psi, bfs_tree(g, v), (phi[v],), scratch)
+        retry = generate_system(g, h, phi, psi, bfs_tree(g, v), (phi[v],), Scratch(g.n))
         if isinstance(retry, CycleWitness):
             return True
-        return isinstance(schedule(g, h, retry, scratch), CycleWitness)
+        return isinstance(schedule(g, h, retry), CycleWitness)
 
     if obstruction.kind == NO_VALID_WALK:
         if len(cycle) == 1:

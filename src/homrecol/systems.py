@@ -22,7 +22,7 @@ size of its component plus the walks of those few edges, not the total
 length of all its walks, which grows quadratically on a mirrored cycle wrap.
 
 A valid system is laid out flat: every walk, in BFS order, in one array of
-colours, with its start and end index in the solve's Scratch.  Of the
+colours, with its start and end index in the Scratch it carries.  Of the
 several candidate base walks a search may find valid, only the one chosen
 is written out, so a system holds its component's walks and nothing
 n-sized.  While a system is checked, the same start and end lists hold
@@ -65,21 +65,22 @@ class Obstruction(NamedTuple):
 
 
 class WalkSystem(NamedTuple):
-    """A valid system: v's walk is flat[start[v]:end[v]] for each v of order.
+    """A valid system: v's walk is flat[scratch.start[v]:scratch.end[v]]
+    for each v of order.
 
     order is the component in the BFS order its walks were written in.
-    start and end are the vertex-indexed lists of the Scratch the system
-    was generated in, read only at order's vertices; generating another
-    system of the same component in that scratch overwrites them.  flat
-    is an array.array of the narrowest unsigned type that holds a colour
-    of the host, graphs.id_code(h.n): one byte per colour up to 256 colours,
-    where a list would hold an 8-byte pointer.
+    flat is an array.array of the narrowest unsigned type that holds a
+    colour of the host, graphs.id_code(h.n): one byte per colour up to 256
+    colours, where a list would hold an 8-byte pointer.  scratch is the
+    Scratch the system was generated in: its start and end hold the
+    bounds, read only at order's vertices, and the scheduler runs the
+    system in its left, cur and queued.  Generating another system in that
+    scratch overwrites the bounds.
     """
 
     order: list[int]
-    start: list[int]
-    end: list[int]
     flat: array
+    scratch: Scratch
 
 
 class CycleWitness(NamedTuple):
@@ -121,8 +122,8 @@ def generate_system(
     _failing_cycle checks the system in the host's universal cover; on
     success every walk is built once, from its parent's walk.  scratch.start
     and scratch.end hold the lifts while the system is checked, and the
-    bounds of its walks once it is valid; a solve passes one scratch for all
-    its calls.
+    bounds of its walks once it is valid, and the system returned carries
+    scratch; a solve passes one scratch for all its calls.
     """
     witness = _failing_cycle(g, h, phi, psi, tree, w_root, scratch)
     if witness is not None:
@@ -315,7 +316,7 @@ def _carry_walks(
         e = len(flat)
         start[v] = s
         end[v] = e
-    return WalkSystem(order=order, start=start, end=end, flat=flat)
+    return WalkSystem(order=order, flat=flat, scratch=scratch)
 
 
 def _candidate_family(

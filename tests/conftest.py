@@ -15,7 +15,7 @@ import pytest
 import homrecol
 from homrecol.errors import InternalError
 from homrecol.families import cycle_graph, host_catalogue, make_cycle_wrap
-from homrecol.graphs import Graph, bfs_tree
+from homrecol.graphs import Graph, Scratch, bfs_tree
 from homrecol.oracle import Answer
 from homrecol.solver import REFLEXIVE, Instance
 from homrecol.systems import CycleWitness, WalkSystem, edge_preserved
@@ -117,20 +117,20 @@ def tight_vertices(g: Graph, h: Graph, colours) -> set[int]:
 
 
 def system_of(walks: dict[int, tuple[int, ...]]) -> WalkSystem:
-    """The WalkSystem holding walks[v] for each v, laid out in the dict's order."""
-    n = max(walks) + 1
-    start, end, flat = [0] * n, [0] * n, []
+    """The WalkSystem holding walks[v] for each v, laid out in the dict's
+    order, with its bounds in a fresh Scratch of max(walks) + 1 vertices."""
+    scratch, flat = Scratch(max(walks) + 1), []
     for v, w in walks.items():
-        start[v] = len(flat)
+        scratch.start[v] = len(flat)
         flat += w
-        end[v] = len(flat)
-    return WalkSystem(order=list(walks), start=start, end=end, flat=flat)
+        scratch.end[v] = len(flat)
+    return WalkSystem(order=list(walks), flat=flat, scratch=scratch)
 
 
 def walks_of(outcome):
     """A WalkSystem's walks as a dict in its order; any other outcome as it is."""
     if isinstance(outcome, WalkSystem):
-        flat, start, end = outcome.flat, outcome.start, outcome.end
+        flat, start, end = outcome.flat, outcome.scratch.start, outcome.scratch.end
         return {v: tuple(flat[start[v] : end[v]]) for v in outcome.order}
     return outcome
 

@@ -254,7 +254,7 @@ def waits_for(g: Graph, h: Graph, system: WalkSystem, left: Sequence[int], u: in
     alone.
 
     left[v] is the number of steps v has still to go.  With k = left[v] and
-    e = system.end[v], v's colour is system.flat[e - k - 1], its next
+    e = system.scratch.end[v], v's colour is system.flat[e - k - 1], its next
     colour system.flat[e - k], and v is unfinished while k is nonzero.  u
     waits for v when both are unfinished, v's next colour is u's colour and
     v's colour clashes with u's next: u cannot move before v does.
@@ -262,7 +262,7 @@ def waits_for(g: Graph, h: Graph, system: WalkSystem, left: Sequence[int], u: in
     k = left[u]
     if not k:
         return None
-    flat, end = system.flat, system.end
+    flat, end = system.flat, system.scratch.end
     e = end[u] - k
     cur_u, nxt_u = flat[e - 1], flat[e]
     hs = h.adj_sets
@@ -275,3 +275,29 @@ def waits_for(g: Graph, h: Graph, system: WalkSystem, left: Sequence[int], u: in
             if flat[ev] == cur_u and nxt_u not in hs[flat[ev - 1]]:
                 return v
     return None
+
+
+def wander(
+    rng: random.Random, g: Graph, h: Graph, f: Sequence[int], tries: int
+) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
+    """f after up to tries random single-vertex moves, and the moves made.
+
+    Each try draws a vertex v and a new colour c for it: any colour of h
+    when v has no neighbour, else a colour adjacent to a random
+    neighbour's colour, v itself through its loop included.  The move is
+    made when it is legal under solver.verify_witness's rule, read here on
+    its own: c differs from v's colour and is adjacent to the colour of
+    every neighbour of v, its own loop included.  Moves reverse, so the
+    map reached is connected to f both ways.
+    """
+    cur = list(f)
+    adj, hs = g.adj, h.adj_sets
+    moves = []
+    for _ in range(tries):
+        v = rng.randrange(g.n)
+        row = adj[v]
+        c = rng.choice(h.adj[cur[rng.choice(row)]]) if row else rng.randrange(h.n)
+        if c != cur[v] and all(cur[u] in hs[c] for u in row):
+            cur[v] = c
+            moves.append((v, c))
+    return tuple(cur), moves

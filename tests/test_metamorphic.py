@@ -2,9 +2,10 @@
 
 Each relation changes an instance in a way that cannot change its answer:
 swapping the two maps, renaming the vertices of G or of H, setting a YES
-instance beside a NO one, and adding every loop to a girth-5 instance whose
-G has no isolated vertex.  solve must agree, and every certificate, the
-renamed original included, must still check.  The last relation is stronger:
+instance beside a NO one, adding every loop to a girth-5 instance whose
+G has no isolated vertex, and moving either map by legal moves.  solve
+must agree, and every certificate, the renamed original included, must
+still check.  The last relation is stronger:
 the reflexive core never reads a loop of G, so the loop-added instance gets
 the same verdict in full, moves or obstruction.
 """
@@ -13,6 +14,7 @@ import random
 from collections import Counter
 
 from conftest import all_loops, disjoint_union, pairs, relabel, relabel_host
+from reference import wander
 from homrecol import families
 from homrecol.families import make_cycle_wrap, random_girth5_instance, random_instance
 from homrecol.solver import (
@@ -29,10 +31,13 @@ from homrecol.solver import (
 WRAP = make_cycle_wrap(13, 4, 1)  # a YES: the 13-cycle wraps C4 with slack
 
 
+CONSTRUCTIONS = ("figure_eight", "double_bridge", "locked_link", "twisted_loop", "double_turn")
+
+
 def _instances(rng: random.Random, count: int):
     """The named constructions, which reach every obstruction kind, then
     count random ones: two in three reflexive-mode, every third girth-5."""
-    for name in ("figure_eight", "double_bridge", "locked_link", "twisted_loop", "double_turn"):
+    for name in CONSTRUCTIONS:
         yield getattr(families, f"make_{name}")()
     for i in range(count):
         if i % 3 == 2:
@@ -113,3 +118,40 @@ def test_metamorphic_relations_on_seeded_instances():
     assert seen["yes"] > 300 and seen["girth5"] > 100, seen
     assert seen["free-class-mismatch"] > 50 and seen["frozen-mismatch"] > 5, seen
     assert seen["no-valid-walk"] and seen["unrealizable"] > 1, seen
+
+
+def test_transitivity_under_legal_moves():
+    # Moves reverse, so recolourability is an equivalence: when chi is
+    # reached from phi by legal moves, (chi, psi) has the answer of
+    # (phi, psi), and so has (phi, chi') for chi' reached from psi.  The
+    # maps change, so another base walk, stage and certificate may come
+    # out: only the answer is fixed.  The random G have 20-40 vertices,
+    # past the oracle's reach.
+    rng = random.Random(2031)
+    cases = [getattr(families, f"make_{name}")() for name in CONSTRUCTIONS]
+    cases.append(make_cycle_wrap(2000, 4, 40))
+    for _ in range(250):
+        cases.append(random_instance(rng, rng.randrange(20, 41), rng.randrange(4, 10)))
+        cases.append(random_girth5_instance(rng, rng.randrange(20, 41)))
+    seen = Counter()
+    for i, inst in enumerate(cases):
+        verdict = solve(inst)
+        assert _certified(inst, verdict), i
+        seen["yes" if verdict.yes else "no"] += 1
+        for side in ("phi", "psi"):
+            start = getattr(inst, side)
+            f, moves = wander(rng, inst.g, inst.h, start, 4 * inst.g.n)
+            assert verify_witness(inst._replace(phi=start, psi=f), moves).ok, (i, side)
+            moved = inst._replace(**{side: f})
+            other = solve(moved)
+            assert other.answer == verdict.answer, (i, side)
+            assert _certified(moved, other), (i, side)
+            seen["moves"] += len(moves)
+            if not verdict.yes:
+                seen["no moves"] += len(moves)
+                seen["new certificates"] += other.obstruction != verdict.obstruction
+    # 383 YES and 123 NO, 24,957 moves, 1,775 of them on NO instances, and
+    # 70 NO certificates that differ from the one before the moves
+    assert seen["yes"] > 300 and seen["no"] > 100, seen
+    assert seen["moves"] > 20_000 and seen["no moves"] > 1_000, seen
+    assert seen["new certificates"] > 40, seen

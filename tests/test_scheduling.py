@@ -68,7 +68,7 @@ def test_movable_and_arcs_on_path_host():
     system = system_of({0: (0, 1), 1: (1, 2)})
     # 1 waits for 0: 2 is not adjacent to 0's current colour 0
     assert _start_arcs(g, h, system) == [(1, 0)]
-    out = schedule(g, h, system, Scratch(g.n))
+    out = schedule(g, h, system)
     assert list(out) == [0, 1, 1, 2]
 
 
@@ -78,7 +78,7 @@ def test_schedule_fills_a_move_list_sized_once_from_the_system():
     inst = make_cycle_wrap(2000, 4, 40)
     scratch = Scratch(inst.g.n)
     system = find_valid_base_walk(inst.g, inst.h, inst.phi, inst.psi, bfs_tree(inst.g, 0), scratch)
-    out = schedule(inst.g, inst.h, system, scratch)
+    out = schedule(inst.g, inst.h, system)
     assert len(out) == 2 * (len(system.flat) - len(system.order)) > 0
     assert sys.getsizeof(out) == sys.getsizeof(array(out.typecode, [0]) * len(out))
 
@@ -97,7 +97,7 @@ def test_walks_take_the_narrowest_array_that_holds_a_colour(colours, itemsize):
     walks = walks_of(system)
     assert walks == walks_of(brute_generate_system(g, h, inst.phi, inst.psi, 0, walks[0]))
     assert walks[0] == (top - 2, top - 1, top) and walks[2] == (top, 0, 1)
-    out = schedule(g, h, system, scratch)
+    out = schedule(g, h, system)
     assert type(out) is array and out.itemsize == 4
     assert listed(out) == brute_schedule(g, h, system)
     verdict = solve(inst)
@@ -126,7 +126,7 @@ def test_schedule_fills_the_array_across_buffer_bounds(steps):
     # short or with spare room
     g, h = Graph(1, [], reflexive=True), path_graph(steps + 1)
     system = system_of({0: tuple(range(steps + 1))})
-    out = schedule(g, h, system, Scratch(1))
+    out = schedule(g, h, system)
     assert len(out) == 2 * steps
     assert list(out) == [x for c in range(1, steps + 1) for x in (0, c)]
     assert sys.getsizeof(out) == sys.getsizeof(array(out.typecode, [0]) * len(out))
@@ -140,7 +140,7 @@ def _schedule_peak(inst):
     scratch.scheduler_lists()
     tracemalloc.start()
     try:
-        out = schedule(inst.g, inst.h, system, scratch)
+        out = schedule(inst.g, inst.h, system)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -168,7 +168,7 @@ def test_schedule_memory_of_the_100k_wrap():
 def test_schedule_of_constant_walks_is_empty():
     g = Graph(3, [(0, 1), (1, 2)], reflexive=True)
     system = system_of({0: (0,), 1: (1,), 2: (2,)})
-    assert list(schedule(g, path_graph(3), system, Scratch(g.n))) == []
+    assert list(schedule(g, path_graph(3), system)) == []
 
 
 def test_waits_for_lowest_unfinished_vertex():
@@ -185,19 +185,31 @@ def test_no_arcs_when_all_constant():
     h = path_graph(3)
     system = system_of({0: (0,), 1: (1,)})
     assert _start_arcs(g, h, system) == []
-    assert list(schedule(g, h, system, Scratch(g.n))) == []
+    assert list(schedule(g, h, system)) == []
 
 
 def test_rotation_deadlocks_with_tight_pentagon():
     system = generate_system(C5, C5, ID5, ROT5, bfs_tree(C5, 0), (0, 1), Scratch(5))
     assert isinstance(system, WalkSystem)
     assert _start_arcs(C5, C5, system) == [(u, (u - 1) % 5) for u in range(5)]
-    out = schedule(C5, C5, system, Scratch(5))
+    out = schedule(C5, C5, system)
     assert isinstance(out, CycleWitness)
     assert out.cycle == (0, 4, 3, 2, 1, 0)
     assert is_cyclically_reduced(tuple(ID5[x] for x in out.cycle))
     # oracle: the rotation really is unreachable (component has 3125 potential states)
     assert hom_graph_bfs(C5, C5, ID5, ROT5, max_states=5**5) is Answer.NO
+
+
+def test_a_system_runs_in_the_scratch_that_holds_its_bounds():
+    # the system carries the scratch it was generated in, and the scheduler
+    # takes no other: its lists are made there, and the rotation leaves
+    # every vertex frozen at its first colour, one step from its end
+    scratch = Scratch(5)
+    system = generate_system(C5, C5, ID5, ROT5, bfs_tree(C5, 0), (0, 1), scratch)
+    assert WalkSystem._fields == ("order", "flat", "scratch")
+    assert system.scratch is scratch and scratch.left is None
+    assert isinstance(schedule(C5, C5, system), CycleWitness)
+    assert scratch.left == [1] * 5 and scratch.cur == list(ID5)
 
 
 def test_extract_tight_cycle_rejects_a_moved_vertex():
@@ -206,24 +218,22 @@ def test_extract_tight_cycle_rejects_a_moved_vertex():
     # tight under the colours now but not frozen, and extraction refuses it
     walks = {0: (0, 1), 1: (1, 2), 2: (1, 2, 3), 3: (3, 4), 4: (4, 0)}
     with pytest.raises(InternalError, match="vertex 2 has moved"):
-        _extract_tight_cycle(C5, C5, *_one_step_left(walks), 0)
+        _extract_tight_cycle(C5, C5, _one_step_left(walks), 0)
     walks[2] = (2, 3)
-    system, scratch = _one_step_left(walks)
-    assert _extract_tight_cycle(C5, C5, system, scratch, 0) == CycleWitness(
-        cycle=(0, 4, 3, 2, 1, 0)
-    )
+    system = _one_step_left(walks)
+    assert _extract_tight_cycle(C5, C5, system, 0) == CycleWitness(cycle=(0, 4, 3, 2, 1, 0))
     # the marks of the visited vertices are cleared again
-    assert scratch.queued == bytearray(5)
+    assert system.scratch.queued == bytearray(5)
 
 
 def _one_step_left(walks):
-    """The system of walks, and a scratch with every vertex one step from its end."""
-    scratch = Scratch(len(walks))
-    left, cur = scratch.scheduler_lists()
+    """The system of walks, every vertex one step from its end in its scratch."""
+    system = system_of(walks)
+    left, cur = system.scratch.scheduler_lists()
     for v, w in walks.items():
         left[v] = 1
         cur[v] = w[-2]
-    return system_of(walks), scratch
+    return system
 
 
 def _replay(g, h, phi, psi, moves):
@@ -241,7 +251,7 @@ def test_cycle_wrap_schedule_replays():
     scratch = Scratch(inst.g.n)
     search = find_valid_base_walk(inst.g, inst.h, inst.phi, inst.psi, bfs_tree(inst.g, 0), scratch)
     assert isinstance(search, WalkSystem)
-    out = schedule(inst.g, inst.h, search, scratch)
+    out = schedule(inst.g, inst.h, search)
     assert isinstance(out, array)
     assert len(out) == 2 * sum(len(w) - 1 for w in walks_of(search).values())
     _replay(inst.g, inst.h, inst.phi, inst.psi, out)
@@ -259,7 +269,7 @@ def test_schedule_order_independent():
         search = find_valid_base_walk(g, h, phi, psi, bfs_tree(g, 0), scratch)
         if not isinstance(search, WalkSystem):
             continue
-        base = schedule(g, h, search, scratch)
+        base = schedule(g, h, search)
         for _ in range(3):
             order = sorted(search.order)
             rng.shuffle(order)
@@ -295,7 +305,7 @@ def test_deadlock_tight_under_current_and_original():
         search = find_valid_base_walk(g, h, phi, psi, bfs_tree(g, 0), scratch)
         if not isinstance(search, WalkSystem):
             continue
-        out = schedule(g, h, search, scratch)
+        out = schedule(g, h, search)
         if isinstance(out, CycleWitness):
             assert is_cyclically_reduced(tuple(phi[x] for x in out.cycle))
             assert set(out.cycle) <= tight_vertices(g, h, phi)
@@ -339,7 +349,7 @@ def test_deadlock_scan_closes_the_reference_waits_for_cycle():
             system = find_valid_base_walk(g, h, inst.phi, inst.psi, bfs_tree(g, comp[0]), scratch)
             if not isinstance(system, WalkSystem):
                 continue
-            out = schedule(g, h, system, scratch)
+            out = schedule(g, h, system)
             if isinstance(out, CycleWitness):
                 assert out.cycle == _reference_cycle(g, h, system, scratch.left)
                 seen += 1
@@ -360,8 +370,7 @@ def test_deadlock_scan_applies_the_reference_rule_on_any_state():
         h = cycle_graph(k) if rng.random() < 0.5 else Graph(k, [], reflexive=True)
         g = random_graph(rng, rng.randrange(2, 8), 0.7)
         colour = [rng.randrange(k) for _ in range(g.n)]
-        walks, scratch = {}, Scratch(g.n)
-        left, cur = scratch.scheduler_lists()
+        walks, left = {}, [0] * g.n
         for v in range(g.n):
             # v at its colour, mostly still at the start of its walk, and
             # mostly with one step to go, often to a neighbour's colour: the
@@ -377,8 +386,9 @@ def test_deadlock_scan_applies_the_reference_rule_on_any_state():
             behind = ((c + 1) % k,) if rng.random() < 0.1 else ()
             walks[v] = behind + (c,) + ahead
             left[v] = len(ahead)
-            cur[v] = c
         system = system_of(walks)
+        scratch = system.scratch
+        scratch.left, scratch.cur = left, colour  # the scheduler's state
         unfinished = [v for v in range(g.n) if scratch.left[v]]
         if not unfinished:
             continue
@@ -387,7 +397,7 @@ def test_deadlock_scan_applies_the_reference_rule_on_any_state():
         while (v := waits_for(g, h, system, scratch.left, chain[-1])) is not None and v not in chain:
             chain.append(v)
         try:
-            out = _extract_tight_cycle(g, h, system, scratch, first)
+            out = _extract_tight_cycle(g, h, system, first)
         except InternalError as exc:
             out = str(exc)
         assert scratch.queued == bytearray(g.n)
@@ -409,7 +419,7 @@ def test_deadlock_scan_applies_the_reference_rule_on_any_state():
 
 
 def _assert_same_outcome(g, h, system):
-    out = schedule(g, h, system, Scratch(g.n))
+    out = schedule(g, h, system)
     assert listed(out) == brute_schedule(g, h, system)
     return out
 
@@ -481,7 +491,7 @@ def test_shared_scratch_matches_reference():
             if isinstance(system, WalkSystem):
                 # the second run starts on the arrays the first one left behind
                 for _ in range(2):
-                    out = schedule(g, h, system, scratch=scratch)
+                    out = schedule(g, h, system)
                     assert listed(out) == brute_schedule(g, h, system)
                     runs += 1
     assert runs > 200
@@ -529,10 +539,15 @@ def test_shared_scratch_on_the_solvers_paths(monkeypatch, make, calls, checks, o
         assert walks == walks_of(brute_generate_system(g, h, phi, psi, tree[0][0], w_root))
         return out
 
-    def run(g, h, system, scratch):
-        out = schedule(g, h, system, scratch)
+    def run(g, h, system):
+        out = schedule(g, h, system)
         seen.append("schedule")
-        assert out == schedule(g, h, system, Scratch(n))
+        # the same bounds in a fresh scratch, with none of the used one's
+        # scheduler state
+        fresh = Scratch(n)
+        for v in system.order:
+            fresh.start[v], fresh.end[v] = system.scratch.start[v], system.scratch.end[v]
+        assert out == schedule(g, h, system._replace(scratch=fresh))
         assert listed(out) == brute_schedule(g, h, system)
         return out
 

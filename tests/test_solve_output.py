@@ -21,7 +21,13 @@ import random
 
 import pytest
 
-from conftest import benchmark_workloads, disjoint_union, girth5_rotation
+from conftest import (
+    benchmark_workloads,
+    disjoint_union,
+    girth5_rotation,
+    mirrored_wrap,
+    tight_rotation,
+)
 from homrecol import families
 from homrecol.cli import run
 from homrecol.jsonio import dumps, instance_to_dict, parse_instance, verdict_to_dict
@@ -202,6 +208,16 @@ def test_benchmark_solve_output_pinned(name):
         digest.update(text.encode())
         digest.update(dumps(verdict_to_dict(solve(parse_instance(text)))).encode())
     assert digest.hexdigest() == BENCHMARK_DIGESTS[name]
+
+
+@pytest.mark.parametrize("n", [8, 6_000])
+def test_conftest_builds_the_benchmarks_no_wraps(n):
+    # the memory and time tests on conftest's tight rotation and mirrored
+    # wrap stand for recolbench's wrap-no instances: the two copies of each
+    # builder must build equal instances until one home holds them
+    workloads = benchmark_workloads()
+    assert tight_rotation(n) == workloads.tight_rotated_wrap(n)
+    assert mirrored_wrap(n) == workloads.mirrored_wrap(n)
 
 
 # girth5 mode on a loopless 100k cycle into C5: the maps of the 5-wrap with

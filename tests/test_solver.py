@@ -252,6 +252,39 @@ def test_recheck_girth5_certificate_beside_stuck_isolated_vertex():
     assert not recheck_obstruction(ok, Obstruction(kind="no-valid-walk", cycle=(1,)))
 
 
+def test_recheck_parity_of_a_looped_isolated_vertex_across_modes():
+    # recolbench's separated_loop: H is two disjoint reflexive 5-cycles, and
+    # isolated vertices 0 and 1 must go from one to the other.  Looped,
+    # vertex 0 can never reach its psi colour, in either mode, and both
+    # modes judge it by the same rules, on (0,) and on the closed walk
+    # (0, 0) round its loop alike.  Girth-5 mode adds one rule: the
+    # loopless vertex 1 jumps, so no certificate on it holds.
+    ring = [(i, (i + 1) % 5) for i in range(5)]
+    h = Graph(10, ring + [(u + 5, v + 5) for u, v in ring], reflexive=True)
+    phi, psi = (0, 0, 0, 1), (5, 5, 0, 1)
+    girth5 = Instance(g=Graph(4, [(0, 0), (2, 3)]), h=h, phi=phi, psi=psi, mode=GIRTH5)
+    reflexive = Instance(g=Graph(4, [(2, 3)], reflexive=True), h=h, phi=phi, psi=psi)
+    cores = ((), ())  # the cores of a closed walk that stays at one colour
+    for inst in (girth5, reflexive):
+        validate_instance(inst)
+        assert solve(inst).obstruction == Obstruction(kind="no-valid-walk", cycle=(0,))
+        for cycle in ((0,), (0, 0)):
+            assert recheck_obstruction(inst, Obstruction(kind="no-valid-walk", cycle=cycle))
+            # a one-vertex walk is not tight, and its colours do not wind
+            for kind in ("frozen-mismatch", "unrealizable"):
+                assert not recheck_obstruction(inst, Obstruction(kind, cycle, vertex=0))
+            assert not recheck_obstruction(inst, Obstruction("free-class-mismatch", cycle, cores=cores))
+    loopless = [
+        Obstruction(kind="no-valid-walk", cycle=(1,)),
+        Obstruction(kind="free-class-mismatch", cycle=(1,), cores=cores),
+        Obstruction(kind="frozen-mismatch", cycle=(1,), vertex=1),
+        Obstruction(kind="unrealizable", cycle=(1,), vertex=1),
+    ]
+    assert [recheck_obstruction(girth5, ob) for ob in loopless] == [False] * 4
+    # with a loop, as reflexive mode has it, vertex 1 is stuck like vertex 0
+    assert recheck_obstruction(reflexive, loopless[0])
+
+
 def test_recheck_rejects_a_corrupted_tight_cycle():
     # the cycle of a frozen-mismatch or unrealizable certificate must be a
     # closed walk of G through its vertex; tightness reads colours only, so
@@ -774,7 +807,7 @@ def test_the_100k_wrap_holds_a_byte_per_colour_and_four_per_move_entry():
     scratch = Scratch(inst.g.n)
     system = find_valid_base_walk(inst.g, inst.h, inst.phi, inst.psi, bfs_tree(inst.g, 0), scratch)
     assert type(system.flat) is array and system.flat.itemsize == 1
-    moves = schedule(inst.g, inst.h, system, scratch)
+    moves = schedule(inst.g, inst.h, system)
     assert type(moves) is array and moves.itemsize == 4 and len(moves) == 2 * 399_840
 
 
@@ -811,7 +844,7 @@ def test_recheck_memory_of_the_100k_tight_rotation():
 def _walk_vertices_and_moves(inst):
     scratch = Scratch(inst.g.n)
     system = find_valid_base_walk(inst.g, inst.h, inst.phi, inst.psi, bfs_tree(inst.g, 0), scratch)
-    out = schedule(inst.g, inst.h, system, scratch)
+    out = schedule(inst.g, inst.h, system)
     return len(system.flat), len(out) // 2 if isinstance(out, array) else 0
 
 
@@ -853,7 +886,7 @@ def test_solve_schedules_flat_systems_that_match_the_reference(monkeypatch):
     work = None  # the instance the systems are of: girth5 ones after preprocessing
     roots = []  # the component roots scheduled so far in this solve
 
-    def checked(g, h, system, scratch):
+    def checked(g, h, system):
         phi, psi = work.phi, work.psi
         root = system.order[0]
         assert system.order == bfs_tree(g, root)[0]
@@ -868,7 +901,7 @@ def test_solve_schedules_flat_systems_that_match_the_reference(monkeypatch):
             if isinstance(brute_generate_system(g, h, phi, psi, root, w0), CycleWitness):
                 seen["candidate"] += 1
             roots.append(root)
-        return schedule(g, h, system, scratch)
+        return schedule(g, h, system)
 
     monkeypatch.setattr(solver, "schedule", checked)
     for i in range(300):
