@@ -6,17 +6,18 @@ between the two maps on that cycle is a frozen-vertex obstruction, otherwise
 the constant walk at a cycle vertex is the only possible base walk and the
 procedure retries once from it — a second failure is definitive.
 
-Girth-5 hosts admit arbitrary instance graphs: isolated vertices are
-recoloured up front, and on the rest of G loops would not change the answer.
-No loop-added copy of G is built, as the core never reads a loop of G:
-bfs_tree passes over u in its own row, _failing_cycle skips v <= u, u's own
-loop test in schedule always passes (each step of a reduced walk is an edge
-of H), and _extract_tight_cycle never lets u wait for itself.  The witness
-is still replayed by verify_witness against the original G.
-recheck_obstruction adds one girth-5 rule: a loopless isolated vertex,
-which preprocessing lets jump, carries no certificate.  A looped one is
-judged by the general rules, which walk a one-vertex component along its
-shortest walk, as preprocessing does.
+Girth-5 hosts admit arbitrary instance graphs: a vertex with no edge and
+no loop jumps to its psi colour up front, and on the rest of G loops would
+not change the answer.  A looped isolated vertex is a one-vertex component
+like any other: it walks its shortest walk, or is the no-valid-walk
+obstruction.  No loop-added copy of G is built, as the core never reads a
+loop of G: bfs_tree passes over u in its own row, _failing_cycle skips
+v <= u, u's own loop test in schedule always passes (each step of a reduced
+walk is an edge of H), and _extract_tight_cycle never lets u wait for
+itself.  The witness is still replayed by verify_witness against the
+original G.  recheck_obstruction refuses every certificate on a vertex with
+no edge, which can never be stuck, and judges the rest by the same rules in
+either mode.
 """
 
 from __future__ import annotations
@@ -101,34 +102,23 @@ def validate_instance(inst: Instance) -> None:
             raise InvalidInputError("host must have girth at least 5 in girth5 mode")
 
 
-def preprocess_girth5(inst: Instance) -> tuple[Instance, array] | Obstruction:
-    """Recolour the isolated vertices of a girth-5 instance.
+def preprocess_girth5(inst: Instance) -> tuple[Instance, array]:
+    """Let the vertices of a girth-5 instance with no edge and no loop jump.
 
-    Looped isolated vertices walk through the host (their two colours must
-    share a component), or are the no-valid-walk obstruction returned;
-    loopless ones jump.  Returns inst with their psi colours, on the same G
-    (see the module docstring), and the moves, a flat array [v0, c0, ...]
-    of the type of Verdict.moves.  phi is copied at the first vertex that
-    moves; when none does, inst itself comes back.
+    Returns inst with their psi colours, on the same G (see the module
+    docstring), and the jumps, a flat array [v0, c0, ...] of the type of
+    Verdict.moves.  phi is copied at the first vertex that jumps; when none
+    does, inst itself comes back.
     """
     if inst.mode != GIRTH5:
         raise InvalidInputError("preprocessing applies to girth5 mode")
     prefix = array(move_code(inst.g, inst.h))
     phi = None
     for v, row in enumerate(inst.g.adj):
-        if row and row != (v,):
-            continue  # not isolated
-        a, b = inst.phi[v], inst.psi[v]
-        if a == b:
+        b = inst.psi[v]
+        if row or inst.phi[v] == b:
             continue
-        if row:  # its loop
-            walk = shortest_walk(inst.h, a, b)
-            if walk is None:
-                return Obstruction(kind=NO_VALID_WALK, cycle=(v,))
-            for c in walk[1:]:
-                prefix.extend((v, c))
-        else:
-            prefix.extend((v, b))
+        prefix.extend((v, b))
         if phi is None:
             phi = list(inst.phi)
         phi[v] = b
@@ -207,11 +197,9 @@ def solve(inst: Instance) -> Verdict:
     """
     validate_instance(inst)
     if inst.mode == GIRTH5:
-        outcome = preprocess_girth5(inst)
+        outcome = _solve_components(*preprocess_girth5(inst))
     else:
-        outcome = inst, array(move_code(inst.g, inst.h))
-    if not isinstance(outcome, Obstruction):
-        outcome = _solve_components(*outcome)
+        outcome = _solve_components(inst, array(move_code(inst.g, inst.h)))
     if isinstance(outcome, Obstruction):
         return Verdict(answer="no", obstruction=outcome)
     it = iter(outcome)
@@ -261,9 +249,10 @@ def recheck_obstruction(inst: Instance, obstruction: Obstruction) -> bool:
     if not cycle or min(cycle) < 0 or max(cycle) >= inst.g.n:
         return False
     g, h, phi, psi = inst.g, inst.h, inst.phi, inst.psi
-    if inst.mode == GIRTH5 and not g.adj[cycle[0]]:
-        # preprocess_girth5 lets a loopless isolated vertex jump; any other
-        # certificate is checked on G as given (the core reads no loop of G)
+    if not g.adj[cycle[0]]:
+        # a vertex with no edge and no loop is never stuck (in girth-5 mode
+        # it jumps, and a reflexive G has none); any other certificate is
+        # checked on G as given (the core reads no loop of G)
         return False
     # the one check that the certificate's cycle is a closed walk of G; the
     # walk rules below read only its colours

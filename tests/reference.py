@@ -301,3 +301,55 @@ def wander(
             cur[v] = c
             moves.append((v, c))
     return tuple(cur), moves
+
+
+def tight_mismatch(g: Graph, phi: Sequence[int], psi: Sequence[int]) -> bool:
+    """Whether some closed walk of G has a cyclically reduced phi-image and
+    passes a vertex where psi differs from phi: a tight cycle frozen at phi
+    with a stuck vertex, so a NO.
+
+    An SCC scan of the arc graph: its states are the arcs (u, v) of G with
+    phi[u] != phi[v], and (u, v) steps to (v, w) when phi[w] differs from
+    phi[v] and from phi[u], so a closed walk of states is one whose image
+    neither stays nor backtracks, cyclically.  No arc steps to itself, so a
+    component is cyclic when it has two arcs or more.
+    """
+    arcs = [(u, v) for u in range(g.n) for v in g.adj[u] if phi[u] != phi[v]]
+    index = {a: i for i, a in enumerate(arcs)}
+    succ = [[index[v, w] for w in g.adj[v] if phi[w] != phi[v] and phi[w] != phi[u]] for u, v in arcs]
+    pred: list[list[int]] = [[] for _ in arcs]
+    for i, out in enumerate(succ):
+        for j in out:
+            pred[j].append(i)
+    # Kosaraju: states in finishing order by an iterative DFS, then the
+    # components on the reversed arcs in reverse finishing order
+    seen, order = [False] * len(arcs), []
+    for s in range(len(arcs)):
+        if seen[s]:
+            continue
+        seen[s] = True
+        stack = [(s, iter(succ[s]))]
+        while stack:
+            i, it = stack[-1]
+            for j in it:
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append((j, iter(succ[j])))
+                    break
+            else:
+                stack.pop()
+                order.append(i)
+    placed = [False] * len(arcs)
+    for s in reversed(order):
+        if placed[s]:
+            continue
+        placed[s] = True
+        members = [s]
+        for i in members:
+            for j in pred[i]:
+                if not placed[j]:
+                    placed[j] = True
+                    members.append(j)
+        if len(members) > 1 and any(phi[arcs[i][1]] != psi[arcs[i][1]] for i in members):
+            return True
+    return False

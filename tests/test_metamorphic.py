@@ -5,18 +5,22 @@ swapping the two maps, renaming the vertices of G or of H, setting a YES
 instance beside a NO one, adding every loop to a girth-5 instance whose
 G has no isolated vertex, and moving either map by legal moves.  solve
 must agree, and every certificate, the renamed original included, must
-still check.  The last relation is stronger:
+still check.  The loop relation is stronger:
 the reflexive core never reads a loop of G, so the loop-added instance gets
-the same verdict in full, moves or obstruction.
+the same verdict in full, moves or obstruction; and on a G with a loop at
+every vertex girth-5 mode prints what reflexive mode prints.  A tight
+cycle through a vertex where the maps differ, found by a scan of G and the
+maps alone, makes a NO.
 """
 
 import random
 from collections import Counter
 
 from conftest import all_loops, disjoint_union, pairs, relabel, relabel_host
-from reference import wander
+from reference import tight_mismatch, wander
 from homrecol import families
 from homrecol.families import make_cycle_wrap, random_girth5_instance, random_instance
+from homrecol.jsonio import dumps, verdict_to_dict
 from homrecol.solver import (
     GIRTH5,
     REFLEXIVE,
@@ -155,3 +159,44 @@ def test_transitivity_under_legal_moves():
     assert seen["yes"] > 300 and seen["no"] > 100, seen
     assert seen["moves"] > 20_000 and seen["no moves"] > 1_000, seen
     assert seen["new certificates"] > 40, seen
+
+
+def test_girth5_mode_on_a_looped_g_prints_what_reflexive_mode_prints():
+    # with a loop on every vertex, no vertex of G is edgeless, so girth-5
+    # mode jumps none and solves every component, a looped isolated vertex
+    # included, as reflexive mode does: the same bytes, moves or obstruction
+    rng = random.Random(7)
+    seen = Counter()
+    for i in range(400):
+        inst = random_girth5_instance(rng, 2 + i % 11)
+        g = all_loops(inst.g)
+        girth5 = inst._replace(g=g)
+        reflexive = inst._replace(g=g, mode=REFLEXIVE)
+        verdict = solve(girth5)
+        assert dumps(verdict_to_dict(verdict)) == dumps(verdict_to_dict(solve(reflexive))), i
+        assert _certified(girth5, verdict) and _certified(reflexive, verdict), i
+        seen["yes" if verdict.yes else "no"] += 1
+        seen["moving isolated"] += any(not inst.g.adj[v] and inst.phi[v] != inst.psi[v] for v in range(g.n))
+    # 331 YES and 69 NO; 112 instances have an isolated vertex to move
+    assert seen["yes"] > 300 and seen["no"] > 60 and seen["moving isolated"] > 100, seen
+
+
+def test_a_tight_cycle_through_a_stuck_vertex_is_a_no():
+    # ROADMAP item 20's frozen-cycle rule, read by reference.tight_mismatch
+    # on G and the two maps alone: a tight cycle frozen at phi through a
+    # vertex where psi differs makes a NO, and every frozen-mismatch answer
+    # names such a cycle.  Seed 5 gives 98 tight mismatches and 33
+    # frozen-mismatch answers
+    rng = random.Random(5)
+    seen = Counter()
+    for i in range(1000):
+        inst = random_instance(rng, 2 + i % 39, 4 + i % 9)
+        verdict = solve(inst)
+        tight = tight_mismatch(inst.g, inst.phi, inst.psi)
+        if tight:
+            assert not verdict.yes, i
+            seen["tight"] += 1
+        if not verdict.yes and verdict.obstruction.kind == "frozen-mismatch":
+            assert tight, i
+            seen["frozen-mismatch"] += 1
+    assert seen["tight"] >= 95 and seen["frozen-mismatch"] >= 30, seen

@@ -192,12 +192,31 @@ def test_preprocess_isolated_loopless_jump():
 
 
 def test_preprocess_isolated_looped_walks():
-    g = Graph(2, [(0, 0)], reflexive=False)  # vertex 0 looped isolated, 1 loopless isolated
+    # vertex 0 looped isolated, 1 loopless isolated: only 1 jumps up front,
+    # and 0 walks its shortest walk as a one-vertex component
+    g = Graph(2, [(0, 0)], reflexive=False)
     inst = Instance(g=g, h=C5, phi=(0, 0), psi=(2, 2), mode="girth5")
     work, prefix = preprocess_girth5(inst)
-    assert list(prefix) == [0, 1, 0, 2, 1, 2]
+    assert list(prefix) == [1, 2]
+    assert work == inst._replace(phi=(0, 2))
     v = solve(inst)
+    assert list(v.moves) == [1, 2, 0, 1, 0, 2]
     assert v.yes and verify_witness(inst, pairs(v.moves)).ok
+
+
+def test_girth5_looped_isolated_vertex_fails_at_its_components_turn():
+    # H is two disjoint reflexive 5-cycles; G a loopless 5-cycle on 0..4,
+    # frozen at phi and rotated by psi, and a looped vertex 5 whose colours
+    # are separated.  The components fail in root order, so the 5-cycle's
+    # frozen-mismatch comes first; vertex 5's no-valid-walk holds too
+    ring = [(i, (i + 1) % 5) for i in range(5)]
+    h = Graph(10, ring + [(u + 5, v + 5) for u, v in ring], reflexive=True)
+    g = Graph(6, ring + [(5, 5)])
+    inst = Instance(g=g, h=h, phi=(0, 1, 2, 3, 4, 0), psi=(1, 2, 3, 4, 0, 5), mode=GIRTH5)
+    ob = solve(inst).obstruction
+    assert ob.kind == "frozen-mismatch" and ob.cycle == (0, 4, 3, 2, 1, 0)
+    assert recheck_obstruction(inst, ob)
+    assert recheck_obstruction(inst, Obstruction(kind="no-valid-walk", cycle=(5,)))
 
 
 def test_preprocess_isolated_looped_separated_host():
@@ -233,7 +252,8 @@ def test_recheck_girth5_one_vertex_needs_looped_isolated_vertex():
 
 
 def test_recheck_girth5_certificate_beside_stuck_isolated_vertex():
-    # preprocessing stops at isolated vertex 0, but the edge 1-2 is stuck too
+    # the solve stops at looped isolated vertex 0, the first component, but
+    # the edge 1-2 is stuck too
     ring = [(i, (i + 1) % 5) for i in range(5)]
     h = Graph(10, ring + [(u + 5, v + 5) for u, v in ring], reflexive=True)
     inst = Instance(g=Graph(3, [(0, 0), (1, 2)]), h=h, phi=(0, 0, 1), psi=(5, 5, 6), mode="girth5")
@@ -907,8 +927,7 @@ def test_solve_schedules_flat_systems_that_match_the_reference(monkeypatch):
     for i in range(300):
         if i % 3 == 0:
             inst = random_girth5_instance(rng, 2 + i % 11)
-            pre = preprocess_girth5(inst)
-            work = inst if isinstance(pre, Obstruction) else pre[0]
+            work = preprocess_girth5(inst)[0]
         else:
             parts = [random_instance(rng, 2 + i % 13, 4 + i % 9) for _ in range(1 + i % 2)]
             if i % 3 == 2:
