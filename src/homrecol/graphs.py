@@ -240,14 +240,15 @@ class Scratch:
     costs their total size, not n per component.  A recheck of a NO
     certificate allocates one for the calls it makes.
 
-    start and end belong to generate_system.  It checks a system with the
-    cover lifts of phi and psi in them, and writes the valid system it
-    returns over them: v's walk is flat[start[v]:end[v]] of that system's
-    one flat array of colours, and the system carries the scratch, so it
-    is scheduled in the one that holds its bounds.  left, cur and queued
-    belong to the scheduler.  Its one progress counter is left[v], the
-    steps v has still to go: its colour is flat[end[v] - left[v] - 1] and
-    its next colour flat[end[v] - left[v]].  cur[v] caches the colour,
+    start and end belong to the base-walk search.  It checks and counts
+    systems with the cover lifts of phi and psi in them, and writes the
+    valid system it returns over them: v's walk is flat[start[v]:end[v]]
+    of that system's one flat array of colours, and the system carries
+    the scratch, so it is scheduled in the one that holds its bounds.
+    left, cur and queued belong to the scheduler.  Its one progress
+    counter is left[v], the steps v has still to go: its colour is
+    flat[end[v] - left[v] - 1] and its next colour
+    flat[end[v] - left[v]].  cur[v] caches the colour,
     because the hot loop reads it for every neighbour it checks.  queued
     marks the work list while the scheduler runs and, once the drained
     queue has cleared it, the vertices a deadlock scan has visited.

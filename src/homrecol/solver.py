@@ -1,10 +1,12 @@
 """Top-level decision procedure.
 
-Per component: find a topologically valid base walk (else NO), generate its
-system and schedule it.  A deadlock yields a tight cycle; a colour mismatch
-between the two maps on that cycle is a frozen-vertex obstruction, otherwise
-the constant walk at a cycle vertex is the only possible base walk and the
-procedure retries once from it — a second failure is definitive.
+Per component: find a topologically valid base walk (else NO), take the
+system of fewest moves in the family that pins it, and schedule it.  A
+deadlock yields a tight cycle, frozen whichever valid system was scheduled;
+a colour mismatch between the two maps on that cycle is a frozen-vertex
+obstruction, otherwise the constant walk at a cycle vertex is the only
+possible base walk and the procedure retries once from it — a second
+failure is definitive.
 
 Girth-5 hosts admit arbitrary instance graphs: a vertex with no edge and
 no loop jumps to its psi colour up front, and on the rest of G loops would
@@ -135,6 +137,10 @@ def _solve_component(
     tree: tuple[list[int], list[int]],
     scratch: Scratch,
 ) -> array | Obstruction:
+    """The moves of one component, or its obstruction.  The first system
+    scheduled is the fewest-move one of its pinned family, as
+    find_valid_base_walk returns it; the retry's is the only valid system
+    left, so it is scheduled as generated."""
     system = find_valid_base_walk(g, h, phi, psi, tree, scratch)
     if isinstance(system, Obstruction):
         return system

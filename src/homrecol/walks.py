@@ -10,7 +10,8 @@ questions plain sequence comparisons after reduction.
 from __future__ import annotations
 
 from itertools import islice
-from operator import ne
+from math import isqrt
+from operator import eq, ne
 from typing import NamedTuple, Sequence
 
 from .errors import InternalError, InvalidInputError
@@ -131,13 +132,21 @@ def _failure_function(seq: Sequence[int]) -> list[int]:
 
 
 def primitive_root(core: Walk) -> Walk:
-    """Shortest prefix whose repetition gives the cyclic word core."""
+    """Shortest prefix whose repetition gives the cyclic word core.
+
+    Its length is the least divisor p of len(core) with core[i] ==
+    core[i + p] throughout, each divisor tried by one C-level scan of
+    core against itself shifted by p, which stops at the first mismatch.
+    By the Fine-Wilf theorem it is also the least period of core when
+    that divides len(core), and len(core) otherwise.
+    """
     if not core:
         raise InternalError("primitive root of an empty core")
     m = len(core)
-    period = m - _failure_function(core)[-1]
-    if m % period:
-        period = m
+    low = [p for p in range(1, isqrt(m) + 1) if not m % p]
+    for period in low + [m // p for p in reversed(low)]:
+        if all(map(eq, core, islice(core, period, None))):
+            break
     if period != m and period < 4:
         raise InternalError("cyclically reduced core with period < 4")
     return core[:period]

@@ -13,9 +13,9 @@ from collections import deque
 from typing import Sequence
 
 from homrecol.errors import InternalError, InvalidInputError
-from homrecol.graphs import Graph, bfs_tree
+from homrecol.graphs import Graph, Scratch, bfs_tree
 from homrecol.oracle import Answer
-from homrecol.systems import WalkSystem
+from homrecol.systems import WalkSystem, generate_system
 from homrecol.walks import FreeDecomposition, Walk, reduce_walk
 
 
@@ -353,3 +353,43 @@ def tight_mismatch(g: Graph, phi: Sequence[int], psi: Sequence[int]) -> bool:
         if len(members) > 1 and any(phi[arcs[i][1]] != psi[arcs[i][1]] for i in members):
             return True
     return False
+
+
+def family_moves(
+    g: Graph,
+    h: Graph,
+    phi: Sequence[int],
+    psi: Sequence[int],
+    root: int,
+    w: Walk,
+    cycle: Sequence[int],
+    turns: range = range(-3, 4),
+) -> dict[int, int]:
+    """The moves of each valid system of w's family, by turn k in turns.
+
+    cycle is a closed walk of G at root whose phi-image is not
+    contractible.  The image's reduced loop is tail . core . reversed tail,
+    and one turn is tail . root loop . reversed tail, where the root loop is
+    the shortest prefix of core whose power core is, closed.  Turn k is the
+    root walk turn^k . w, reduced in the cover; its system comes from
+    generate_system, and the moves of a valid one are the sum of |w_v| - 1.
+    """
+    loop = reduce_via_cover(h, [phi[x] for x in cycle])
+    lo, hi = 0, len(loop) - 1
+    while loop[lo + 1] == loop[hi - 1]:
+        lo += 1
+        hi -= 1
+    tail, core = loop[: lo + 1], loop[lo:hi]
+    m = len(core)
+    p = min(p for p in range(1, m + 1) if not m % p and core == core[:p] * (m // p))
+    turn = tail + core[1:p] + core[:1] + tail[::-1][1:]
+    tree = bfs_tree(g, root)
+    out = {}
+    for k in turns:
+        walk = tuple(w)
+        for _ in range(abs(k)):
+            walk = reduce_via_cover(h, (turn if k > 0 else turn[::-1]) + walk[1:])
+        system = generate_system(g, h, phi, psi, tree, walk, Scratch(g.n))
+        if isinstance(system, WalkSystem):
+            out[k] = len(system.flat) - len(system.order)
+    return out

@@ -44,7 +44,7 @@ GIRTH5_SEEDS = range(20)
 UNIONS = ("union-interleaved", "union-then-locked-link")
 
 DIGESTS = {
-    "cycle-wrap-2000-4-40": "6a6af87f226101a650b231f1378e3deff89a6b8f716e26a9b0f8f8db86f3600e",
+    "cycle-wrap-2000-4-40": "bda9d53c011db42e16218961cb0d92aa4629804ab67e58f34f955e522290909b",
     "cycle-wrap-13-4-1": "e69d1e5d5998eb591fa04e099147236758d8121c5ab2b679c1895255c0b83f4b",
     "figure-eight": "44139f672b36e24b3a5a6e646b42f6e6e7bf5a8ca1e2380673f47a5cd67fc2a4",
     "random-0": "2521f6131cab53b7f8d8a8e73d4ab6a63f17a856985e47513c6cf5ceca992046",
@@ -181,9 +181,9 @@ def test_union_solve_output_pinned(name, tmp_path, capsys):
 # writes followed by the verdict `homrecol solve` prints for it; a corpus has
 # one digest over its instances in order
 BENCHMARK_DIGESTS = {
-    "corpus-1": "7a2bdaac7d1214c765f223a53a40354d810a14435d50e4d93194862fbba21c2d",
-    "corpus-2": "f813d9df2e5f016a5a333124d05b3e5fffc986e2c7067973d87218815b9df825",
-    "wrap-100k-shift40": "633432118689d3ae0ead02594286731df5e2b8f1f203c22c1b72b3bd4888fee4",
+    "corpus-1": "29b58048b3704ecc2cbf9dbde728e06314989adc6db89125398ca8d0aec7df60",
+    "corpus-2": "ee413d2723004098688eb2851434f4b8bfd455af5582e7ee15d57eedb26d7d25",
+    "wrap-100k-shift40": "fde1ecc0b239484dcdb21f6796f3427799f4f580bf108424be78c3effbdbf47b",
     "tight-100k-rot1": "422a44b5cc3ca6bd6924034d1a8de89919a5a0397db148fd988721fee0dec2e1",
     "mirror-6k": "eabc991bbc22aa5166b0996c63da316893788389cabd03a12d35805389fff535",
 }
@@ -223,7 +223,7 @@ def test_conftest_builds_the_benchmarks_no_wraps(n):
 # girth5 mode on a loopless 100k cycle into C5: the maps of the 5-wrap with
 # shift 40 (YES), and a tight 5-wrap with psi rotated one step (NO)
 GIRTH5_100K_DIGESTS = {
-    "girth5-wrap-100k-shift40": "ecd21e3b44518bc7d863335c809ddc33be763e5679e828c0b387d4a9c3d17f42",
+    "girth5-wrap-100k-shift40": "f0a80a00ab945d92c03f8a74ccf3f3e23b41fc9f1ac6bf3e87fedc9a446616df",
     "girth5-tight-100k-rot1": "f61a36914698267ebd4b8a41f74c65b751c41862cec7651a4c66fbd2b56cfd01",
 }
 

@@ -620,29 +620,46 @@ def test_solve_builds_one_tree_per_component(monkeypatch):
     assert calls == [0, 30, link]
 
 
-def _hexagon_off_a_path():
+def _hexagon_off_a_path(tail=6):
     # a tight hexagon, fixed by both maps, hangs off a path whose far end is
-    # the root 0; the root's shortest walk is constant, which turns the
-    # frozen vertex 3 once round the hexagon, so the first system deadlocks,
-    # and the retry from the constant walk at 3 (the root turning the other
-    # way) is realizable
+    # the root 0, and a tail of `tail` vertices at colour 3 hangs off the
+    # root; the root's shortest walk is constant, which turns the frozen
+    # vertex 3 once round the hexagon, so that system deadlocks, and the one
+    # realizable system is the retry's, from the constant walk at 3: the
+    # root, and so the tail, turning the other way.  Without the tail the
+    # pinned family's descent reaches that system first (12 moves against
+    # 42); a tail of 5 or more makes the turn cost the tail more moves than
+    # it saves the hexagon, so the deadlocking system is scheduled and the
+    # retry runs
     edges = [(0, 1), (1, 2), (2, 3)] + [(3 + i, 3 + (i + 1) % 6) for i in range(6)]
+    edges += [(0 if i == 0 else 8 + i, 9 + i) for i in range(tail)]
     return Instance(
-        g=Graph(9, edges, reflexive=True),
+        g=Graph(9 + tail, edges, reflexive=True),
         h=cycle_graph(6),
-        phi=(3, 2, 1, 0, 1, 2, 3, 4, 5),
-        psi=(3, 4, 5, 0, 1, 2, 3, 4, 5),
+        phi=(3, 2, 1, 0, 1, 2, 3, 4, 5) + (3,) * tail,
+        psi=(3, 4, 5, 0, 1, 2, 3, 4, 5) + (3,) * tail,
     )
 
 
-def test_constant_walk_retry_from_a_cycle_vertex_succeeds():
-    inst = _hexagon_off_a_path()
-    v = solve(inst)
+def test_constant_walk_retry_from_a_cycle_vertex_succeeds(monkeypatch):
+    retries = []
+    monkeypatch.setattr(
+        solver, "tree_path", lambda parent, x: retries.append(x) or tree_path(parent, x)
+    )
+    bare = _hexagon_off_a_path(tail=0)
+    v = solve(bare)
     assert pairs(v.moves) == [
         (0, 2), (1, 1), (2, 0), (0, 1), (1, 0), (2, 5),
         (0, 0), (1, 5), (0, 5), (1, 4), (0, 4), (0, 3),
     ]
-    assert hom_graph_bfs(inst.g, inst.h, inst.phi, inst.psi, max_states=200_000) is Answer.YES
+    assert retries == []  # the descent reached the retry's system
+    assert hom_graph_bfs(bare.g, bare.h, bare.phi, bare.psi, max_states=200_000) is Answer.YES
+    inst = _hexagon_off_a_path()
+    v = solve(inst)
+    assert retries == [3]
+    assert len(v.moves) == 2 * 48 and verify_witness(inst, pairs(v.moves)).ok
+    # the tail turns with the root: six steps for each of its vertices
+    assert Counter(u for u, _ in pairs(v.moves) if u >= 9) == {u: 6 for u in range(9, 15)}
 
 
 @pytest.mark.parametrize(
@@ -799,7 +816,10 @@ def test_base_walk_search_memory_of_the_100k_tight_rotation():
 
 
 def test_solve_and_dump_memory_of_the_100k_wrap():
-    # the 399,840 moves as one flat array, written in chunks: a (vertex,
+    # shift n // 2 ties the pinned family's turns 0 and +1 at 200,000 moves,
+    # so the descent keeps the first system and the witness stays large (at
+    # shift 40 it has 160 moves).  Measured at shift 40, before the descent,
+    # on the 399,840 moves as one flat array, written in chunks: a (vertex,
     # colour) tuple per move took the solve's peak to 37.8 MiB; two scratch
     # lists of cover lifts beside the scheduler's left and cur took
     # 19.51 MiB (the lifts in left and cur: 17.98), the move list grown by
@@ -807,8 +827,12 @@ def test_solve_and_dump_memory_of_the_100k_wrap():
     # and the moves as lists of 8-byte pointers 17.72 MiB (a byte array of
     # colours and a 4-byte array of moves: 11.92), and the scratch and the
     # last component tree alive through the witness self-check 11.92 (freed
-    # before it: 10.91)
-    inst = make_cycle_wrap(100_000, 4, 40)
+    # before it: 10.91).  Here the peak, 9.63 MiB, is the descent's count
+    # beside its cover trie; the descent's cover alive while the kept
+    # system is carried again took it to 14.12, and the first system's
+    # bounds kept alive under the cover to 10.77
+    n = 100_000
+    inst = make_cycle_wrap(n, 4, n // 2)
     tracemalloc.start()
     try:
         verdict = solve(inst)
@@ -816,19 +840,20 @@ def test_solve_and_dump_memory_of_the_100k_wrap():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert verdict.yes and len(verdict.moves) == 2 * 399_840
+    assert verdict.yes and len(verdict.moves) == 2 * 200_000
     assert text.startswith('{"answer":"yes","witness":{"moves":[[')
-    assert peak <= 11.5 * 2**20, peak
+    assert peak <= 10.5 * 2**20, peak
 
 
 def test_the_100k_wrap_holds_a_byte_per_colour_and_four_per_move_entry():
     # a fall-back to lists, 8 bytes of pointer an entry, must fail here
-    inst = make_cycle_wrap(100_000, 4, 40)
+    n = 100_000
+    inst = make_cycle_wrap(n, 4, n // 2)
     scratch = Scratch(inst.g.n)
     system = find_valid_base_walk(inst.g, inst.h, inst.phi, inst.psi, bfs_tree(inst.g, 0), scratch)
     assert type(system.flat) is array and system.flat.itemsize == 1
     moves = schedule(inst.g, inst.h, system)
-    assert type(moves) is array and moves.itemsize == 4 and len(moves) == 2 * 399_840
+    assert type(moves) is array and moves.itemsize == 4 and len(moves) == 2 * 200_000
 
 
 def test_solve_takes_a_components_moves_uncopied(monkeypatch):
@@ -869,7 +894,7 @@ def _walk_vertices_and_moves(inst):
 
 
 @pytest.mark.parametrize(
-    "make", [lambda n: make_cycle_wrap(n, 4, 40), tight_rotation], ids=["wrap", "tight"]
+    "make", [lambda n: make_cycle_wrap(n, 4, n // 2), tight_rotation], ids=["wrap", "tight"]
 )
 def test_walk_vertices_and_moves_grow_linearly(make):
     # counts, not times: doubling n at most doubles the walk vertices built

@@ -6,6 +6,8 @@ import pytest
 from conftest import (
     benchmark_workloads,
     brute_generate_system,
+    girth5_rotation,
+    pairs,
     mirrored_wrap,
     random_walk,
     small_hosts,
@@ -22,8 +24,10 @@ from homrecol.families import (
     random_walk_hom,
     two_squares_shared,
 )
-from homrecol.graphs import Scratch, bfs_tree, shortest_walk, tree_path
+from homrecol import systems
+from homrecol.graphs import Graph, Scratch, bfs_tree, shortest_walk, tree_path
 from homrecol.oracle import Answer, hom_graph_bfs
+from homrecol.solver import Instance, solve, verify_witness
 from homrecol.systems import (
     CLASS_MISMATCH,
     NO_VALID_WALK,
@@ -37,7 +41,13 @@ from homrecol.systems import (
     generate_system,
 )
 from homrecol.walks import reduce_walk, reverse
-from reference import basepoint_change, bfs_tree_by, connected_components, reduce_via_cover
+from reference import (
+    basepoint_change,
+    bfs_tree_by,
+    connected_components,
+    family_moves,
+    reduce_via_cover,
+)
 
 C5 = cycle_graph(5)
 ID5 = (0, 1, 2, 3, 4)
@@ -186,7 +196,8 @@ def test_cover_ids_lifts_and_meets():
                 continue
             cover = _Cover(h.n, w_root)
             lo, hi = [0] * g.n, [0] * g.n
-            cover.lift(order, parent, phi, psi, lo, hi, len(w_root) - 1)
+            cover.lift(order, parent, phi, lo, 0)
+            cover.lift(order, parent, psi, hi, len(w_root) - 1)
             up, label = cover.up, cover.label
             assert all(up[i] < i for i in range(1, len(up)))
             # a trie: no node has two children of one colour, and each
@@ -403,3 +414,147 @@ def test_walk_length_bound():
             continue
         bound = max(4 * g.n, (h.n - 1) + 2 * (g.n - 1))
         assert all(len(w) - 1 <= bound for w in walks_of(search).values())
+
+
+# --- the fewest-move system of the pinned family -----------------------------
+
+
+def _searched_walks(monkeypatch, inst):
+    """The root walks find_valid_base_walk hands to its descent, one per
+    component, and the verdict solve gives when each is scheduled as it is."""
+    found = []
+
+    def as_found(g, h, phi, psi, tree, w, pin, scratch):
+        found.append(w)
+        return systems._carry_walks(h, phi, psi, tree, w, scratch)
+
+    with monkeypatch.context() as m:
+        m.setattr(systems, "_fewest_moves", as_found)
+        verdict = solve(inst)
+    return found, verdict
+
+
+def test_descent_reaches_the_family_minimum_on_small_wraps(monkeypatch):
+    # every make_cycle_wrap(g, 4, s) with g < 40 is a YES scheduled at the
+    # fewest moves of the family its cycle pins (turns -3..3 of the root
+    # walk the search finds, by generate_system), never at more than that
+    # root walk's own system
+    counted = shorter = 0
+    for n in range(5, 40):
+        cycle = tuple(range(n)) + (0,)
+        for shift in range(n):
+            inst = make_cycle_wrap(n, 4, shift)
+            (w,), before = _searched_walks(monkeypatch, inst)
+            after = solve(inst)
+            assert before.yes and after.yes
+            family = family_moves(inst.g, inst.h, inst.phi, inst.psi, 0, w, cycle)
+            assert len(after.moves) // 2 == min(family.values()), (n, shift, family)
+            assert len(after.moves) <= len(before.moves)
+            counted += 1
+            shorter += len(after.moves) < len(before.moves)
+    assert counted == 770 and shorter >= 100, (counted, shorter)
+
+
+def test_descent_pins_the_wraps_at_their_family_minimum():
+    # the root loop turned once more: 399,840 and 7,840 moves fall to 160,
+    # and the girth-5 wrap's 499,800 to 200
+    for n in (2000, 100_000):
+        assert len(solve(make_cycle_wrap(n, 4, 40)).moves) == 2 * 160
+    wrap = make_cycle_wrap(100_000, 5, 40)
+    inst = girth5_rotation(100_000)._replace(phi=wrap.phi, psi=wrap.psi)
+    verdict = solve(inst)
+    assert len(verdict.moves) == 2 * 200 and verify_witness(inst, pairs(verdict.moves)).ok
+
+
+def test_the_gate_lets_only_a_saving_descend(monkeypatch):
+    # a tight rotation's moves M equal D, its vertices where phi != psi, so
+    # no step could save anything: the gate reads one differing vertex and
+    # skips the descent; the wrap's M - D is past its size
+    calls = []
+    descend = systems._descend
+    monkeypatch.setattr(systems, "_descend", lambda *a: calls.append(a[5]) or descend(*a))
+    assert solve(tight_rotation(2000)).obstruction.kind == "frozen-mismatch"
+    assert calls == []
+    # a path has no cycle to pin a family, though M - D = 9 - 3 is past
+    # its size: every walk between the root's colours is valid
+    path = Instance(
+        g=Graph(3, [(0, 1), (1, 2)], reflexive=True), h=cycle_graph(6), phi=(0, 0, 0), psi=(3, 3, 3)
+    )
+    assert len(solve(path).moves) == 2 * 9
+    assert calls == []
+    assert len(solve(make_cycle_wrap(2000, 4, 40)).moves) == 2 * 160
+    assert calls == [(0,)]
+
+
+def test_a_tie_keeps_the_system_the_search_found(monkeypatch):
+    # at shift n // 2 turns 0 and +1 both make 2n moves: the gate lets the
+    # descent count both neighbours, and neither counts fewer
+    inst = make_cycle_wrap(2000, 4, 1000)
+    _, before = _searched_walks(monkeypatch, inst)
+    counts = []
+    count = systems._move_count
+    monkeypatch.setattr(systems, "_move_count", lambda *a: counts.append(count(*a)) or counts[-1])
+    after = solve(inst)
+    assert counts == [4000, 12000]
+    assert after.moves == before.moves and len(after.moves) == 2 * 4000
+
+
+def test_the_descent_steps_on_while_each_turn_saves(monkeypatch):
+    # a path 0..8 into C4, phi all 0 and psi round the square twice, leads
+    # to a 40-cycle that phi and psi both wrap once: the cycle's vertices
+    # are lifted two turns apart, so the root walk is best turned twice
+    cycle = [8] + list(range(9, 48))
+    edges = [(i, i + 1) for i in range(8)] + [(cycle[j], cycle[(j + 1) % 40]) for j in range(40)]
+    phi = (0,) * 9 + tuple(4 * j // 40 for j in range(1, 40))
+    psi = tuple(i % 4 for i in range(9)) + phi[9:]
+    inst = Instance(g=Graph(48, edges, reflexive=True), h=cycle_graph(4), phi=phi, psi=psi)
+    counts = []
+    count = systems._move_count
+    monkeypatch.setattr(systems, "_move_count", lambda *a: counts.append(count(*a)) or counts[-1])
+    verdict = solve(inst)
+    # one turn more counts 540; one and two turns fewer 176 and 36, where the
+    # gate stops: 36 moves less D = 6 is below the 48 vertices
+    assert counts == [540, 176, 36] and len(verdict.moves) == 2 * 36
+    loop = tuple(range(9)) + tuple(cycle[1:]) + tuple(range(8, -1, -1))
+    family = family_moves(inst.g, inst.h, phi, psi, 0, (0,), loop)
+    assert family == {-3: 228, -2: 36, -1: 176, 0: 348, 1: 540, 2: 732, 3: 924}
+
+
+def _two_loops(pendants):
+    # G: a 5-cycle 0..4 and a 16-cycle 0, 5..19 through vertex 0, with
+    # pendants hung on vertex 1; H: squares A = (0, 1, 2, 3) and
+    # B = (0, 4, 5, 6) sharing 0.  phi wraps the 5-cycle once round A and
+    # the 16-cycle twice round B; psi keeps the 5-cycle and the pendants and
+    # makes the 16-cycle's image A^-1 B^2 A.  So the root walk must commute
+    # with A and conjugate B^2 into A^-1 B^2 A: A once round is the one
+    # valid root walk, though the constant walk's system makes fewer moves
+    h = two_squares_shared()
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    cb = [0] + list(range(5, 20))
+    edges += [(cb[i], cb[(i + 1) % 16]) for i in range(16)]
+    edges += [(1, 20 + i) for i in range(pendants)]
+    phi = [0, 1, 2, 3, 0] + [4, 5, 6, 0, 4, 5, 6, 0, 0, 0, 0, 0, 0, 0, 0] + [1] * pendants
+    psi = [0, 1, 2, 3, 0] + [3, 2, 1, 0, 4, 5, 6, 0, 4, 5, 6, 0, 1, 2, 3] + [1] * pendants
+    g = Graph(20 + pendants, edges, reflexive=True)
+    return Instance(g=g, h=h, phi=tuple(phi), psi=tuple(psi))
+
+
+def test_two_cycles_pinning_different_loops_keep_their_system(monkeypatch):
+    inst = _two_loops(10)
+    g, h, phi, psi = inst.g, inst.h, inst.phi, inst.psi
+    tree = bfs_tree(g, 0)
+    search = find_valid_base_walk(g, h, phi, psi, tree, Scratch(g.n))
+    assert walks_of(search)[0] == (0, 1, 2, 3, 0)
+    kept = generate_system(g, h, phi, psi, tree, (0, 1, 2, 3, 0), Scratch(g.n))
+    assert walks_of(search) == walks_of(kept) and len(search.flat) - g.n == 104
+    # the descent counts the constant walk's 100 moves, fewer than 104, and
+    # its check finds the 16-cycle unpreserved
+    seen = []
+    count, check = systems._move_count, systems._unpreserved_cycle
+    monkeypatch.setattr(systems, "_move_count", lambda *a: seen.append(count(*a)) or seen[-1])
+    monkeypatch.setattr(
+        systems, "_unpreserved_cycle", lambda *a: seen.append(check(*a)) or seen[-1]
+    )
+    verdict = solve(inst)
+    assert seen[-3:] == [244, 100, CycleWitness(cycle=(0,) + tuple(range(5, 20)) + (0,))]
+    assert len(verdict.moves) == 2 * 104 and verify_witness(inst, pairs(verdict.moves)).ok

@@ -210,6 +210,26 @@ def test_primitive_root_doubled():
     assert primitive_root((0, 1, 2, 3, 4) * 2) == (0, 1, 2, 3, 4)
 
 
+def test_primitive_root_is_the_shortest_prefix_whose_power_is_the_core():
+    # the least divisor p of the length with period p, against the brute
+    # rule on words with periods, near-periods and none
+    rng = random.Random(71)
+    powers = 0
+    for _ in range(3000):
+        word = tuple(rng.randrange(3) for _ in range(rng.randrange(4, 9))) * rng.randrange(1, 6)
+        if rng.random() < 0.3:
+            word = word[:-1] + (rng.randrange(3),)
+        m = len(word)
+        p = min(p for p in range(1, m + 1) if not m % p and word == word[:p] * (m // p))
+        if p != m and p < 4:
+            with pytest.raises(InternalError):
+                primitive_root(word)
+        else:
+            assert primitive_root(word) == word[:p]
+            powers += p < m
+    assert powers > 1000, powers
+
+
 def test_primitive_root_rejects_short_period():
     with pytest.raises(InternalError):
         primitive_root((0, 1) * 2)
